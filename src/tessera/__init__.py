@@ -36,7 +36,7 @@ from .errors import (
     TrainingError,
 )
 from .experiment import ExperimentConfig, build_report, load_config, run_experiment
-from .mc_dropout import DropoutMlp, DropoutTrainConfig, mc_intervals, mc_predict, train_dropout
+from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
 from .metrics import (
     CwcConfig,
     MetricsReport,
@@ -54,12 +54,11 @@ from .metrics import (
 from .moe import (
     MixturePrediction,
     MoeModel,
-    TrainConfig,
     TrainHistory,
+    TrainSpec,
     mixture_log_pdf,
     mixture_nll,
     mixture_nll_loss,
-    mixture_pdf,
     train_moe,
 )
 from .nn import (
@@ -70,7 +69,6 @@ from .nn import (
     make_rng,
     softmax,
     softplus,
-    spawn_rngs,
 )
 
 __version__ = "0.1.0"

@@ -53,6 +53,10 @@ class Dataset:
                 raise DimensionError("sigma_true must have one entry per row")
             if np.any(self.sigma_true < 0):
                 raise DimensionError("sigma_true must be nonnegative")
+        for name in ("X", "y", "sigma_true"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                raise DimensionError(f"{name} has non-finite entries")
         if self.groups is not None:
             self.groups = np.asarray(self.groups, dtype=str)
             if self.groups.shape != (n,):

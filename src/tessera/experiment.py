@@ -21,11 +21,10 @@ from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleK
 from .datagen import DEFAULT_FRACTIONS, Dataset, gen_clustered_shift, \
     gen_heteroscedastic, load_csv, save_csv, split_dataset
 from .errors import ConfigError, MetricError
-from .mc_dropout import DropoutMlp, DropoutTrainConfig, mc_intervals, mc_predict, \
-    train_dropout
+from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
 from .metrics import CwcConfig, MetricsReport, cwc, disentangle_stats, groupwise_picp, \
     mpiw_nmpiw, picp, point_metrics, report_nll, sparsification, ssc_detail
-from .moe import MixturePrediction, MoeModel, TrainConfig, train_moe
+from .moe import MixturePrediction, MoeModel, TrainSpec, train_moe
 from .nn import derived_seed, make_rng
 
 METHODS = ("tessera_e", "tessera_a", "classical_cp", "moe_e", "moe_a", "mc_dropout")
@@ -37,13 +36,18 @@ _ROLE_DATA, _ROLE_MOE_INIT, _ROLE_MOE_TRAIN, _ROLE_DROPOUT_INIT, \
 
 
 def _from_dict(cls, d: dict, context: str):
+    """Build one config section; spec errors start with the field name, so
+    prefixing the section gives e.g. ``config.train.epochs must be >= 1``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be a mapping")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - names)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {unknown}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except ConfigError as e:
+        raise ConfigError(f"{context}.{e}") from None
 
 
 @dataclass
@@ -68,9 +72,9 @@ class DataSpec:
 
     def __post_init__(self):
         if self.kind not in ("heteroscedastic", "clustered_shift", "csv"):
-            raise ConfigError(f"unknown data kind {self.kind!r}")
+            raise ConfigError(f"kind {self.kind!r} is not a known data kind")
         if self.kind == "csv" and not self.path:
-            raise ConfigError("data kind 'csv' requires a path")
+            raise ConfigError("path is required when kind is 'csv'")
         self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
 
 
@@ -91,23 +95,6 @@ class ModelSpec:
     gate_hidden: int = 32
     activation: str = "tanh"
     var_floor: float = 1e-6
-
-
-@dataclass
-class TrainSpec:
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 1e-4
-
-
-@dataclass
-class McDropoutSpec:
-    hidden: int = 64
-    dropout: float = 0.5
-    passes: int = 50
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 1e-3
 
 
 @dataclass
@@ -242,21 +229,15 @@ def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutM
                           activation=config.model.activation,
                           var_floor=config.model.var_floor,
                           rng=make_rng(derived_seed(config.seed, _ROLE_MOE_INIT)))
-    history = train_moe(model, train.X, train.y, val.X, val.y,
-                        TrainConfig(epochs=config.train.epochs,
-                                    batch_size=config.train.batch_size,
-                                    lr=config.train.lr,
-                                    seed=derived_seed(config.seed, _ROLE_MOE_TRAIN)))
+    history = train_moe(model, train.X, train.y, val.X, val.y, config.train,
+                        derived_seed(config.seed, _ROLE_MOE_TRAIN))
     model.save(out / "moe_model.json")
     serialize.dump(history.to_dict(), out / "moe_history.json")
     dropout = DropoutMlp.init(ds.dim, hidden=config.mc_dropout.hidden,
                               dropout=config.mc_dropout.dropout,
                               rng=make_rng(derived_seed(config.seed, _ROLE_DROPOUT_INIT)))
-    mse = train_dropout(dropout, train.X, train.y,
-                        DropoutTrainConfig(epochs=config.mc_dropout.epochs,
-                                           batch_size=config.mc_dropout.batch_size,
-                                           lr=config.mc_dropout.lr,
-                                           seed=derived_seed(config.seed, _ROLE_DROPOUT_TRAIN)))
+    mse = train_dropout(dropout, train.X, train.y, config.mc_dropout,
+                        derived_seed(config.seed, _ROLE_DROPOUT_TRAIN))
     dropout.save(out / "mc_dropout_model.json")
     serialize.dump({"train_mse": mse}, out / "mc_dropout_history.json")
     _write_manifest(config, out)

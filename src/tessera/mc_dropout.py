@@ -8,18 +8,15 @@ mean +/- z_{1-alpha/2} * std.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
+from . import serialize
 from .conformal import PredictionIntervals
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, make_rng
-
-CHECKPOINT_VERSION = 1
+from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng
 
 
 class DropoutMlp:
@@ -64,50 +61,44 @@ class DropoutMlp:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self.net.forward(X)[:, 0]
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "mc_dropout",
-            "dropout": self.dropout,
-            "net": self.net.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DropoutMlp":
-        if d.get("format_version") != CHECKPOINT_VERSION:
-            raise DimensionError(f"unsupported checkpoint version {d.get('format_version')!r}")
-        if d.get("kind") != "mc_dropout":
-            raise DimensionError(f"checkpoint kind {d.get('kind')!r} is not a dropout model")
-        return cls(Mlp.from_dict(d["net"]), float(d["dropout"]))
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        serialize.save_checkpoint(path, "mc_dropout",
+                                  {"dropout": self.dropout, "net": self.net.to_dict()})
 
     @classmethod
     def load(cls, path) -> "DropoutMlp":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        d = serialize.load_checkpoint(path, "mc_dropout")
+        return cls(Mlp.from_dict(d["net"]), float(d["dropout"]))
 
 
 @dataclass
-class DropoutTrainConfig:
+class McDropoutSpec:
+    """Network shape, training and prediction settings of the dropout baseline."""
+
+    hidden: int = 64
+    dropout: float = 0.5
+    passes: int = 50
     epochs: int = 50
     batch_size: int = 128
     lr: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or not (self.lr > 0):
-            raise ConfigError("epochs and batch_size must be >= 1 and lr positive")
+        if self.hidden < 1:
+            raise ConfigError("hidden must be >= 1")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError("dropout must lie in [0, 1)")
+        if self.passes < 2:
+            raise ConfigError("passes must be >= 2")
+        check_adam_schedule(self.epochs, self.batch_size, self.lr)
 
 
-def train_dropout(model: DropoutMlp, x: Array, y: Array,
-                  config: DropoutTrainConfig | None = None) -> list[float]:
+def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
+                  seed: int) -> list[float]:
     """Minibatch Adam on mean squared error with dropout active.
 
     Returns the per-epoch full-data MSE measured without dropout. The run
-    is a pure function of (initial weights, data, config.seed).
+    is a pure function of (initial weights, data, config, seed).
     """
-    config = config or DropoutTrainConfig()
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
     n = X.shape[0]
@@ -115,7 +106,7 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array,
         raise DimensionError("empty training set")
     if yv.shape[0] != n:
         raise DimensionError("targets must pair with inputs")
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     params = model.net.parameters()
     state = AdamState(params, lr=config.lr)
     history = []

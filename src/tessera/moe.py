@@ -10,21 +10,20 @@ the scale of disagreement between expert means.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid
 from scipy.special import logsumexp
 
+from . import serialize
 from .errors import DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, make_rng, softmax, softplus
+from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng, \
+    softmax, softplus
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VAR_FLOOR_DEFAULT = 1e-6
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -84,17 +83,6 @@ class MixturePrediction:
         """
         dev = self.mu - self.mu_bar[:, None]
         return np.sqrt(np.mean(dev * dev, axis=1))
-
-    def rows(self, idx) -> "MixturePrediction":
-        return MixturePrediction(self.w[idx], self.mu[idx], self.sigma2[idx])
-
-
-def aleatoric_scale(pred: MixturePrediction) -> Array:
-    return pred.aleatoric
-
-
-def epistemic_scale(pred: MixturePrediction) -> Array:
-    return pred.epistemic
 
 
 class _ForwardParts(NamedTuple):
@@ -199,31 +187,18 @@ class MoeModel:
         parts = self._forward_parts(x, check_finite=check_finite)
         return MixturePrediction(parts.w, parts.mu, parts.sigma2)
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "moe",
+    def save(self, path) -> None:
+        serialize.save_checkpoint(path, "moe", {
             "var_floor": self.var_floor,
             "gate": self.gate.to_dict(),
             "experts": [ex.to_dict() for ex in self.experts],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MoeModel":
-        if d.get("format_version") != CHECKPOINT_VERSION:
-            raise DimensionError(f"unsupported checkpoint version {d.get('format_version')!r}")
-        if d.get("kind") != "moe":
-            raise DimensionError(f"checkpoint kind {d.get('kind')!r} is not a mixture model")
-        gate = Mlp.from_dict(d["gate"])
-        experts = [Mlp.from_dict(e) for e in d["experts"]]
-        return cls(gate, experts, float(d["var_floor"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        })
 
     @classmethod
     def load(cls, path) -> "MoeModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        d = serialize.load_checkpoint(path, "moe")
+        return cls(Mlp.from_dict(d["gate"]), [Mlp.from_dict(e) for e in d["experts"]],
+                   float(d["var_floor"]))
 
 
 def _log_components(pred_w_log: Array, mu: Array, sigma2: Array, y: Array) -> Array:
@@ -251,11 +226,6 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
         log_w = np.log(w)
     out = logsumexp(_log_components(log_w, mu, s2, yv), axis=1)
     return float(out[0]) if scalar_in else out
-
-
-def mixture_pdf(pred: MixturePrediction, y) -> Array:
-    """Density of the row-wise mixture at y; same broadcasting as the log form."""
-    return np.exp(mixture_log_pdf(pred, y))
 
 
 def _nll_core(model: MoeModel, x: Array, y) -> tuple[_ForwardParts, Array, Array, Array]:
@@ -306,19 +276,15 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, list[Array]]:
 
 
 @dataclass
-class TrainConfig:
+class TrainSpec:
+    """Minibatch-Adam settings for :func:`train_moe`."""
+
     epochs: int = 50
     batch_size: int = 128
     lr: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DimensionError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise DimensionError("batch_size must be >= 1")
-        if not (self.lr > 0):
-            raise DimensionError("lr must be positive")
+        check_adam_schedule(self.epochs, self.batch_size, self.lr)
 
 
 @dataclass
@@ -333,14 +299,13 @@ class TrainHistory:
 
 
 def train_moe(model: MoeModel, x_train: Array, y_train: Array,
-              x_val: Array, y_val: Array, config: TrainConfig | None = None) -> TrainHistory:
+              x_val: Array, y_val: Array, config: TrainSpec, seed: int) -> TrainHistory:
     """Minibatch Adam on the mixture NLL; mutates ``model`` in place.
 
     After the final epoch the parameters from the epoch with the lowest
-    validation NLL are restored. Shuffling is driven only by
-    ``config.seed``, so a rerun reproduces the same trajectory.
+    validation NLL are restored. Shuffling is driven only by ``seed``, so a
+    rerun reproduces the same trajectory.
     """
-    config = config or TrainConfig()
     x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=np.float64))
     y_train = np.asarray(y_train, dtype=np.float64).ravel()
@@ -350,7 +315,7 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
         raise DimensionError("train and val sets must be nonempty")
     if y_train.shape[0] != n or y_val.shape[0] != x_val.shape[0]:
         raise DimensionError("targets must pair with inputs")
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     params = model.parameters()
     state = AdamState(params, lr=config.lr)
     history = TrainHistory()

@@ -1,8 +1,7 @@
 """Numeric kernels: seeded RNG streams, a small fully connected net with
 hand-written reverse-mode gradients, Adam, and a finite-difference oracle.
 
-Everything is float64. The same seed always yields the same stream, and
-child streams are independent of the order they are consumed in.
+Everything is float64. The same seed always yields the same stream.
 """
 
 from __future__ import annotations
@@ -10,9 +9,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
 
-from .errors import DimensionError, ModelError, TrainingError
+from .errors import ConfigError, DimensionError, ModelError, TrainingError
 
 Array = np.ndarray
 
@@ -30,18 +28,6 @@ def as_rng(seed_or_rng: int | np.random.SeedSequence | np.random.Generator) -> n
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return make_rng(seed_or_rng)
-
-
-def spawn_rngs(seed: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """n independent child generators of a root seed.
-
-    Children are derived by spawning, so the stream drawn from child i does
-    not depend on how many draws any other child has consumed.
-    """
-    if n < 1:
-        raise DimensionError("need at least one child stream")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    return [make_rng(child) for child in root.spawn(n)]
 
 
 def derived_seed(seed: int, role: int) -> int:
@@ -249,18 +235,6 @@ class Mlp:
                     delta = dh
         return grads
 
-    def value_and_grad(self, x: Array, upstream: Array, hidden_masks=None):
-        """Forward pass plus parameter gradients in one call.
-
-        Returns (output, grads); 1-d input gives 1-d output.
-        """
-        single = np.asarray(x).ndim == 1
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        G = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        out, cache = self.forward_cache(X, hidden_masks)
-        grads = self.backward(cache, G)
-        return (out[0] if single else out), grads
-
     def to_dict(self) -> dict:
         return {
             "widths": list(self.widths),
@@ -275,11 +249,6 @@ class Mlp:
         if list(net.widths) != list(d["widths"]):
             raise DimensionError("stored widths do not match stored weights")
         return net
-
-
-def mlp_value_and_grad(net: Mlp, x: Array, upstream: Array, hidden_masks=None):
-    """Module-level alias for :meth:`Mlp.value_and_grad`."""
-    return net.value_and_grad(x, upstream, hidden_masks)
 
 
 class AdamState:
@@ -300,6 +269,17 @@ class AdamState:
         self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
         self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
         self.t = 0
+
+
+def check_adam_schedule(epochs: int, batch_size: int, lr: float) -> None:
+    """Reject minibatch-Adam settings no trainer can run; the message
+    starts with the offending field name."""
+    if epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if not (lr > 0):
+        raise ConfigError("lr must be positive")
 
 
 def adam_step(state: AdamState, params: Sequence[Array], grads: Sequence[Array]) -> list[Array]:

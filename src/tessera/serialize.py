@@ -15,6 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import DimensionError
+
+CHECKPOINT_VERSION = 1
 
 def to_jsonable(obj):
     """Recursively convert to plain JSON types with non-finite sentinels."""
@@ -63,6 +66,22 @@ def dump(obj, path) -> None:
 
 def load(path):
     return json.loads(Path(path).read_text())
+
+
+def save_checkpoint(path, kind: str, body: dict) -> None:
+    """Write a model checkpoint: ``body`` tagged with its kind and format version."""
+    dump({"format_version": CHECKPOINT_VERSION, "kind": kind, **body}, path)
+
+
+def load_checkpoint(path, kind: str) -> dict:
+    """Read a checkpoint written by :func:`save_checkpoint`, refusing any
+    other format version or model kind."""
+    d = load(path)
+    if d.get("format_version") != CHECKPOINT_VERSION:
+        raise DimensionError(f"unsupported checkpoint version {d.get('format_version')!r}")
+    if d.get("kind") != kind:
+        raise DimensionError(f"checkpoint kind {d.get('kind')!r} is not {kind!r}")
+    return d
 
 
 def format_float(x: float) -> str:

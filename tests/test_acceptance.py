@@ -31,7 +31,7 @@ from tessera.errors import MetricError
 from tessera.experiment import ExperimentConfig, run_experiment
 from tessera.mc_dropout import mc_intervals
 from tessera.metrics import CwcConfig, cwc, disentangle_stats, sparsification, ssc
-from tessera.moe import MoeModel, TrainConfig, mixture_nll, mixture_nll_loss, train_moe
+from tessera.moe import MoeModel, TrainSpec, mixture_nll, mixture_nll_loss, train_moe
 from tessera.nn import derived_seed, finite_difference_gradients, make_rng
 
 ALPHA = 0.10
@@ -66,8 +66,7 @@ def _fit_moe(ds, seed, n_experts=4, hidden=32, epochs=200, batch=128, lr=5e-3):
     model = MoeModel.init(ds.dim, n_experts=n_experts, expert_hidden=hidden,
                           rng=make_rng(derived_seed(seed, 1)))
     train_moe(model, tr.X, tr.y, va.X, va.y,
-              TrainConfig(epochs=epochs, batch_size=batch, lr=lr,
-                          seed=derived_seed(seed, 2)))
+              TrainSpec(epochs=epochs, batch_size=batch, lr=lr), derived_seed(seed, 2))
     return model
 
 

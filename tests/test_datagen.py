@@ -254,6 +254,19 @@ def test_csv_header_validation(tmp_path):
         load_csv(path)
 
 
+def test_csv_non_finite_cell_rejected(tmp_path):
+    ds = gen_heteroscedastic(20, 2, "step", seed=4)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    lines = path.read_text().split("\n")
+    cells = lines[5].split(",")
+    cells[1] = "nan"  # feature_1 of one row
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with pytest.raises(CsvFormatError, match="data.csv: X has non-finite"):
+        load_csv(path)
+
+
 def test_csv_bad_split_tag_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("feature_0,target,split\n1.0,2.0,holdout\n")
@@ -283,3 +296,8 @@ def test_dataset_validation():
         Dataset(X=np.zeros((2, 2)), y=np.zeros(2), split=np.array(["train", "huh"]))
     with pytest.raises(DimensionError):
         Dataset(X=np.zeros((2, 2)), y=np.zeros(2), sigma_true=np.array([-1.0, 1.0]))
+    for field, bad in (("X", np.nan), ("y", -np.inf), ("sigma_true", np.inf)):
+        arrays = {"X": np.zeros((3, 2)), "y": np.zeros(3), "sigma_true": np.ones(3)}
+        arrays[field].flat[1] = bad
+        with pytest.raises(DimensionError, match=f"{field} has non-finite"):
+            Dataset(**arrays)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,31 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "epochs", 0),
+    ("train", "batch_size", 0),
+    ("train", "lr", 0.0),
+    ("mc_dropout", "epochs", 0),
+    ("mc_dropout", "batch_size", -1),
+    ("mc_dropout", "lr", -1e-3),
+    ("mc_dropout", "passes", 1),
+    ("mc_dropout", "dropout", 1.0),
+    ("mc_dropout", "dropout", -0.1),
+    ("mc_dropout", "hidden", 0),
+])
+def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
+    cfg = small_config()
+    cfg[section] = {**cfg[section], key: value}
+    field = rf"config\.{section}\.{key}"
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(cfg)
+    out = tmp_path / "never"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert re.search(field, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_alpha_flag_overrides_config(tmp_path):

@@ -7,7 +7,7 @@ from tessera.datagen import gen_heteroscedastic
 from tessera.errors import ConfigError, DimensionError
 from tessera.mc_dropout import (
     DropoutMlp,
-    DropoutTrainConfig,
+    McDropoutSpec,
     mc_intervals,
     mc_predict,
     train_dropout,
@@ -125,8 +125,8 @@ def test_training_reduces_mse():
     model = DropoutMlp.init(2, hidden=16, dropout=0.2, rng=make_rng(0))
     before = float(np.mean((model.deterministic_forward(ds.X) - ds.y) ** 2))
     history = train_dropout(model, ds.X, ds.y,
-                            DropoutTrainConfig(epochs=20, batch_size=64,
-                                               lr=5e-3, seed=0))
+                            McDropoutSpec(epochs=20, batch_size=64, lr=5e-3),
+                            seed=0)
     assert history[-1] < before
     assert history[-1] < history[0]
     assert len(history) == 20
@@ -138,8 +138,8 @@ def test_training_deterministic_given_seed():
     def run():
         model = DropoutMlp.init(2, hidden=8, dropout=0.5, rng=make_rng(3))
         return train_dropout(model, ds.X, ds.y,
-                             DropoutTrainConfig(epochs=3, batch_size=32,
-                                                lr=1e-3, seed=11))
+                             McDropoutSpec(epochs=3, batch_size=32, lr=1e-3),
+                             seed=11)
 
     assert run() == run()
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,14 @@ from scipy.stats import norm
 
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import DimensionError, TrainingError
+from tessera.mc_dropout import DropoutMlp
 from tessera.moe import (
     MixturePrediction,
     MoeModel,
-    TrainConfig,
-    aleatoric_scale,
-    epistemic_scale,
+    TrainSpec,
     mixture_log_pdf,
     mixture_nll,
     mixture_nll_loss,
-    mixture_pdf,
     train_moe,
 )
 from tessera.nn import finite_difference_gradients, make_rng, softplus
@@ -59,12 +59,6 @@ def test_epistemic_zero_iff_means_agree():
     assert differ.epistemic[0] > 0.0
 
 
-def test_scale_helpers_match_properties():
-    pred = two_component()
-    assert_allclose(aleatoric_scale(pred), pred.aleatoric, rtol=0)
-    assert_allclose(epistemic_scale(pred), pred.epistemic, rtol=0)
-
-
 def test_prediction_validation():
     with pytest.raises(DimensionError):
         MixturePrediction(w=[[0.5, 0.6]], mu=[[0.0, 0.0]], sigma2=[[1.0, 1.0]])
@@ -79,14 +73,14 @@ def test_prediction_validation():
 def test_single_component_matches_norm_pdf():
     pred = MixturePrediction(w=[[1.0]], mu=[[0.7]], sigma2=[[2.25]])
     ys = np.linspace(-4, 6, 11)
-    assert_allclose(mixture_pdf(pred, ys),
+    assert_allclose(np.exp(mixture_log_pdf(pred, ys)),
                     norm.pdf(ys, loc=0.7, scale=1.5), rtol=1e-12)
 
 
 def test_two_component_hand_density():
     pred = two_component()
     want = 0.5 * norm.pdf(0.0, -1.0, 1.0) + 0.5 * norm.pdf(0.0, 1.0, 1.0)
-    assert_allclose(mixture_pdf(pred, 0.0), want, rtol=1e-12)
+    assert_allclose(np.exp(mixture_log_pdf(pred, 0.0)), want, rtol=1e-12)
     assert_allclose(mixture_log_pdf(pred, 0.0), np.log(want), rtol=1e-12)
 
 
@@ -94,16 +88,16 @@ def test_density_integrates_to_one():
     pred = MixturePrediction(w=[[0.2, 0.5, 0.3]], mu=[[-2.0, 0.5, 3.0]],
                              sigma2=[[0.25, 1.0, 4.0]])
     ys = np.linspace(-20, 25, 20001)
-    mass = np.trapezoid(mixture_pdf(pred, ys), ys)
+    mass = np.trapezoid(np.exp(mixture_log_pdf(pred, ys)), ys)
     assert_allclose(mass, 1.0, atol=1e-9)
 
 
 def test_density_pairs_rows_with_targets():
     pred = MixturePrediction(w=[[1.0], [1.0]], mu=[[0.0], [5.0]], sigma2=[[1.0], [1.0]])
-    out = mixture_pdf(pred, [0.0, 5.0])
+    out = np.exp(mixture_log_pdf(pred, [0.0, 5.0]))
     assert_allclose(out, [norm.pdf(0.0), norm.pdf(0.0)], rtol=1e-12)
     with pytest.raises(DimensionError):
-        mixture_pdf(pred, [0.0, 1.0, 2.0])
+        mixture_log_pdf(pred, [0.0, 1.0, 2.0])
 
 
 def test_log_pdf_survives_tiny_gate_weight():
@@ -228,7 +222,7 @@ def test_training_reduces_validation_nll(small_data):
     model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
     before = mixture_nll_loss(model, Xv, yv)
     hist = train_moe(model, X, y, Xv, yv,
-                     TrainConfig(epochs=15, batch_size=64, lr=5e-3, seed=0))
+                     TrainSpec(epochs=15, batch_size=64, lr=5e-3), seed=0)
     after = mixture_nll_loss(model, Xv, yv)
     assert after < before
     assert len(hist.train_nll) == len(hist.val_nll) == 15
@@ -243,7 +237,7 @@ def test_training_is_seed_deterministic(small_data):
     def run():
         model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(4))
         hist = train_moe(model, X, y, Xv, yv,
-                         TrainConfig(epochs=3, batch_size=64, lr=1e-3, seed=5))
+                         TrainSpec(epochs=3, batch_size=64, lr=1e-3), seed=5)
         return hist, model.forward(Xv[:5])
 
     h1, p1 = run()
@@ -260,14 +254,14 @@ def test_training_divergence_reports_epoch(small_data):
     with pytest.raises(TrainingError, match=r"epoch \d"):
         # squared residuals overflow, so the very first batch loss is inf
         train_moe(model, X, y * 1e200, Xv, yv * 1e200,
-                  TrainConfig(epochs=3, batch_size=64, lr=1e-3, seed=0))
+                  TrainSpec(epochs=3, batch_size=64, lr=1e-3), seed=0)
 
 
 def test_empty_sets_rejected(small_data):
     X, y, Xv, yv = small_data
     model = MoeModel.init(2, n_experts=2, rng=make_rng(0))
     with pytest.raises(DimensionError):
-        train_moe(model, X[:0], y[:0], Xv, yv, TrainConfig(epochs=1))
+        train_moe(model, X[:0], y[:0], Xv, yv, TrainSpec(epochs=1), seed=0)
 
 
 # ---------------------------------------------------------- checkpoint
@@ -285,16 +279,36 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert clone.var_floor == model.var_floor
 
 
-def test_checkpoint_rejects_wrong_kind(tmp_path):
-    model = MoeModel.init(2, n_experts=2, rng=make_rng(0))
-    d = model.to_dict()
-    d["kind"] = "linear_regression"
+@pytest.mark.parametrize("cls", [MoeModel, DropoutMlp], ids=["moe", "mc_dropout"])
+def test_checkpoint_rejects_wrong_kind(tmp_path, cls):
+    path = tmp_path / "model.json"
+    cls.init(2, rng=make_rng(0)).save(path)
+    saved = json.loads(path.read_text())
+    for key, value, message in (("kind", "linear_regression", "kind"),
+                                ("format_version", 99, "version")):
+        path.write_text(json.dumps({**saved, key: value}))
+        with pytest.raises(DimensionError, match=message):
+            cls.load(path)
+    other = DropoutMlp if cls is MoeModel else MoeModel
+    other.init(2, rng=make_rng(0)).save(path)
     with pytest.raises(DimensionError, match="kind"):
-        MoeModel.from_dict(d)
-    d = model.to_dict()
-    d["format_version"] = 99
-    with pytest.raises(DimensionError, match="version"):
-        MoeModel.from_dict(d)
+        cls.load(path)
+
+
+def test_checkpoint_compact_format_still_loads(tmp_path):
+    # checkpoints were once written as one compact line; they must still load
+    model = MoeModel.init(3, n_experts=3, expert_hidden=6, rng=make_rng(23))
+    path = tmp_path / "model.json"
+    model.save(path)
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True) + "\n")
+    assert compact.read_text() != path.read_text()
+    clone = MoeModel.load(compact)
+    X = make_rng(24).standard_normal((10, 3))
+    a, b = model.forward(X), clone.forward(X)
+    assert np.array_equal(a.w, b.w)
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.sigma2, b.sigma2)
 
 
 # ------------------------------------------------------------ property

@@ -11,10 +11,8 @@ from tessera.nn import (
     adam_step,
     finite_difference_gradients,
     make_rng,
-    mlp_value_and_grad,
     softmax,
     softplus,
-    spawn_rngs,
 )
 
 
@@ -69,16 +67,12 @@ def test_make_rng_deterministic():
     assert not np.allclose(a, c)
 
 
-def test_spawned_streams_ignore_consumption_order():
-    first = spawn_rngs(7, 3)
-    _ = first[0].standard_normal(100)  # consume stream 0 heavily
-    x1 = first[1].standard_normal(4)
-    second = spawn_rngs(7, 3)
-    y1 = second[1].standard_normal(4)  # stream 0 untouched this time
-    assert_allclose(x1, y1, rtol=0)
-
-
 # ------------------------------------------------------------------- mlp
+
+def _grads(net, x, upstream, hidden_masks=None):
+    _, cache = net.forward_cache(x, hidden_masks)
+    return net.backward(cache, upstream)
+
 
 def test_zero_network_forward_and_bias_gradient():
     net = Mlp([np.zeros((3, 4)), np.zeros((4, 2))],
@@ -87,7 +81,7 @@ def test_zero_network_forward_and_bias_gradient():
     out = net.forward(x)
     assert_allclose(out, np.zeros((1, 2)), rtol=0)
     upstream = np.array([[1.0, -2.0]])
-    _, grads = net.value_and_grad(x, upstream)
+    grads = _grads(net, x, upstream)
     # all activations are zero, so only the final bias sees the upstream
     assert_allclose(grads[3], [1.0, -2.0], rtol=0)
     assert_allclose(grads[0], np.zeros((3, 4)), rtol=0)
@@ -97,12 +91,13 @@ def test_zero_network_forward_and_bias_gradient():
 def test_single_linear_layer_gradient_is_outer_product():
     w = np.array([[0.5, -1.0], [2.0, 0.25], [1.5, -0.75]])
     net = Mlp([w], [np.zeros(2)], [])
-    x = np.array([1.0, -2.0, 3.0])
-    upstream = np.array([2.0, -1.0])
-    out, grads = net.value_and_grad(x, upstream)
+    x = np.array([[1.0, -2.0, 3.0]])
+    upstream = np.array([[2.0, -1.0]])
+    out, cache = net.forward_cache(x)
+    grads = net.backward(cache, upstream)
     assert_allclose(out, x @ w, rtol=1e-12)
     assert_allclose(grads[0], np.outer(x, upstream), rtol=1e-12)
-    assert_allclose(grads[1], upstream, rtol=1e-12)
+    assert_allclose(grads[1], upstream[0], rtol=1e-12)
 
 
 def test_batched_forward_matches_row_by_row():
@@ -135,7 +130,7 @@ def test_grad_matches_finite_differences(activation, widths):
         def loss():
             return float(np.sum(net.forward(x) * c))
 
-        _, grads = net.value_and_grad(x, c)
+        grads = _grads(net, x, c)
         fd = finite_difference_gradients(loss, net.parameters(), h=1e-5)
         for g, f in zip(grads, fd):
             worst = max(worst, _rel_err(g, f))
@@ -155,20 +150,10 @@ def test_dropout_masks_scale_forward_and_backward():
     def loss():
         return float(np.sum(net.forward(x, hidden_masks=[mask]) * c))
 
-    _, grads = net.value_and_grad(x, c, hidden_masks=[mask])
+    grads = _grads(net, x, c, hidden_masks=[mask])
     fd = finite_difference_gradients(loss, net.parameters(), h=1e-6)
     for g, f in zip(grads, fd):
         assert _rel_err(g, f) < 1e-4
-
-
-def test_mlp_value_and_grad_alias():
-    net = Mlp.init((2, 3, 1), "tanh", rng=make_rng(4))
-    x = np.array([0.1, 0.2])
-    out1, g1 = net.value_and_grad(x, np.array([1.0]))
-    out2, g2 = mlp_value_and_grad(net, x, np.array([1.0]))
-    assert_allclose(out1, out2, rtol=0)
-    for a, b in zip(g1, g2):
-        assert_allclose(a, b, rtol=0)
 
 
 def test_xavier_init_bounds_and_zero_bias():
@@ -198,7 +183,7 @@ def test_shape_validation():
     with pytest.raises(DimensionError):
         net.forward(np.zeros((5, 7)))
     with pytest.raises(DimensionError):
-        net.value_and_grad(np.zeros((5, 3)), np.zeros((5, 3)))
+        _grads(net, np.zeros((5, 3)), np.zeros((5, 3)))
     with pytest.raises(DimensionError):
         Mlp.init((2, 2), activation=("sigmoid",) * 0) and Mlp([np.zeros((2, 2))],
                                                               [np.zeros(2)], ["swish"])
