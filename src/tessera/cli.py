@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline stages (gen-data, train, calibrate,
 evaluate), plus `run` for the whole pipeline and `report` to aggregate
-metrics across finished runs. Flags override the corresponding config
-fields; the manifest records the effective config.
+metrics across finished runs. `--out` names the run dir; the other flags
+override the corresponding config fields, and the manifest records the
+effective config.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def _add_common(p: argparse.ArgumentParser, alpha: bool = False,
     p.add_argument("--config", type=Path, default=None,
                    help="JSON experiment config (defaults apply when omitted)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
+    p.add_argument("--out", type=Path, default=Path("tessera_run"),
+                   help="run directory (default: tessera_run)")
     if alpha:
         p.add_argument("--alpha", type=float, default=None,
                        help="override the miscoverage level")
@@ -40,18 +42,12 @@ def _effective_config(args) -> ExperimentConfig:
         config.calibration.alpha = float(args.alpha)
     if getattr(args, "method", None) is not None:
         config.methods = resolve_methods(args.method)
-    if args.out is not None:
-        config.output_dir = str(args.out)
     return config
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
-    return Path(config.output_dir)
 
 
 def _cmd_run(args) -> int:
     config = _effective_config(args)
-    out = run_experiment(config, _out_dir(config))
+    out = run_experiment(config, args.out)
     print(f"run complete: {out}")
     for method in config.methods:
         print(f"  metrics_{method}.json")
@@ -60,21 +56,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     config = _effective_config(args)
-    ds = stage_gen_data(config, _out_dir(config))
-    print(f"wrote {_out_dir(config) / 'data.csv'} ({ds.n} rows, {ds.dim} features)")
+    ds = stage_gen_data(config, args.out)
+    print(f"wrote {args.out / 'data.csv'} ({ds.n} rows, {ds.dim} features)")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = _effective_config(args)
-    stage_train(config, _out_dir(config))
-    print(f"wrote {_out_dir(config) / 'moe_model.json'} and mc_dropout_model.json")
+    stage_train(config, args.out)
+    print(f"wrote {args.out / 'moe_model.json'} and mc_dropout_model.json")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     config = _effective_config(args)
-    results = stage_calibrate(config, _out_dir(config))
+    results = stage_calibrate(config, args.out)
     for kind, res in results.items():
         print(f"calibration_{kind}.json: q_hat={res.q_hat}")
     return 0
@@ -82,7 +78,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _effective_config(args)
-    reports = stage_evaluate(config, _out_dir(config))
+    reports = stage_evaluate(config, args.out)
     for method, rep in reports.items():
         print(f"{method}: picp={rep.picp:.3f} nmpiw="
               f"{rep.nmpiw if rep.nmpiw == float('inf') else round(rep.nmpiw, 4)}")

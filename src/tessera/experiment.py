@@ -35,6 +35,21 @@ _ROLE_DATA, _ROLE_MOE_INIT, _ROLE_MOE_TRAIN, _ROLE_DROPOUT_INIT, \
     _ROLE_DROPOUT_TRAIN, _ROLE_MC_PASSES = range(6)
 
 
+# field annotation -> (accepted types, what the error message asks for)
+_SCALAR_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                 "str": (str, "a string"), "str | None": ((str, type(None)), "a string")}
+
+
+def _check_types(cls, d: dict, context: str) -> None:
+    """Reject a scalar of the wrong type, e.g. ``config.train.epochs must be
+    an integer``; a bool counts as no number."""
+    for f in dataclasses.fields(cls):
+        if f.name in d and f.type in _SCALAR_TYPES:
+            types, wanted = _SCALAR_TYPES[f.type]
+            if isinstance(d[f.name], bool) or not isinstance(d[f.name], types):
+                raise ConfigError(f"{context}.{f.name} must be {wanted}")
+
+
 def _from_dict(cls, d: dict, context: str):
     """Build one config section; spec errors start with the field name, so
     prefixing the section gives e.g. ``config.train.epochs must be >= 1``."""
@@ -44,6 +59,7 @@ def _from_dict(cls, d: dict, context: str):
     unknown = sorted(set(d) - names)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {unknown}")
+    _check_types(cls, d, context)
     try:
         return cls(**d)
     except ConfigError as e:
@@ -123,7 +139,6 @@ class MetricsSpec:
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
-    output_dir: str = "tessera_run"
     methods: tuple = METHODS
     data: DataSpec = field(default_factory=DataSpec)
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -145,10 +160,11 @@ class ExperimentConfig:
         sections = {"data": DataSpec, "split": SplitSpec, "model": ModelSpec,
                     "train": TrainSpec, "mc_dropout": McDropoutSpec,
                     "calibration": CalibrationSpec, "metrics": MetricsSpec}
-        scalars = {"schema_version", "seed", "output_dir", "methods"}
+        scalars = {"schema_version", "seed", "methods"}
         unknown = sorted(set(d) - set(sections) - scalars)
         if unknown:
             raise ConfigError(f"unknown keys in config: {unknown}")
+        _check_types(cls, d, "config")
         kwargs = {k: d[k] for k in scalars if k in d}
         for name, spec_cls in sections.items():
             if name in d:
@@ -173,11 +189,7 @@ def resolve_methods(methods) -> tuple:
             out.append(m)
         else:
             raise ConfigError(f"unknown method {m!r}")
-    seen: list[str] = []
-    for m in out:
-        if m not in seen:
-            seen.append(m)
-    return tuple(seen)
+    return tuple(dict.fromkeys(out))  # first occurrence wins
 
 
 def load_config(path) -> ExperimentConfig:
@@ -404,10 +416,10 @@ def _write_manifest(config: ExperimentConfig, out: Path,
     }, out / "manifest.json")
 
 
-def run_experiment(config: ExperimentConfig, out: Path | str | None = None) -> Path:
-    """All four stages in order; on failure the manifest records the stage
-    that failed before the error propagates."""
-    out = Path(config.output_dir if out is None else out)
+def run_experiment(config: ExperimentConfig, out: Path | str) -> Path:
+    """All four stages in order into the run dir ``out``; on failure the
+    manifest records the stage that failed before the error propagates."""
+    out = Path(out)
     stages = (("gen-data", stage_gen_data), ("train", stage_train),
               ("calibrate", stage_calibrate), ("evaluate", stage_evaluate))
     for name, fn in stages:

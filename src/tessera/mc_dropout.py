@@ -46,11 +46,8 @@ class DropoutMlp:
         """Inverted-dropout masks, one per hidden layer: 0 with probability
         p, else 1/(1-p), so the masked activation is unbiased."""
         keep = 1.0 - self.dropout
-        masks = []
-        for w in self.net.weights[:-1]:
-            m = (rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
-            masks.append(m)
-        return masks
+        return [(rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
+                for w in self.net.weights[:-1]]
 
     def stochastic_forward(self, x: Array, rng: np.random.Generator) -> Array:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -107,7 +104,7 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
     if yv.shape[0] != n:
         raise DimensionError("targets must pair with inputs")
     rng = make_rng(seed)
-    params = model.net.parameters()
+    params = model.net.params
     state = AdamState(params, lr=config.lr)
     history = []
     for epoch in range(config.epochs):
@@ -120,8 +117,7 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
             resid = out[:, 0] - yb
             upstream = (2.0 * resid / Xb.shape[0])[:, None]
             grads = model.net.backward(cache, upstream)
-            params = adam_step(state, params, grads)
-            model.net.set_parameters(params)
+            adam_step(state, params, grads)
         mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
         if not np.isfinite(mse):
             raise TrainingError(f"non-finite training loss (epoch {epoch})")

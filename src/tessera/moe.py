@@ -93,28 +93,31 @@ class _ForwardParts(NamedTuple):
     raw_var: Array
     sigma2: Array
     gate_cache: dict
-    expert_caches: list
+    expert_cache: dict
 
 
 class MoeModel:
-    """Softmax-gated ensemble of small MLP experts with mean/variance heads."""
+    """Softmax-gated ensemble of small MLP experts with mean/variance heads.
+
+    The experts run as one stack of K nets; ``params`` holds the gate's
+    parameters followed by the stack's, and both nets view into it.
+    """
 
     def __init__(self, gate: Mlp, experts: Sequence[Mlp], var_floor: float = VAR_FLOOR_DEFAULT):
-        experts = list(experts)
-        if not experts:
-            raise DimensionError("need at least one expert")
-        if gate.output_dim != len(experts):
+        stack = Mlp.stack(experts)
+        if gate.output_dim != stack.weights[0].shape[0]:
             raise DimensionError("gate must emit one logit per expert")
-        d = gate.input_dim
-        for i, ex in enumerate(experts):
-            if ex.input_dim != d:
-                raise DimensionError(f"expert {i} input width differs from gate")
-            if ex.output_dim != 2:
-                raise DimensionError(f"expert {i} must emit (mean, raw variance)")
+        if stack.input_dim != gate.input_dim:
+            raise DimensionError("expert input width differs from gate")
+        if stack.output_dim != 2:
+            raise DimensionError("experts must emit (mean, raw variance)")
         if not (var_floor > 0.0):
             raise DimensionError("var_floor must be positive")
+        self.params = np.empty(gate.n_params + stack.n_params)
+        gate.bind(self.params[:gate.n_params])
+        stack.bind(self.params[gate.n_params:])
         self.gate = gate
-        self.experts = experts
+        self.experts = stack
         self.var_floor = float(var_floor)
 
     @classmethod
@@ -142,28 +145,17 @@ class MoeModel:
 
     @property
     def n_experts(self) -> int:
-        return len(self.experts)
+        return self.gate.output_dim
 
     @property
     def input_dim(self) -> int:
         return self.gate.input_dim
 
-    def parameters(self) -> list[Array]:
-        params = self.gate.parameters()
-        for ex in self.experts:
-            params.extend(ex.parameters())
-        return params
-
-    def set_parameters(self, params: Sequence[Array]) -> None:
-        counts = [2 * self.gate.n_layers] + [2 * ex.n_layers for ex in self.experts]
-        if len(params) != sum(counts):
-            raise DimensionError("parameter list length mismatch")
-        pos = 0
-        self.gate.set_parameters(params[pos:pos + counts[0]])
-        pos += counts[0]
-        for ex, c in zip(self.experts, counts[1:]):
-            ex.set_parameters(params[pos:pos + c])
-            pos += c
+    def set_parameters(self, params: Array) -> None:
+        """Overwrite every parameter with the vector ``params``."""
+        if np.shape(params) != self.params.shape:
+            raise DimensionError(f"need a vector of {self.params.size} parameters")
+        self.params[...] = params
 
     def _forward_parts(self, x: Array, check_finite: bool = False) -> _ForwardParts:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -171,17 +163,13 @@ class MoeModel:
             raise DimensionError(f"input must be (n, {self.input_dim})")
         logits, gate_cache = self.gate.forward_cache(X, check_finite=check_finite)
         w = softmax(logits, axis=1)
-        n, k = X.shape[0], self.n_experts
-        mu = np.empty((n, k))
-        raw = np.empty((n, k))
-        caches = []
-        for j, ex in enumerate(self.experts):
-            out, cache = ex.forward_cache(X, check_finite=check_finite)
-            mu[:, j] = out[:, 0]
-            raw[:, j] = out[:, 1]
-            caches.append(cache)
+        out, expert_cache = self.experts.forward_cache(X, check_finite=check_finite)
+        # row-major (n, K): numpy sums a contiguous row pairwise, so the layout
+        # fixes the float order of every sum over the K experts
+        mu = out[..., 0].T.copy()
+        raw = out[..., 1].T.copy()
         sigma2 = softplus(raw) + self.var_floor
-        return _ForwardParts(X, logits, w, mu, raw, sigma2, gate_cache, caches)
+        return _ForwardParts(X, logits, w, mu, raw, sigma2, gate_cache, expert_cache)
 
     def forward(self, x: Array, check_finite: bool = True) -> MixturePrediction:
         parts = self._forward_parts(x, check_finite=check_finite)
@@ -191,7 +179,7 @@ class MoeModel:
         serialize.save_checkpoint(path, "moe", {
             "var_floor": self.var_floor,
             "gate": self.gate.to_dict(),
-            "experts": [ex.to_dict() for ex in self.experts],
+            "experts": [ex.to_dict() for ex in self.experts.unstack()],
         })
 
     @classmethod
@@ -228,7 +216,9 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
     return float(out[0]) if scalar_in else out
 
 
-def _nll_core(model: MoeModel, x: Array, y) -> tuple[_ForwardParts, Array, Array, Array]:
+def _nll_core(model: MoeModel, x: Array, y) -> tuple[float, _ForwardParts, Array, Array, Array]:
+    """Mean NLL of a batch plus the pieces its gradient needs; raises if
+    the loss is not finite."""
     parts = model._forward_parts(x)
     yv = np.asarray(y, dtype=np.float64).ravel()
     if yv.shape[0] != parts.X.shape[0]:
@@ -238,28 +228,22 @@ def _nll_core(model: MoeModel, x: Array, y) -> tuple[_ForwardParts, Array, Array
     log_w = parts.logits - logsumexp(parts.logits, axis=1, keepdims=True)
     comp = _log_components(log_w, parts.mu, parts.sigma2, yv)
     log_mix = logsumexp(comp, axis=1)
-    return parts, yv, comp, log_mix
+    loss = float(-np.mean(log_mix))
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite mixture NLL")
+    return loss, parts, yv, comp, log_mix
 
 
 def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
     """Mean mixture negative log likelihood of a batch."""
-    _, _, _, log_mix = _nll_core(model, x, y)
-    loss = float(-np.mean(log_mix))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite mixture NLL")
-    return loss
+    return _nll_core(model, x, y)[0]
 
 
-def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, list[Array]]:
-    """Mean mixture NLL with exact gradients for every model parameter.
-
-    Gradient order matches ``model.parameters()``: gate first, then each
-    expert. Raises if the loss is not finite.
+def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
+    """Mean mixture NLL with its exact gradient in the ``model.params``
+    layout. Raises if the loss is not finite.
     """
-    parts, yv, comp, log_mix = _nll_core(model, x, y)
-    loss = float(-np.mean(log_mix))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite mixture NLL")
+    loss, parts, yv, comp, log_mix = _nll_core(model, x, y)
     n = yv.shape[0]
     resp = np.exp(comp - log_mix[:, None])  # per-row component responsibilities
     d_logits = (parts.w - resp) / n
@@ -268,11 +252,9 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, list[Array]]:
     d_sigma2 = -(resp * 0.5 * (resid * resid / (parts.sigma2 * parts.sigma2)
                                - 1.0 / parts.sigma2)) / n
     d_raw = d_sigma2 * sigmoid(parts.raw_var)  # softplus'(r) = sigmoid(r)
-    grads = model.gate.backward(parts.gate_cache, d_logits)
-    for j, ex in enumerate(model.experts):
-        upstream = np.column_stack([d_mu[:, j], d_raw[:, j]])
-        grads.extend(ex.backward(parts.expert_caches[j], upstream))
-    return loss, grads
+    upstream = np.stack((d_mu.T, d_raw.T), axis=-1)  # (K, n, 2), one slice per expert
+    return loss, np.concatenate((model.gate.backward(parts.gate_cache, d_logits),
+                                 model.experts.backward(parts.expert_cache, upstream)))
 
 
 @dataclass
@@ -316,19 +298,18 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
     if y_train.shape[0] != n or y_val.shape[0] != x_val.shape[0]:
         raise DimensionError("targets must pair with inputs")
     rng = make_rng(seed)
-    params = model.parameters()
+    params = model.params
     state = AdamState(params, lr=config.lr)
     history = TrainHistory()
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = params.copy()
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
                 _, grads = mixture_nll(model, x_train[idx], y_train[idx])
-                params = adam_step(state, params, grads)
-                model.set_parameters(params)
+                adam_step(state, params, grads)
             tr = mixture_nll_loss(model, x_train, y_train)
             va = mixture_nll_loss(model, x_val, y_val)
         except TrainingError as e:
@@ -337,7 +318,7 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
         history.val_nll.append(va)
         if va < best_val:
             best_val = va
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
             history.best_epoch = epoch
     model.set_parameters(best_params)
     return history

@@ -1,11 +1,13 @@
-"""Numeric kernels: seeded RNG streams, a small fully connected net with
-hand-written reverse-mode gradients, Adam, and a finite-difference oracle.
+"""Numeric kernels: seeded RNG streams, a small fully connected net (one
+net or a stack of K) over one parameter vector with hand-written
+reverse-mode gradients, Adam, and a finite-difference oracle.
 
 Everything is float64. The same seed always yields the same stream.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,14 +19,12 @@ Array = np.ndarray
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 
-def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
-    """PCG64 generator from an integer seed or an existing SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
+def make_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator from an integer seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def as_rng(seed_or_rng: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
+def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return make_rng(seed_or_rng)
@@ -55,20 +55,27 @@ def softplus(x: Array) -> Array:
 
 
 def _activate(z: Array, tag: str) -> Array:
+    """The activation, computed in place."""
     if tag == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return z  # identity
 
 
 class Mlp:
-    """Fully connected net with a linear final layer.
+    """Fully connected net with a linear final layer, or a stack of K nets
+    of one shape run side by side.
 
+    Every weight and bias is a view into one float64 vector ``params``,
+    laid out [W0, b0, W1, b1, ...] with each tensor flattened in C order.
     Weight matrices are (fan_in, fan_out); a forward pass computes
     ``x @ W + b`` per layer, applying the activation after every layer
-    except the last. Hidden activations may additionally be multiplied by
-    caller-supplied masks (used for dropout); gradients respect the masks.
+    except the last. A stack adds a leading axis: weights (K, fan_in,
+    fan_out), biases (K, fan_out), and an (n, d) input gives a (K, n, out)
+    output whose slice k is what member k computes alone. Hidden
+    activations may additionally be multiplied by caller-supplied masks
+    (used for dropout); gradients respect the masks.
     """
 
     def __init__(self, weights: Sequence[Array], biases: Sequence[Array],
@@ -82,18 +89,20 @@ class Mlp:
         for tag in activations:
             if tag not in ACTIVATIONS:
                 raise DimensionError(f"unknown activation {tag!r}")
-        ws = [np.array(w, dtype=np.float64) for w in weights]
-        bs = [np.array(b, dtype=np.float64) for b in biases]
+        ws = [np.asarray(w, dtype=np.float64) for w in weights]
+        bs = [np.asarray(b, dtype=np.float64) for b in biases]
+        lead = ws[0].shape[:-2]
         for i, (w, b) in enumerate(zip(ws, bs)):
-            if w.ndim != 2:
-                raise DimensionError(f"weight {i} must be a matrix")
-            if b.shape != (w.shape[1],):
+            if w.ndim not in (2, 3) or w.shape[:-2] != lead:
+                raise DimensionError(f"weight {i} must be a matrix, stacked like weight 0")
+            if b.shape != lead + (w.shape[-1],):
                 raise DimensionError(f"bias {i} must have one entry per output unit")
-            if i > 0 and ws[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and ws[i - 1].shape[-1] != w.shape[-2]:
                 raise DimensionError(f"layer {i} input width does not match layer {i - 1} output")
-        self.weights = ws
-        self.biases = bs
         self.activations = tuple(activations)
+        self._shapes = tuple(t.shape for w, b in zip(ws, bs) for t in (w, b))
+        self.params = np.concatenate([t.ravel() for w, b in zip(ws, bs) for t in (w, b)])
+        self.weights, self.biases = self._views(self.params)
 
     @classmethod
     def init(cls, widths: Sequence[int], activation: str = "tanh",
@@ -118,17 +127,53 @@ class Mlp:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases, acts)
 
+    @classmethod
+    def stack(cls, nets: Sequence["Mlp"]) -> "Mlp":
+        """A stack whose member k is a copy of ``nets[k]``; the nets must
+        share one shape and one activation list."""
+        nets = list(nets)
+        if not nets:
+            raise DimensionError("need at least one net to stack")
+        for i, net in enumerate(nets):
+            if net._shapes != nets[0]._shapes or net.activations != nets[0].activations:
+                raise DimensionError(f"net {i} differs in shape from net 0")
+        return cls([np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+                   [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+                   nets[0].activations)
+
+    def unstack(self) -> list["Mlp"]:
+        """Copies of the members of a stack, as single nets."""
+        return [Mlp([w[k] for w in self.weights], [b[k] for b in self.biases], self.activations)
+                for k in range(self.weights[0].shape[0])]
+
+    def _views(self, vector: Array) -> tuple[list[Array], list[Array]]:
+        """Per-layer weight and bias views into a vector in ``params`` layout."""
+        views, pos = [], 0
+        for shape in self._shapes:
+            views.append(vector[pos:pos + math.prod(shape)].reshape(shape))
+            pos += math.prod(shape)
+        return views[0::2], views[1::2]
+
+    def bind(self, params: Array) -> None:
+        """Copy the parameters into ``params``, a float64 vector of length
+        ``n_params``, and keep them there from now on."""
+        if params.dtype != np.float64 or params.shape != self.params.shape:
+            raise DimensionError(f"need a float64 vector of {self.n_params} parameters")
+        params[...] = self.params
+        self.params = params
+        self.weights, self.biases = self._views(params)
+
     @property
     def widths(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
+        return tuple(w.shape[-2] for w in self.weights) + (self.output_dim,)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @property
     def n_layers(self) -> int:
@@ -136,26 +181,7 @@ class Mlp:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def parameters(self) -> list[Array]:
-        """Live references, ordered [W0, b0, W1, b1, ...]."""
-        out: list[Array] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def set_parameters(self, params: Sequence[Array]) -> None:
-        if len(params) != 2 * self.n_layers:
-            raise DimensionError("parameter list length mismatch")
-        for i in range(self.n_layers):
-            w = np.asarray(params[2 * i], dtype=np.float64)
-            b = np.asarray(params[2 * i + 1], dtype=np.float64)
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise DimensionError(f"parameter shape mismatch at layer {i}")
-            self.weights[i] = w
-            self.biases[i] = b
+        return self.params.size
 
     def _check_masks(self, X: Array, hidden_masks) -> list[Array] | None:
         if hidden_masks is None:
@@ -164,7 +190,7 @@ class Mlp:
         if len(masks) != self.n_layers - 1:
             raise DimensionError("need one mask per hidden layer")
         for i, m in enumerate(masks):
-            want = (X.shape[0], self.weights[i].shape[1])
+            want = self.weights[i].shape[:-2] + (X.shape[0], self.weights[i].shape[-1])
             if m.shape != want:
                 raise DimensionError(f"mask {i} must have shape {want}")
         return masks
@@ -172,31 +198,30 @@ class Mlp:
     def forward_cache(self, x: Array, hidden_masks=None, check_finite: bool = False):
         """Forward pass returning (output, cache) for a later ``backward``.
 
-        ``x`` is (n, input_dim); the cache keys intermediate arrays by layer.
+        ``x`` is (n, input_dim); the output is (n, output_dim), with a
+        leading K axis for a stack. The cache keys intermediate arrays by
+        layer.
         """
         X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise DimensionError(f"input must be (n, {self.input_dim})")
         masks = self._check_masks(X, hidden_masks)
         inputs = [X]          # what each layer consumed
-        pre = []              # pre-activation z per layer
         hidden = []           # post-activation, pre-mask, per hidden layer
         h = X
         for layer in range(self.n_layers):
-            z = h @ self.weights[layer] + self.biases[layer]
-            if check_finite and not np.all(np.isfinite(z)):
+            # in place, as a stack's (K, n, width) arrays are large; backward
+            # needs only the activation, so the pre-activation is not kept
+            h = h @ self.weights[layer]
+            h += self.biases[layer][..., None, :]
+            if check_finite and not np.all(np.isfinite(h)):
                 raise ModelError(f"non-finite values in layer {layer}", layer=layer)
-            pre.append(z)
             if layer < self.n_layers - 1:
-                a = _activate(z, self.activations[layer])
-                hidden.append(a)
+                hidden.append(_activate(h, self.activations[layer]))
                 if masks is not None:
-                    a = a * masks[layer]
-                h = a
+                    h = h * masks[layer]
                 inputs.append(h)
-            else:
-                h = z
-        cache = {"inputs": inputs, "pre": pre, "hidden": hidden, "masks": masks}
+        cache = {"inputs": inputs, "hidden": hidden, "masks": masks}
         return h, cache
 
     def forward(self, x: Array, hidden_masks=None, check_finite: bool = False) -> Array:
@@ -204,36 +229,35 @@ class Mlp:
         single = np.asarray(x).ndim == 1
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out, _ = self.forward_cache(X, hidden_masks, check_finite)
-        return out[0] if single else out
+        return out[..., 0, :] if single else out
 
-    def backward(self, cache, upstream: Array) -> list[Array]:
-        """Parameter gradients for sum(upstream * output).
+    def backward(self, cache, upstream: Array) -> Array:
+        """Gradient of sum(upstream * output) in the ``params`` layout.
 
-        ``upstream`` is d(loss)/d(output), shape (n, output_dim). Returns
-        gradients aligned with ``parameters()``.
+        ``upstream`` is d(loss)/d(output), shaped like the output.
         """
         G = np.asarray(upstream, dtype=np.float64)
-        n = cache["inputs"][0].shape[0]
-        if G.shape != (n, self.output_dim):
-            raise DimensionError(f"upstream must be (n, {self.output_dim})")
-        grads: list[Array] = [np.empty(0)] * (2 * self.n_layers)
+        want = self.weights[0].shape[:-2] + (cache["inputs"][0].shape[0], self.output_dim)
+        if G.shape != want:
+            raise DimensionError(f"upstream must have shape {want}")
+        grad = np.empty_like(self.params)
+        grad_w, grad_b = self._views(grad)
         delta = G
         for layer in range(self.n_layers - 1, -1, -1):
-            grads[2 * layer] = cache["inputs"][layer].T @ delta
-            grads[2 * layer + 1] = delta.sum(axis=0)
+            grad_w[layer][...] = np.swapaxes(cache["inputs"][layer], -1, -2) @ delta
+            grad_b[layer][...] = delta.sum(axis=-2)
             if layer > 0:
-                dh = delta @ self.weights[layer].T
+                dh = delta @ np.swapaxes(self.weights[layer], -1, -2)
                 if cache["masks"] is not None:
                     dh = dh * cache["masks"][layer - 1]
-                tag = self.activations[layer - 1]
+                tag, a = self.activations[layer - 1], cache["hidden"][layer - 1]
                 if tag == "tanh":
-                    a = cache["hidden"][layer - 1]
                     delta = dh * (1.0 - a * a)
                 elif tag == "relu":
-                    delta = dh * (cache["pre"][layer - 1] > 0)
+                    delta = dh * (a > 0)  # relu(z) > 0 exactly where z > 0
                 else:
                     delta = dh
-        return grads
+        return grad
 
     def to_dict(self) -> dict:
         return {
@@ -252,11 +276,12 @@ class Mlp:
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter list."""
+    """First/second moment accumulators for one parameter vector."""
 
-    def __init__(self, params: Sequence[Array], lr: float = 1e-4,
+    def __init__(self, params: Array, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if not params:
+        params = np.asarray(params, dtype=np.float64)
+        if params.size == 0:
             raise DimensionError("no parameters to optimize")
         if not (0.0 < lr):
             raise DimensionError("lr must be positive")
@@ -266,8 +291,8 @@ class AdamState:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
-        self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
 
@@ -282,47 +307,37 @@ def check_adam_schedule(epochs: int, batch_size: int, lr: float) -> None:
         raise ConfigError("lr must be positive")
 
 
-def adam_step(state: AdamState, params: Sequence[Array], grads: Sequence[Array]) -> list[Array]:
-    """One bias-corrected Adam update; returns the new parameter list."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("params/grads/state lengths must match")
-    for i, g in enumerate(grads):
-        if np.asarray(g).shape != np.asarray(params[i]).shape:
-            raise DimensionError(f"gradient {i} shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient at optimizer step {state.t + 1}")
+def adam_step(state: AdamState, params: Array, grads: Array) -> None:
+    """One bias-corrected Adam update of the vector ``params``, in place."""
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != params.shape or params.shape != state.m.shape:
+        raise DimensionError("params, gradient and optimizer state must share one shape")
+    if not np.all(np.isfinite(g)):
+        raise TrainingError(f"non-finite gradient at optimizer step {state.t + 1}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        out.append(np.asarray(p, dtype=np.float64) - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
-def finite_difference_gradients(f: Callable[[], float], params: Sequence[Array],
-                                h: float = 1e-5) -> list[Array]:
-    """Central-difference gradient of ``f()`` w.r.t. arrays perturbed in place.
+def finite_difference_gradients(f: Callable[[], float], params: Array,
+                                h: float = 1e-5) -> Array:
+    """Central-difference gradient of ``f()`` w.r.t. the array ``params``,
+    perturbed in place.
 
-    ``f`` must read the live arrays in ``params``; each coordinate is nudged
-    by +/- h and restored. Used as the slow-but-independent check on the
-    analytic backward pass.
+    ``f`` must read the live ``params``; each coordinate is nudged by +/- h
+    and restored. Used as the slow-but-independent check on the analytic
+    backward pass.
     """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p, dtype=np.float64)
-        for j in range(p.size):
-            orig = p.flat[j]
-            p.flat[j] = orig + h
-            f_plus = f()
-            p.flat[j] = orig - h
-            f_minus = f()
-            p.flat[j] = orig
-            g.flat[j] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads
+    grad = np.zeros_like(params, dtype=np.float64)
+    for j in range(params.size):
+        orig = params.flat[j]
+        params.flat[j] = orig + h
+        f_plus = f()
+        params.flat[j] = orig - h
+        f_minus = f()
+        params.flat[j] = orig
+        grad.flat[j] = (f_plus - f_minus) / (2.0 * h)
+    return grad

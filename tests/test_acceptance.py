@@ -125,18 +125,19 @@ def test_gradients_match_finite_differences():
                               expert_hidden=int(rng.integers(2, 7)),
                               gate_kind=gate, gate_hidden=3,
                               rng=make_rng(10_000 + i))
-        params = model.parameters()
-        for p in params:  # nonzero biases, decorrelated weights
+        # nonzero biases, decorrelated weights; tensor by tensor, gate first,
+        # then expert by expert, so every model draws the same perturbation
+        tensors = [t for pair in zip(model.gate.weights, model.gate.biases) for t in pair]
+        tensors += [t[j] for j in range(k)
+                    for pair in zip(model.experts.weights, model.experts.biases) for t in pair]
+        for p in tensors:
             p += 0.3 * rng.standard_normal(p.shape)
-        model.set_parameters(params)
         n = int(rng.integers(1, 7))
         x = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         _, grads = mixture_nll(model, x, y)
-        live = model.parameters()
-        fd = finite_difference_gradients(lambda: mixture_nll_loss(model, x, y), live)
-        for a, f in zip(grads, fd):
-            np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8)
+        fd = finite_difference_gradients(lambda: mixture_nll_loss(model, x, y), model.params)
+        np.testing.assert_allclose(grads, fd, rtol=1e-4, atol=1e-8)
     assert time.monotonic() - t0 <= 60.0
 
 

@@ -52,6 +52,9 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"turbo": True})
     with pytest.raises(ConfigError, match="config.train"):
         ExperimentConfig.from_dict({"train": {"epochs": 5, "momentum": 0.9}})
+    # where a run is written is not part of what the experiment is
+    with pytest.raises(ConfigError, match="unknown keys in config: \\['output_dir'\\]"):
+        ExperimentConfig.from_dict({"output_dir": "elsewhere"})
 
 
 def test_config_hash_tracks_content():
@@ -240,6 +243,14 @@ def test_cli_seed_changes_manifest_hash(tmp_path):
     assert outs[0] != outs[1]
 
 
+def test_cli_out_dir_does_not_change_manifest(tmp_path):
+    cfg_path = write_config(tmp_path, small_config())
+    outs = [tmp_path / "first", tmp_path / "second" / "nested"]
+    for out in outs:
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
+
+
 def test_cli_missing_artifact_fails_nonzero(tmp_path, capsys):
     cfg_path = write_config(tmp_path, small_config())
     code = main(["train", "--config", str(cfg_path),
@@ -266,11 +277,25 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("mc_dropout", "dropout", 1.0),
     ("mc_dropout", "dropout", -0.1),
     ("mc_dropout", "hidden", 0),
+    ("train", "epochs", 2.5),
+    ("train", "epochs", True),
+    ("train", "epochs", "5"),
+    ("train", "lr", False),
+    ("train", "lr", "1e-3"),
+    ("mc_dropout", "passes", 2.5),
+    ("mc_dropout", "dropout", None),
+    ("model", "n_experts", 2.0),
+    ("model", "activation", 1),
+    (None, "seed", "3"),
+    (None, "seed", True),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
-    cfg[section] = {**cfg[section], key: value}
-    field = rf"config\.{section}\.{key}"
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg[section] = {**cfg.get(section, {}), key: value}
+    field = rf"config\.{key}" if section is None else rf"config\.{section}\.{key}"
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig.from_dict(cfg)
     out = tmp_path / "never"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+from tessera import serialize
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import DimensionError, TrainingError
 from tessera.mc_dropout import DropoutMlp
@@ -19,7 +20,7 @@ from tessera.moe import (
     mixture_nll_loss,
     train_moe,
 )
-from tessera.nn import finite_difference_gradients, make_rng, softplus
+from tessera.nn import Mlp, finite_difference_gradients, make_rng, softmax, softplus
 
 
 def two_component():
@@ -120,10 +121,9 @@ def test_forward_shapes_and_floor():
 def test_variance_floor_under_extreme_negative_raw_head():
     model = MoeModel.init(2, n_experts=2, expert_hidden=4, rng=make_rng(0),
                           var_floor=1e-6)
-    # force the raw-variance head output to a huge negative value
-    for ex in model.experts:
-        ex.weights[-1][:, 1] = 0.0
-        ex.biases[-1][1] = -1e4
+    # force every expert's raw-variance head output to a huge negative value
+    model.experts.weights[-1][..., 1] = 0.0
+    model.experts.biases[-1][:, 1] = -1e4
     pred = model.forward(np.zeros((3, 2)))
     assert_allclose(pred.sigma2, np.full((3, 2), 1e-6), rtol=0, atol=0)
 
@@ -131,12 +131,27 @@ def test_variance_floor_under_extreme_negative_raw_head():
 def test_forward_matches_hand_computation_single_expert():
     model = MoeModel.init(2, n_experts=1, expert_hidden=4, rng=make_rng(5))
     x = np.array([[0.3, -0.7]])
-    out = model.experts[0].forward(x)
+    out = model.experts.forward(x)[0]
     pred = model.forward(x)
     assert_allclose(pred.w, [[1.0]], rtol=0)
     assert_allclose(pred.mu, [[out[0, 0]]], rtol=0)
     assert_allclose(pred.sigma2, [[softplus(out[0, 1]) + model.var_floor]], rtol=1e-15)
     assert pred.epistemic[0] == 0.0
+
+
+def test_forward_matches_experts_one_by_one_bitwise():
+    # K >= 8 engages numpy's pairwise row sums, whose order depends on layout
+    k, n = 10, 500
+    model = MoeModel.init(3, n_experts=k, expert_hidden=5, rng=make_rng(29))
+    X = make_rng(30).standard_normal((n, 3))
+    mu, raw = np.empty((n, k)), np.empty((n, k))
+    for j, expert in enumerate(model.experts.unstack()):
+        mu[:, j], raw[:, j] = expert.forward(X).T
+    ref = MixturePrediction(softmax(model.gate.forward(X), axis=1), mu,
+                            softplus(raw) + model.var_floor)
+    pred = model.forward(X)
+    for name in ("mean", "aleatoric", "epistemic"):
+        assert np.array_equal(getattr(pred, name), getattr(ref, name)), name
 
 
 def test_gate_kinds():
@@ -181,15 +196,13 @@ def test_nll_gradients_match_finite_differences(gate_kind, n_experts):
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     _, grads = mixture_nll(model, X, y)
-    params = model.parameters()
 
     def loss():
         return mixture_nll_loss(model, X, y)
 
-    fd = finite_difference_gradients(loss, params, h=1e-5)
-    for g, f in zip(grads, fd):
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-8)
-        assert np.max(np.abs(g - f) / denom) < 1e-4
+    fd = finite_difference_gradients(loss, model.params, h=1e-5)
+    denom = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-8)
+    assert np.max(np.abs(grads - fd) / denom) < 1e-4
 
 
 def test_nll_gate_gradient_sums_to_zero_per_row():
@@ -199,7 +212,8 @@ def test_nll_gate_gradient_sums_to_zero_per_row():
     X = rng.standard_normal((8, 2))
     y = rng.standard_normal(8)
     _, grads = mixture_nll(model, X, y)
-    gate_bias_grad = grads[1]  # linear gate: [W, b]
+    # linear gate: [W, b] lead the vector, so its bias ends the gate's part
+    gate_bias_grad = grads[model.gate.n_params - model.n_experts:model.gate.n_params]
     assert abs(gate_bias_grad.sum()) < 1e-12
 
 
@@ -293,6 +307,44 @@ def test_checkpoint_rejects_wrong_kind(tmp_path, cls):
     other.init(2, rng=make_rng(0)).save(path)
     with pytest.raises(DimensionError, match="kind"):
         cls.load(path)
+
+
+def test_checkpoint_bytes_match_per_expert_dicts(tmp_path):
+    # the stacked experts are written as the per-expert list they came from
+    rng = make_rng(25)
+    gate = Mlp.init((3, 5, 4), "relu", rng=rng)
+    experts = [Mlp.init((3, 6, 2), "relu", rng=rng) for _ in range(4)]
+    for net in [gate, *experts]:
+        net.params += rng.standard_normal(net.n_params)
+    expected = tmp_path / "expected.json"
+    serialize.save_checkpoint(expected, "moe", {
+        "var_floor": 1e-5, "gate": gate.to_dict(),
+        "experts": [ex.to_dict() for ex in experts]})
+    path = tmp_path / "model.json"
+    MoeModel(gate, experts, var_floor=1e-5).save(path)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_experts_must_share_one_shape():
+    rng = make_rng(26)
+    gate = Mlp.init((3, 2), rng=rng)
+    with pytest.raises(DimensionError, match="differs in shape"):
+        MoeModel(gate, [Mlp.init((3, 6, 2), rng=rng), Mlp.init((3, 5, 2), rng=rng)])
+    with pytest.raises(DimensionError, match="differs in shape"):
+        MoeModel(gate, [Mlp.init((3, 6, 2), "tanh", rng=rng),
+                        Mlp.init((3, 6, 2), "relu", rng=rng)])
+
+
+def test_set_parameters_restores_a_snapshot():
+    model = MoeModel.init(2, n_experts=3, expert_hidden=4, rng=make_rng(27))
+    X = make_rng(28).standard_normal((5, 2))
+    snapshot, before = model.params.copy(), model.forward(X)
+    model.params += 1.0
+    assert not np.array_equal(model.forward(X).mu, before.mu)
+    model.set_parameters(snapshot)
+    assert np.array_equal(model.forward(X).mu, before.mu)
+    with pytest.raises(DimensionError):
+        model.set_parameters(snapshot[:-1])
 
 
 def test_checkpoint_compact_format_still_loads(tmp_path):

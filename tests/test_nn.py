@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from tessera.errors import DimensionError, TrainingError
 from tessera.nn import (
+    ACTIVATIONS,
     AdamState,
     Mlp,
     adam_step,
@@ -74,6 +75,27 @@ def _grads(net, x, upstream, hidden_masks=None):
     return net.backward(cache, upstream)
 
 
+def _tensors(net, flat):
+    """[W0, b0, W1, b1, ...] read out of a vector in the documented
+    ``params`` layout: each tensor flattened in C order, one after another."""
+    out, pos = [], 0
+    for w, b in zip(net.weights, net.biases):
+        for t in (w, b):
+            out.append(flat[pos:pos + t.size].reshape(t.shape))
+            pos += t.size
+    assert pos == flat.size
+    return out
+
+
+def test_params_vector_backs_every_tensor():
+    net = Mlp.init((3, 5, 2), "tanh", rng=make_rng(4))
+    for t, f in zip(_tensors(net, net.params), (net.weights[0], net.biases[0],
+                                                net.weights[1], net.biases[1])):
+        assert np.shares_memory(t, f) and np.array_equal(t, f)
+    net.params[:] = 0.0
+    assert_allclose(net.forward(np.ones((2, 3))), np.zeros((2, 2)), rtol=0, atol=0)
+
+
 def test_zero_network_forward_and_bias_gradient():
     net = Mlp([np.zeros((3, 4)), np.zeros((4, 2))],
               [np.zeros(4), np.zeros(2)], ["tanh"])
@@ -81,7 +103,7 @@ def test_zero_network_forward_and_bias_gradient():
     out = net.forward(x)
     assert_allclose(out, np.zeros((1, 2)), rtol=0)
     upstream = np.array([[1.0, -2.0]])
-    grads = _grads(net, x, upstream)
+    grads = _tensors(net, _grads(net, x, upstream))
     # all activations are zero, so only the final bias sees the upstream
     assert_allclose(grads[3], [1.0, -2.0], rtol=0)
     assert_allclose(grads[0], np.zeros((3, 4)), rtol=0)
@@ -94,7 +116,7 @@ def test_single_linear_layer_gradient_is_outer_product():
     x = np.array([[1.0, -2.0, 3.0]])
     upstream = np.array([[2.0, -1.0]])
     out, cache = net.forward_cache(x)
-    grads = net.backward(cache, upstream)
+    grads = _tensors(net, net.backward(cache, upstream))
     assert_allclose(out, x @ w, rtol=1e-12)
     assert_allclose(grads[0], np.outer(x, upstream), rtol=1e-12)
     assert_allclose(grads[1], upstream[0], rtol=1e-12)
@@ -131,9 +153,8 @@ def test_grad_matches_finite_differences(activation, widths):
             return float(np.sum(net.forward(x) * c))
 
         grads = _grads(net, x, c)
-        fd = finite_difference_gradients(loss, net.parameters(), h=1e-5)
-        for g, f in zip(grads, fd):
-            worst = max(worst, _rel_err(g, f))
+        fd = finite_difference_gradients(loss, net.params, h=1e-5)
+        worst = max(worst, _rel_err(grads, fd))
     assert worst < 1e-4
 
 
@@ -151,9 +172,47 @@ def test_dropout_masks_scale_forward_and_backward():
         return float(np.sum(net.forward(x, hidden_masks=[mask]) * c))
 
     grads = _grads(net, x, c, hidden_masks=[mask])
-    fd = finite_difference_gradients(loss, net.parameters(), h=1e-6)
-    for g, f in zip(grads, fd):
-        assert _rel_err(g, f) < 1e-4
+    fd = finite_difference_gradients(loss, net.params, h=1e-6)
+    assert _rel_err(grads, fd) < 1e-4
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_stack_matches_members_bitwise(activation, k):
+    # the stacked experts reproduce each member exactly, not just closely;
+    # byte-identical run artifacts rest on this
+    rng = make_rng(1000 * k + ACTIVATIONS.index(activation))
+    for draw in range(10):
+        widths = [int(v) for v in rng.integers(1, 9, size=int(rng.integers(2, 5)))]
+        members = [Mlp.init(widths, activation, rng=rng) for _ in range(k)]
+        for net in members:  # nonzero biases
+            for b in net.biases:
+                b += rng.standard_normal(b.shape)
+        stack = Mlp.stack(members)
+        x = rng.standard_normal((int(rng.integers(1, 12)), widths[0]))
+        out, cache = stack.forward_cache(x)
+        assert out.shape == (k, x.shape[0], widths[-1])
+        upstream = rng.standard_normal(out.shape)
+        grad = _tensors(stack, stack.backward(cache, upstream))
+        for j, net in enumerate(members):
+            own, own_cache = net.forward_cache(x)
+            assert_allclose(out[j], own, rtol=0, atol=0)
+            for a, b in zip(cache["inputs"][1:] + cache["hidden"],
+                            own_cache["inputs"][1:] + own_cache["hidden"]):
+                assert_allclose(a[j], b, rtol=0, atol=0)
+            own_grad = net.backward(own_cache, upstream[j])
+            assert_allclose(np.concatenate([g[j].ravel() for g in grad]), own_grad,
+                            rtol=0, atol=0)
+
+
+def test_unstack_inverts_stack():
+    rng = make_rng(12)
+    members = [Mlp.init((3, 4, 2), "tanh", rng=rng) for _ in range(3)]
+    for a, b in zip(Mlp.stack(members).unstack(), members):
+        assert np.array_equal(a.params, b.params)
+        assert a.activations == b.activations
+    with pytest.raises(DimensionError):
+        Mlp.stack([])
 
 
 def test_xavier_init_bounds_and_zero_bias():
@@ -168,8 +227,7 @@ def test_xavier_init_bounds_and_zero_bias():
 def test_init_is_seed_deterministic():
     a = Mlp.init((3, 7, 2), "tanh", rng=make_rng(11))
     b = Mlp.init((3, 7, 2), "tanh", rng=make_rng(11))
-    for wa, wb in zip(a.weights, b.weights):
-        assert_allclose(wa, wb, rtol=0)
+    assert_allclose(a.params, b.params, rtol=0)
 
 
 def test_shape_validation():
@@ -199,17 +257,17 @@ def test_round_trip_dict():
 # ------------------------------------------------------------------ adam
 
 def test_adam_first_step_hand_value():
-    p = [np.array([0.0])]
+    p = np.array([0.0])
     state = AdamState(p, lr=1e-3)
-    new = adam_step(state, p, [np.array([1.0])])
+    adam_step(state, p, np.array([1.0]))
     # m_hat = v_hat = 1 after bias correction, so the step is lr/(1+eps)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
-    assert_allclose(new[0], [expected], rtol=1e-12)
+    assert_allclose(p, [expected], rtol=1e-12)
 
 
 def test_adam_two_steps_match_reference():
     beta1, beta2, lr, eps = 0.9, 0.999, 0.01, 1e-8
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = AdamState(p, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     grads = [np.array([0.5]), np.array([-0.25])]
     # transcription of the update rule, scalar case
@@ -219,34 +277,34 @@ def test_adam_two_steps_match_reference():
         m = beta1 * m + (1 - beta1) * g[0]
         v = beta2 * v + (1 - beta2) * g[0] ** 2
         ref -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
-    out = p
     for g in grads:
-        out = adam_step(state, out, [g])
-    assert_allclose(out[0], [ref], rtol=1e-12)
+        adam_step(state, p, g)
+    assert_allclose(p, [ref], rtol=1e-12)
 
 
 def test_adam_rejects_nonfinite_gradient():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     state = AdamState(p, lr=1e-3)
     with pytest.raises(TrainingError, match="step 1"):
-        adam_step(state, p, [np.array([np.nan, 0.0])])
+        adam_step(state, p, np.array([np.nan, 0.0]))
+    assert state.t == 0 and np.array_equal(p, np.zeros(2))
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     state = AdamState(p)
     with pytest.raises(DimensionError):
-        adam_step(state, p, [np.zeros(3)])
+        adam_step(state, p, np.zeros(3))
 
 
 # ---------------------------------------------------- finite differences
 
 def test_finite_difference_on_quadratic():
-    p = [np.array([1.0, -2.0, 3.0])]
+    p = np.array([1.0, -2.0, 3.0])
 
     def f():
-        return float(np.sum(p[0] ** 2))
+        return float(np.sum(p ** 2))
 
-    (g,) = finite_difference_gradients(f, p, h=1e-5)
-    assert_allclose(g, 2.0 * p[0], rtol=1e-7)
-    assert_allclose(p[0], [1.0, -2.0, 3.0], rtol=0)  # restored in place
+    g = finite_difference_gradients(f, p, h=1e-5)
+    assert_allclose(g, 2.0 * p, rtol=1e-7)
+    assert_allclose(p, [1.0, -2.0, 3.0], rtol=0)  # restored in place
