@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -60,8 +62,29 @@ def dumps(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a text file that replaces ``path`` only once the block exits cleanly.
+
+    Writes go to a hidden temp file in the same directory, which
+    ``os.replace`` then renames over ``path``; if the block raises, the temp
+    file is removed and ``path`` keeps its previous contents. A killed
+    process can leave a stray temp file, but never a truncated ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump(obj, path) -> None:
-    Path(path).write_text(dumps(obj))
+    with atomic_write(path) as f:
+        f.write(dumps(obj))
 
 
 def load(path):
@@ -91,13 +114,8 @@ def format_float(x: float) -> str:
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Plain comma-separated output; floats via repr, everything else str."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(format_float(v) if isinstance(v, (float, np.floating))
+                             else str(v) for v in row) + "\n")

@@ -1,8 +1,14 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tessera.datagen import (
+    CSV_BLOCK_ROWS,
+    SPLIT_TAGS,
     Dataset,
     gen_clustered_shift,
     gen_heteroscedastic,
@@ -234,6 +240,13 @@ def test_csv_malformed_row_names_its_line(tmp_path):
         load_csv(path)
 
 
+def test_csv_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("feature_0,target\n1.0,2.0\n\n3.0\n")
+    with pytest.raises(CsvFormatError, match="line 4: expected 2 cells, got 1"):
+        load_csv(path)
+
+
 def test_csv_non_numeric_cell_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("feature_0,target\n1.0,2.0\noops,3.0\n")
@@ -283,6 +296,124 @@ def test_exact_float_round_trip(tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.X[:, 0], vals)
     assert np.array_equal(back.y, vals * 7.0)
+
+
+def test_csv_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "data.csv"
+    save_csv(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=0, mode="iid"), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    ds = gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=1, mode="iid")
+    ds.split = ds.split.astype(object)
+    ds.split[CSV_BLOCK_ROWS + 5] = 7  # fails to format after the first block is written
+    with pytest.raises(TypeError):
+        save_csv(ds, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# -------------------------------------------------------- csv properties
+
+def _reference_csv_bytes(ds: Dataset) -> bytes:
+    """The per-row writer that the block-wise save_csv must match byte for byte."""
+    header = [f"feature_{j}" for j in range(ds.dim)] + ["target"]
+    if ds.sigma_true is not None:
+        header.append("sigma_true")
+    if ds.groups is not None:
+        header.append("group")
+    if ds.split is not None:
+        header.append("split")
+    rows = []
+    for i in range(ds.n):
+        row = [repr(float(v)) for v in ds.X[i]]
+        row.append(repr(float(ds.y[i])))
+        if ds.sigma_true is not None:
+            row.append(repr(float(ds.sigma_true[i])))
+        if ds.groups is not None:
+            row.append(str(ds.groups[i]))
+        if ds.split is not None:
+            row.append(str(ds.split[i]))
+        rows.append(",".join(row))
+    return (",".join(header) + "\n" + "\n".join(rows) + "\n").encode()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+ADVERSARIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                      2.2250738585072014e-308, 1e-300, -1e-300, 2.0 ** 53,
+                      2.0 ** 53 - 1, 2.0 ** 53 + 2, -(2.0 ** 53), 1.7976931348623157e308,
+                      0.1, 1 / 3, 123456.789012345]
+BOUNDARY_ROWS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                 2 * CSV_BLOCK_ROWS + 3]
+LABEL_TEXT = st.text(alphabet=string.ascii_letters + string.digits + " _-.:", min_size=1,
+                     max_size=8)
+
+
+@st.composite
+def csv_datasets(draw, rows=st.sampled_from(BOUNDARY_ROWS)):
+    n = draw(rows)
+    dim = draw(st.integers(1, 4))
+    pool = np.array(ADVERSARIAL_FLOATS + draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # half the cells from the adversarial pool, half spread over the exponent range
+    spread = rng.standard_normal(n * (dim + 2)) * 10.0 ** rng.integers(-300, 300, n * (dim + 2))
+    values = np.where(rng.random(n * (dim + 2)) < 0.5, rng.choice(pool, n * (dim + 2)), spread)
+    values = values.reshape(n, dim + 2)
+    sigma = values[:, -1]
+    labels = draw(st.lists(LABEL_TEXT, min_size=1, max_size=5))
+    return Dataset(
+        X=values[:, :dim], y=values[:, dim],
+        sigma_true=np.where(sigma < 0, -sigma, sigma) if draw(st.booleans()) else None,
+        groups=rng.choice(labels, n) if draw(st.booleans()) else None,
+        split=rng.choice(SPLIT_TAGS, n) if draw(st.booleans()) else None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ds=csv_datasets())
+def test_csv_block_codec_matches_reference_and_round_trips_bits(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == _reference_csv_bytes(ds)
+    back = load_csv(path)
+    assert back.X.flags.c_contiguous
+    assert np.array_equal(_bits(back.X), _bits(ds.X))
+    assert np.array_equal(_bits(back.y), _bits(ds.y))
+    assert (back.sigma_true is None) == (ds.sigma_true is None)
+    assert ds.sigma_true is None or np.array_equal(_bits(back.sigma_true),
+                                                   _bits(ds.sigma_true))
+    for name in ("groups", "split"):
+        want, got = getattr(ds, name), getattr(back, name)
+        assert (want is None) == (got is None)
+        assert want is None or np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ds=csv_datasets(rows=st.just(2 * CSV_BLOCK_ROWS + 3)), data=st.data())
+def test_csv_bad_row_past_first_block_names_its_physical_line(tmp_path_factory, ds, data):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path)
+    lines = path.read_text().split("\n")[:-1]  # header + n rows
+    n_floats = ds.dim + 1 + (ds.sigma_true is not None)
+    bad = data.draw(st.integers(CSV_BLOCK_ROWS, ds.n - 2), label="bad row")
+    for row in (bad, data.draw(st.integers(bad + 1, ds.n - 1), label="later bad row")):
+        cells = lines[1 + row].split(",")
+        kind = data.draw(st.sampled_from(["cell", "short", "long"]), label="kind")
+        if kind == "cell":
+            cells[data.draw(st.integers(0, n_floats - 1), label="column")] = data.draw(
+                st.sampled_from(["oops", "", "1.0.0", "0x1p3", "1e", "--1", " "]),
+                label="token")
+        elif kind == "short":
+            cells.pop()
+        else:
+            cells.append("1.0")
+        lines[1 + row] = ",".join(cells)
+    blanks = data.draw(st.lists(st.integers(1, 1 + bad), max_size=4), label="blank lines")
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError, match=f"data.csv: line {bad + 2 + len(blanks)}: "):
+        load_csv(path)
 
 
 # ------------------------------------------------------------ validation
