@@ -8,6 +8,10 @@ of its seed.
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import io
+import json
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -27,6 +31,12 @@ NOISE_PROFILES = ("constant", "linear", "step")
 # strings; at 4096 rows they raised the default config's peak RSS by ~2 MB,
 # while at 512 the per-block overhead is lost in the codec's timing noise.
 CSV_BLOCK_ROWS = 512
+# Cache key of a data.csv that has no sidecar, in place of the sidecar's digest.
+_NO_SIDECAR = "no sidecar"
+# The one CSV cache entry: ((sha256 of data.csv, sha256 of its sidecar or
+# _NO_SIDECAR), Dataset with read-only arrays), or None. One pipeline run
+# reads back the data.csv it has just written, so one entry is enough.
+_csv_cache: tuple[tuple[str, str], Dataset] | None = None
 
 
 @dataclass
@@ -283,13 +293,39 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random"
     return out
 
 
+def _sha256(f) -> str:
+    """Hex sha256 of an open binary file, read in 1 MiB chunks."""
+    h = hashlib.sha256()
+    for chunk in iter(lambda: f.read(1 << 20), b""):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + ".meta.json")
+
+
+def _cache(key: tuple[str, str], ds: Dataset) -> None:
+    """Make ``ds`` the CSV cache entry, freezing its arrays."""
+    global _csv_cache
+    for a in (ds.X, ds.y, ds.sigma_true, ds.groups, ds.split):
+        if a is not None:
+            a.flags.writeable = False
+    _csv_cache = (key, ds)
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset and, when metadata exists, a JSON sidecar.
 
     Floats are shortest-repr, so a load reproduces the exact values. Rows
     are formatted column by column, ``CSV_BLOCK_ROWS`` at a time, and both
-    files are replaced atomically.
+    files are replaced atomically. The sidecar records the sha256 of the
+    rows as ``data_sha256``; without metadata any older sidecar is removed.
+    The saved dataset, as a load would return it, becomes the CSV cache
+    entry (see :func:`load_csv`).
     """
+    global _csv_cache
+    _csv_cache = None  # holding it while this dataset is written and copied raises peak RSS
     path = Path(path)
     header = [f"feature_{j}" for j in range(ds.dim)] + ["target"]
     floats = [ds.X[:, j] for j in range(ds.dim)] + [ds.y]
@@ -309,9 +345,36 @@ def save_csv(ds: Dataset, path) -> None:
             block = slice(lo, lo + CSV_BLOCK_ROWS)
             cols = [map(repr, c[block].tolist()) for c in floats]
             cols += [c[block].tolist() for c in labels]
-            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            text = "\n".join(map(",".join, zip(*cols))) + "\n"
+            rows = min(CSV_BLOCK_ROWS, ds.n - lo)
+            if labels and (text.count(",") != (len(header) - 1) * rows
+                           or text.count("\n") != rows or "\r" in text):
+                raise CsvFormatError(f"{path.name}: group and split labels must not "
+                                     "contain commas or line breaks")
+            f.write(text)
+    with open(path, "rb") as f:
+        data_sha256 = _sha256(f)
+    sidecar = _sidecar_path(path)
+    meta, side_key = {}, _NO_SIDECAR
     if ds.meta:
-        serialize.dump(ds.meta, path.with_name(path.name + ".meta.json"))
+        record = {**ds.meta, "data_sha256": data_sha256}
+        serialize.dump(record, sidecar)
+        side_key = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        meta = json.loads(serialize.dumps(record))
+        del meta["data_sha256"]
+    else:
+        sidecar.unlink(missing_ok=True)
+    try:
+        saved = Dataset(
+            X=np.array(ds.X, order="C"), y=np.array(ds.y),
+            sigma_true=None if ds.sigma_true is None else np.array(ds.sigma_true),
+            # the loader's label dtype: just wide enough for the longest label
+            groups=None if ds.groups is None else np.asarray(ds.groups.tolist()),
+            split=None if ds.split is None else np.asarray(ds.split.tolist()),
+            meta=meta)
+    except DimensionError:
+        return  # a field set after construction is invalid; a load will say which
+    _cache((data_sha256, side_key), saved)
 
 
 def _raise_first_bad_row(name: str, lines: list[str], lineno: int, width: int,
@@ -339,62 +402,95 @@ def load_csv(path) -> Dataset:
     """Inverse of :func:`save_csv`; malformed rows name their line number.
 
     The file is read ``CSV_BLOCK_ROWS`` lines at a time. Blank lines are
-    skipped, and error messages give physical line numbers.
+    skipped, and error messages give physical line numbers. A sidecar whose
+    ``data_sha256`` does not match the rows is refused.
+
+    The last dataset loaded or saved is cached, keyed on the sha256 of the
+    CSV and sidecar bytes, so reading a file back parses it only when its
+    contents changed. The returned arrays are read-only and shared with the
+    cache; ``meta`` is the caller's own copy.
     """
     path = Path(path)
-    with open(path) as f:
-        lineno = 0
-        for line in f:
-            lineno += 1
-            if line != "\n":
-                break
-        else:
-            raise CsvFormatError(f"{path.name}: empty file")
-        header = line.rstrip("\n").split(",")
-        feat_cols = [h for h in header if h.startswith("feature_")]
-        dim = len(feat_cols)
-        if dim == 0 or feat_cols != [f"feature_{j}" for j in range(dim)]:
-            raise CsvFormatError(f"{path.name}: header must start with feature_0..feature_{{d-1}}")
-        if "target" not in header:
-            raise CsvFormatError(f"{path.name}: missing target column")
-        col = {name: i for i, name in enumerate(header)}
-        known = set(feat_cols) | {"target", "sigma_true", "group", "split"}
-        unknown = [h for h in header if h not in known]
-        if unknown:
-            raise CsvFormatError(f"{path.name}: unknown columns {unknown}")
-        width = len(header)
-        float_names = feat_cols + [h for h in ("target", "sigma_true") if h in col]
-        label_names = [h for h in ("group", "split") if h in col]
-        float_cols = [col[h] for h in float_names]
-        blocks = {h: [] for h in float_names + label_names}
-        for block in iter(lambda: list(islice(f, CSV_BLOCK_ROWS)), []):
-            data = [ln for ln in block if ln != "\n"] if "\n" in block else block
-            if data:
-                try:
-                    if set(map(methodcaller("count", ","), data)) != {width - 1}:
-                        raise ValueError("ragged block")
-                    cells = "".join(data).replace("\n", ",").split(",")
-                    del cells[width * len(data):]  # the empty cell after the last newline
-                    for h in float_names:
-                        blocks[h].append(np.fromiter(map(float, cells[col[h]::width]),
-                                                     np.float64, len(data)))
-                except ValueError:
-                    _raise_first_bad_row(path.name, block, lineno + 1, width, float_cols)
-                    raise
-                for h in label_names:
-                    blocks[h].append(np.asarray(cells[col[h]::width]))
-            lineno += len(block)
+    sidecar = _sidecar_path(path)
+    try:
+        side_bytes = sidecar.read_bytes()
+    except FileNotFoundError:
+        side_bytes = None
+    # one open file for hash and parse, so both see the same contents
+    with open(path, "rb") as raw:
+        data_sha256 = _sha256(raw)
+        key = (data_sha256, _NO_SIDECAR if side_bytes is None
+               else hashlib.sha256(side_bytes).hexdigest())
+        if _csv_cache is None or _csv_cache[0] != key:
+            raw.seek(0)
+            with io.TextIOWrapper(raw) as f:
+                ds = _parse_csv(f, path.name)
+            if side_bytes is not None:
+                ds.meta = json.loads(side_bytes)
+                if not isinstance(ds.meta, dict):
+                    raise CsvFormatError(f"{sidecar.name}: must hold a JSON object")
+                recorded = ds.meta.pop("data_sha256", data_sha256)
+                if recorded != data_sha256:
+                    raise CsvFormatError(
+                        f"{sidecar.name} records data_sha256 {recorded}, but {path.name} "
+                        f"hashes to {data_sha256}: the two files were not written "
+                        "together; save the dataset again or remove the sidecar")
+            _cache(key, ds)
+    out = copy.copy(_csv_cache[1])
+    out.meta = copy.deepcopy(out.meta)
+    return out
+
+
+def _parse_csv(f, name: str) -> Dataset:
+    """Parse an open data.csv text file, named ``name`` in errors; no metadata."""
+    lineno = 0
+    for line in f:
+        lineno += 1
+        if line != "\n":
+            break
+    else:
+        raise CsvFormatError(f"{name}: empty file")
+    header = line.rstrip("\n").split(",")
+    feat_cols = [h for h in header if h.startswith("feature_")]
+    dim = len(feat_cols)
+    if dim == 0 or feat_cols != [f"feature_{j}" for j in range(dim)]:
+        raise CsvFormatError(f"{name}: header must start with feature_0..feature_{{d-1}}")
+    if "target" not in header:
+        raise CsvFormatError(f"{name}: missing target column")
+    col = {h: i for i, h in enumerate(header)}
+    known = set(feat_cols) | {"target", "sigma_true", "group", "split"}
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise CsvFormatError(f"{name}: unknown columns {unknown}")
+    width = len(header)
+    float_names = feat_cols + [h for h in ("target", "sigma_true") if h in col]
+    label_names = [h for h in ("group", "split") if h in col]
+    float_cols = [col[h] for h in float_names]
+    blocks = {h: [] for h in float_names + label_names}
+    for block in iter(lambda: list(islice(f, CSV_BLOCK_ROWS)), []):
+        data = [ln for ln in block if ln != "\n"] if "\n" in block else block
+        if data:
+            try:
+                if set(map(methodcaller("count", ","), data)) != {width - 1}:
+                    raise ValueError("ragged block")
+                cells = "".join(data).replace("\n", ",").split(",")
+                del cells[width * len(data):]  # the empty cell after the last newline
+                for h in float_names:
+                    blocks[h].append(np.fromiter(map(float, cells[col[h]::width]),
+                                                 np.float64, len(data)))
+            except ValueError:
+                _raise_first_bad_row(name, block, lineno + 1, width, float_cols)
+                raise
+            for h in label_names:
+                blocks[h].append(np.asarray(cells[col[h]::width]))
+        lineno += len(block)
     if not blocks["target"]:
-        raise CsvFormatError(f"{path.name}: no data rows")
+        raise CsvFormatError(f"{name}: no data rows")
     cols = {h: np.concatenate(parts) for h, parts in blocks.items()}
-    meta = {}
-    sidecar = path.with_name(path.name + ".meta.json")
-    if sidecar.exists():
-        meta = serialize.load(sidecar)
     try:
         # column_stack gives a C-ordered X, as the per-row loader did
         return Dataset(X=np.column_stack([cols[h] for h in feat_cols]),
                        y=cols["target"], sigma_true=cols.get("sigma_true"),
-                       groups=cols.get("group"), split=cols.get("split"), meta=meta)
+                       groups=cols.get("group"), split=cols.get("split"))
     except DimensionError as e:
-        raise CsvFormatError(f"{path.name}: {e}") from e
+        raise CsvFormatError(f"{name}: {e}") from e

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import string
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tessera import datagen, serialize
 from tessera.datagen import (
     CSV_BLOCK_ROWS,
     SPLIT_TAGS,
@@ -414,6 +417,203 @@ def test_csv_bad_row_past_first_block_names_its_physical_line(tmp_path_factory, 
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CsvFormatError, match=f"data.csv: line {bad + 2 + len(blanks)}: "):
         load_csv(path)
+
+
+# ------------------------------------------------------------- csv cache
+
+def _assert_same_dataset(got: Dataset, want: Dataset):
+    for name in ("X", "y", "sigma_true", "groups", "split"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is None:
+            continue
+        assert a.dtype == b.dtype, name  # for labels this includes the <U width
+        assert a.shape == b.shape and a.flags.c_contiguous == b.flags.c_contiguous, name
+        if a.dtype == np.float64:
+            assert np.array_equal(_bits(a), _bits(b)), name
+        else:
+            assert np.array_equal(a, b), name
+    assert got.meta == want.meta
+    # == alone treats 1 and 1.0, or True and 1, as equal
+    assert json.dumps(got.meta, sort_keys=True) == json.dumps(want.meta, sort_keys=True)
+
+
+META_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40)
+    | st.floats(allow_nan=False, allow_infinity=False) | LABEL_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(LABEL_TEXT, inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ds=csv_datasets(), meta=st.dictionaries(LABEL_TEXT, META_VALUES, max_size=4),
+       widen=st.booleans())
+def test_csv_saved_cache_entry_equals_cold_parse(tmp_path_factory, ds, meta, widen):
+    ds.meta = meta
+    if widen:  # label dtypes wider than the longest label, which the loader narrows
+        for name in ("groups", "split"):
+            if getattr(ds, name) is not None:
+                setattr(ds, name, getattr(ds, name).astype("<U12"))
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path)
+    seeded = datagen._csv_cache
+    assert load_csv(path).X is seeded[1].X  # a hit: the saved entry itself
+    assert datagen._csv_cache is seeded
+    datagen._csv_cache = None
+    cold = load_csv(path)
+    assert datagen._csv_cache[0] == seeded[0]
+    _assert_same_dataset(seeded[1], datagen._csv_cache[1])
+    _assert_same_dataset(cold, seeded[1])
+
+
+def test_csv_load_after_save_does_not_parse(tmp_path, parses):
+    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=3, mode="iid"))
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    for _ in range(3):
+        back = load_csv(path)
+    assert parses == []
+    assert np.array_equal(back.X, ds.X) and back.meta == ds.meta
+    datagen._csv_cache = None
+    load_csv(path)
+    load_csv(path)
+    assert parses == ["data.csv"]
+
+
+def test_csv_one_byte_edit_of_either_file_misses(tmp_path, parses):
+    path = tmp_path / "data.csv"
+    ds = gen_heteroscedastic(30, 2, "step", seed=4)
+    ds.meta = {}
+    save_csv(ds, path)
+    text = path.read_text()
+    first_value = text.split("\n")[1].split(",")[0]
+    edited = first_value[:-1] + ("1" if first_value[-1] != "1" else "2")
+    path.write_text(text.replace(first_value, edited, 1))
+    assert load_csv(path).X[0, 0] == float(edited)
+    assert parses == ["data.csv"]
+
+    save_csv(gen_heteroscedastic(30, 2, "step", seed=4), path)
+    sidecar = tmp_path / "data.csv.meta.json"
+    sidecar.write_text(sidecar.read_text().replace('"seed": 4', '"seed": 5'))
+    assert load_csv(path).meta["seed"] == 5
+    assert parses == ["data.csv"] * 2
+    sidecar.unlink()
+    assert load_csv(path).meta == {}
+    assert parses == ["data.csv"] * 3
+
+
+def test_csv_loaded_arrays_are_read_only(tmp_path):
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3, mode="iid"))
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    for cold in (False, True):
+        if cold:
+            datagen._csv_cache = None
+        back = load_csv(path)
+        for name in ("X", "y", "sigma_true", "groups", "split"):
+            assert not getattr(back, name).flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            back.X[0, 0] = 1.0
+        assert back.part("train").X.flags.writeable  # row subsets are copies
+
+
+def test_csv_cache_is_not_changed_through_results_or_the_saved_dataset(tmp_path):
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3, mode="iid"), seed=2)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    want = json.loads(json.dumps(ds.meta))
+    ds.X[0, 0] += 1.0
+    ds.meta["split"]["mode"] = "changed"
+    first = load_csv(path)
+    assert first.X[0, 0] == ds.X[0, 0] - 1.0
+    assert first.meta == want
+    first.meta["seed"] = -1
+    first.meta["split"]["fractions"].append(0.5)
+    first.meta["extra"] = True
+    for cold in (False, True):
+        if cold:
+            datagen._csv_cache = None
+        assert load_csv(path).meta == want
+
+
+def test_csv_corrupt_file_raises_on_every_call(tmp_path, parses):
+    path = tmp_path / "bad.csv"
+    path.write_text("feature_0,target\n1.0,2.0\noops,3.0\n")
+    for _ in range(3):
+        with pytest.raises(CsvFormatError, match="line 3"):
+            load_csv(path)
+    assert parses == ["bad.csv"] * 3
+
+
+def test_csv_save_without_meta_removes_stale_sidecar(tmp_path):
+    path = tmp_path / "data.csv"
+    save_csv(gen_heteroscedastic(50, 2, "step", seed=1), path)
+    ds = gen_heteroscedastic(60, 2, "step", seed=2)
+    ds.meta = {}
+    save_csv(ds, path)
+    assert not (tmp_path / "data.csv.meta.json").exists()
+    for cold in (False, True):
+        if cold:
+            datagen._csv_cache = None
+        back = load_csv(path)
+        assert back.n == 60 and back.meta == {}
+
+
+def test_csv_sidecar_records_data_sha256(tmp_path):
+    ds = gen_heteroscedastic(20, 2, "step", seed=4)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    recorded = serialize.load(tmp_path / "data.csv.meta.json")
+    assert recorded == {**ds.meta, "data_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    datagen._csv_cache = None
+    assert load_csv(path).meta == ds.meta
+
+
+def test_csv_interrupted_sidecar_write_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    save_csv(gen_heteroscedastic(50, 2, "step", seed=1), path)
+
+    def interrupted(obj, target):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(serialize, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_csv(gen_heteroscedastic(60, 2, "step", seed=2), path)
+    monkeypatch.undo()
+    for cold in (False, True):
+        if cold:
+            datagen._csv_cache = None
+        with pytest.raises(CsvFormatError,
+                           match=r"data\.csv\.meta\.json records data_sha256 .* but data\.csv"):
+            load_csv(path)
+
+
+def test_csv_sidecar_without_data_sha256_still_loads(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("feature_0,target\n1.0,2.0\n")
+    (tmp_path / "data.csv.meta.json").write_text('{"seed": 3}\n')
+    assert load_csv(path).meta == {"seed": 3}
+    (tmp_path / "data.csv.meta.json").write_text('[1, 2]\n')
+    with pytest.raises(CsvFormatError, match="JSON object"):
+        load_csv(path)
+
+
+def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
+    ds = gen_clustered_shift(40, 2, seed=3, mode="iid")
+    ds.split = np.where(ds.split == "val", "holdout", ds.split)  # bypasses validation
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    with pytest.raises(CsvFormatError, match="data.csv: unknown split tags"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\nb"])
+def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
+    ds = gen_clustered_shift(40, 2, seed=3, mode="iid")
+    ds.groups = ds.groups.astype(object)
+    ds.groups[7] = label
+    with pytest.raises(CsvFormatError, match="commas or line breaks"):
+        save_csv(ds, tmp_path / "data.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ validation

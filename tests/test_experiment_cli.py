@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tessera import serialize
+from tessera import datagen, serialize
 from tessera.cli import main
 from tessera.errors import ConfigError
 from tessera.experiment import (
@@ -150,6 +150,23 @@ def test_stagewise_equals_run(tmp_path, finished_run):
     for rel in ("data.csv", "moe_model.json", "calibration_epistemic.json",
                 "metrics_tessera_e.json", "manifest.json"):
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_cold_stages_equal_run_and_parse_once_each(tmp_path, monkeypatch, parses):
+    # each stage as its own process would run it: no CSV cache entry on entry
+    config = ExperimentConfig.from_dict(small_config(
+        data={"kind": "clustered_shift", "n": 400, "dim": 2, "mode": "iid"}))
+    warm = run_experiment(config, tmp_path / "warm")
+    assert parses == []
+    cold = tmp_path / "cold"
+    for stage in (stage_gen_data, stage_train, stage_calibrate, stage_evaluate):
+        monkeypatch.setattr(datagen, "_csv_cache", None)
+        stage(config, cold)
+    assert parses == ["data.csv"] * 3
+    files = sorted(p.relative_to(warm) for p in warm.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(cold) for p in cold.rglob("*") if p.is_file())
+    for rel in files:
+        assert (warm / rel).read_bytes() == (cold / rel).read_bytes(), rel
 
 
 def test_missing_upstream_artifact_is_descriptive(tmp_path):
