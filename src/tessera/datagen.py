@@ -325,7 +325,6 @@ def save_csv(ds: Dataset, path) -> None:
     entry (see :func:`load_csv`).
     """
     global _csv_cache
-    _csv_cache = None  # holding it while this dataset is written and copied raises peak RSS
     path = Path(path)
     header = [f"feature_{j}" for j in range(ds.dim)] + ["target"]
     floats = [ds.X[:, j] for j in range(ds.dim)] + [ds.y]
@@ -339,6 +338,13 @@ def save_csv(ds: Dataset, path) -> None:
     if ds.split is not None:
         header.append("split")
         labels.append(ds.split)
+    # X's columns have ds.n rows by definition; a field replaced after
+    # construction may not, and zip would silently cut every row past it
+    for name, col in zip(header[ds.dim:], floats[ds.dim:] + labels):
+        if np.shape(col) != (ds.n,):
+            raise CsvFormatError(f"{path.name}: column {name!r} has shape {np.shape(col)}, "
+                                 f"not ({ds.n},) like the feature columns")
+    _csv_cache = None  # holding it while this dataset is written and copied raises peak RSS
     with serialize.atomic_write(path) as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, ds.n, CSV_BLOCK_ROWS):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import serialize
 from .conformal import PredictionIntervals
@@ -148,7 +148,7 @@ def mc_intervals(mean: Array, variance: Array, alpha: float = 0.10) -> Predictio
         raise DimensionError("variances must be nonnegative")
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha must lie strictly between 0 and 1")
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     sd = np.sqrt(v)
     half = z * sd
     return PredictionIntervals(center=m, lower=m - half, upper=m + half, scale=sd,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .conformal import PredictionIntervals
 from .errors import MetricError
@@ -264,6 +263,7 @@ def point_metrics(preds: Array, y) -> PointMetrics:
     mae = float(np.mean(np.abs(resid)))
     if np.std(p) == 0.0 or np.std(yv) == 0.0:
         return PointMetrics(rmse, mae, np.nan, np.nan)
+    from scipy import stats  # ~1 s to import, so only the stages that need it pay
     pearson = float(stats.pearsonr(p, yv).statistic)
     spearman = float(stats.spearmanr(p, yv).statistic)
     return PointMetrics(rmse, mae, pearson, spearman)
@@ -291,6 +291,7 @@ def disentangle_stats(sig_a: Array, sig_e: Array) -> DisentangleStats:
         raise MetricError("signals must have equal lengths")
     if a.size < 3:
         raise MetricError("need at least three samples")
+    from scipy import stats  # see point_metrics
     if np.std(a) == 0.0 or np.std(e) == 0.0:
         pearson = spearman = kendall = np.nan
     else:

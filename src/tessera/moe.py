@@ -15,12 +15,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid
-from scipy.special import logsumexp
 
 from . import serialize
 from .errors import DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng, \
-    softmax, softplus
+from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, logsumexp, \
+    make_rng, softmax, softplus
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VAR_FLOOR_DEFAULT = 1e-6

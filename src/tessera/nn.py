@@ -1,6 +1,7 @@
-"""Numeric kernels: seeded RNG streams, a small fully connected net (one
-net or a stack of K) over one parameter vector with hand-written
-reverse-mode gradients, Adam, and a finite-difference oracle.
+"""Numeric kernels: seeded RNG streams, softmax and logsumexp, a small
+fully connected net (one net or a stack of K) over one parameter vector
+with hand-written reverse-mode gradients, Adam, and a finite-difference
+oracle.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -52,6 +53,33 @@ def softmax(v: Array, axis: int = -1) -> Array:
 def softplus(x: Array) -> Array:
     """log(1 + e^x) without overflow for large |x|."""
     return np.logaddexp(0.0, x)
+
+
+def logsumexp(a: Array, axis: int = -1, keepdims: bool = False) -> Array:
+    """log(sum(exp(a))) along ``axis``, bit-identical to scipy 1.17's
+    ``scipy.special.logsumexp`` for real float64 input.
+
+    Per slice, the ``m`` entries equal to the max are split off, the rest
+    are summed as ``s = sum(exp(a - max)) / m`` (left as is when 0), and the
+    result is ``log1p(s) + log(m) + max``. Slices where that is not finite
+    (a +inf or NaN entry, or all entries -inf) get ``log(sum(exp(a)))``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        raise DimensionError("logsumexp requires at least one entry")
+    with np.errstate(all="ignore"):  # the non-finite cases are settled below
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+        rest = np.where(is_max, -np.inf, a)
+        rest -= a_max
+        s = np.sum(np.exp(rest, out=rest), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _activate(z: Array, tag: str) -> Array:

@@ -616,6 +616,22 @@ def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("field, column", [("y", "target"), ("sigma_true", "sigma_true"),
+                                           ("groups", "group"), ("split", "split")])
+def test_csv_save_refuses_a_column_with_the_wrong_row_count(tmp_path, field, column):
+    path = tmp_path / "data.csv"
+    save_csv(gen_clustered_shift(40, 2, seed=3, mode="iid"), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"data.csv", "data.csv.meta.json"}
+    ds = gen_clustered_shift(50, 2, seed=1, mode="iid")
+    setattr(ds, field, getattr(ds, field)[:10])  # bypasses validation
+    with pytest.raises(CsvFormatError,
+                       match=rf"data.csv: column '{column}' has shape \(10,\), not \(50,\)"):
+        save_csv(ds, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert load_csv(path).n == 40
+
+
 # ------------------------------------------------------------ validation
 
 def test_dataset_validation():

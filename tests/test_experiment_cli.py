@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,3 +339,16 @@ def test_cli_alpha_flag_overrides_config(tmp_path):
 def test_report_requires_metrics(tmp_path):
     with pytest.raises(ConfigError, match="metrics"):
         build_report([tmp_path], tmp_path / "rep")
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes about a second to import; only evaluate's statistics need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, tessera.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

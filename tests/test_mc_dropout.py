@@ -92,6 +92,12 @@ def test_intervals_use_normal_quantile():
     assert_allclose(iv.width, 2 * z * np.sqrt(var), rtol=1e-12)
 
 
+def test_interval_z_is_the_normal_quantile_bitwise():
+    for alpha in np.concatenate((np.linspace(0.001, 0.999, 999), [1e-12, 0.05, 0.1, 1 - 1e-12])):
+        z = mc_intervals([0.0], [1.0], alpha=alpha).upper[0]  # 0 + z * sqrt(1)
+        assert z == norm.ppf(1.0 - alpha / 2.0) and z > 0, alpha
+
+
 def test_intervals_alpha_05_quantile():
     iv = mc_intervals([0.0], [1.0], alpha=0.05)
     assert_allclose(iv.upper[0], 1.959963984540054, rtol=1e-12)

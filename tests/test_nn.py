@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp as scipy_logsumexp
 
 from tessera.errors import DimensionError, TrainingError
 from tessera.nn import (
@@ -11,6 +12,7 @@ from tessera.nn import (
     Mlp,
     adam_step,
     finite_difference_gradients,
+    logsumexp,
     make_rng,
     softmax,
     softplus,
@@ -56,6 +58,43 @@ def test_softplus_matches_reference():
     ref = np.where(x > 30, x, np.log1p(np.exp(np.minimum(x, 30))))
     assert_allclose(softplus(x), ref, rtol=1e-12)
     assert softplus(np.array([800.0]))[0] == 800.0  # no overflow
+
+
+# -------------------------------------------------------------- logsumexp
+
+# draws from the pool make ties, extremes and the non-finite cases common
+_LSE_POOL = (0.0, -0.0, 1.0, -3.5, 709.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _lse_inputs(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cell = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_LSE_POOL))
+    a = np.array(draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        a[row] = -np.inf
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lse_inputs(), st.sampled_from([0, 1, -1]), st.booleans())
+def test_logsumexp_matches_scipy_bitwise(a, axis, keepdims):
+    with np.errstate(all="ignore"):
+        want = np.asarray(scipy_logsumexp(a, axis=axis, keepdims=keepdims))
+    got = logsumexp(a, axis=axis, keepdims=keepdims)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_logsumexp_edge_rows():
+    a = np.array([[0.0, 0.0], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0],
+                  [-np.inf, 2.0], [1000.0, 1000.0]])
+    out = logsumexp(a, axis=1)
+    assert out[0] == np.log(2.0) and out[5] == 1000.0 + np.log(2.0)
+    assert out[1] == -np.inf and out[2] == np.inf and np.isnan(out[3]) and out[4] == 2.0
+    assert logsumexp(a[:1], axis=1, keepdims=True).shape == (1, 1)
+    with pytest.raises(DimensionError):
+        logsumexp(np.zeros((0, 3)), axis=1)
 
 
 # ------------------------------------------------------------------- rng
