@@ -65,7 +65,6 @@ from .nn import (
     AdamState,
     Mlp,
     adam_step,
-    finite_difference_gradients,
     make_rng,
     softmax,
     softplus,

@@ -397,7 +397,7 @@ _STAGE_ARTIFACTS = {
 
 
 def _write_manifest(config: ExperimentConfig, out: Path,
-                    failed_stage: str | None = None) -> None:
+                    failed_stage: str | None = None, error: Exception | None = None) -> None:
     artifacts = sorted(str(p.relative_to(out)).replace("\\", "/")
                        for p in out.rglob("*")
                        if p.is_file() and p.name != "manifest.json")
@@ -405,7 +405,7 @@ def _write_manifest(config: ExperimentConfig, out: Path,
               for name, needs in _STAGE_ARTIFACTS.items()}
     if failed_stage is not None:
         stages[failed_stage] = "failed"
-    serialize.dump({
+    manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
@@ -413,21 +413,25 @@ def _write_manifest(config: ExperimentConfig, out: Path,
         "stages": stages,
         "artifacts": artifacts,
         "status": "failed" if failed_stage else "ok",
-    }, out / "manifest.json")
+    }
+    if error is not None:
+        manifest["error"] = {"type": type(error).__name__, "message": str(error)}
+    serialize.dump(manifest, out / "manifest.json")
 
 
 def run_experiment(config: ExperimentConfig, out: Path | str) -> Path:
     """All four stages in order into the run dir ``out``; on failure the
-    manifest records the stage that failed before the error propagates."""
+    manifest records the stage that failed, and the error's type and
+    message, before the error propagates."""
     out = Path(out)
     stages = (("gen-data", stage_gen_data), ("train", stage_train),
               ("calibrate", stage_calibrate), ("evaluate", stage_evaluate))
     for name, fn in stages:
         try:
             fn(config, out)
-        except Exception:
+        except Exception as e:
             out.mkdir(parents=True, exist_ok=True)
-            _write_manifest(config, out, failed_stage=name)
+            _write_manifest(config, out, failed_stage=name, error=e)
             raise
     return out
 

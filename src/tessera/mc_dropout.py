@@ -16,7 +16,8 @@ from scipy.special import ndtri
 from . import serialize
 from .conformal import PredictionIntervals
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng
+from .nn import AdamState, Array, Mlp, activate, adam_step, as_rng, check_adam_schedule, \
+    make_rng
 
 
 class DropoutMlp:
@@ -48,11 +49,6 @@ class DropoutMlp:
         keep = 1.0 - self.dropout
         return [(rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
                 for w in self.net.weights[:-1]]
-
-    def stochastic_forward(self, x: Array, rng: np.random.Generator) -> Array:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        masks = self.sample_masks(X.shape[0], rng)
-        return self.net.forward(X, hidden_masks=masks)[:, 0]
 
     def deterministic_forward(self, x: Array) -> Array:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -127,14 +123,31 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
 
 def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
                rng: int | np.random.Generator | None = None) -> tuple[Array, Array]:
-    """Mean and unbiased variance over ``passes`` stochastic forward passes."""
+    """Mean and unbiased variance over ``passes`` stochastic forward passes.
+
+    No mask touches the first layer's activation, so it is computed once;
+    each pass draws its masks and runs the layers after it.
+    """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
     rng = as_rng(0 if rng is None else rng)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    net = model.net
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise DimensionError(f"input must be (n, {net.input_dim})")
+    first = X @ net.weights[0]
+    first += net.biases[0]
+    if net.n_layers > 1:
+        activate(first, net.activations[0])
     draws = np.empty((passes, X.shape[0]))
     for t in range(passes):
-        draws[t] = model.stochastic_forward(X, rng)
+        h = first
+        for layer, mask in enumerate(model.sample_masks(X.shape[0], rng), start=1):
+            h = (h * mask) @ net.weights[layer]
+            h += net.biases[layer]
+            if layer < net.n_layers - 1:
+                activate(h, net.activations[layer])
+        draws[t] = h[:, 0]
     return draws.mean(axis=0), draws.var(axis=0, ddof=1)
 
 

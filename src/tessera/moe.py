@@ -197,21 +197,16 @@ def _log_components(pred_w_log: Array, mu: Array, sigma2: Array, y: Array) -> Ar
 def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
     """Log density of the row-wise mixture at y.
 
-    ``y`` may be a scalar, a length-n vector paired row by row, or, when
-    the prediction has a single row, a vector of query points.
+    ``y`` may be a scalar (one-row prediction) or a length-n vector paired
+    row by row.
     """
     scalar_in = np.ndim(y) == 0
     yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    w, mu, s2 = pred.w, pred.mu, pred.sigma2
-    if pred.n == 1 and yv.shape[0] != 1:
-        w = np.broadcast_to(w, (yv.shape[0], pred.n_components))
-        mu = np.broadcast_to(mu, w.shape)
-        s2 = np.broadcast_to(s2, w.shape)
-    elif yv.shape[0] != pred.n:
+    if yv.shape[0] != pred.n:
         raise DimensionError("y must pair with prediction rows")
     with np.errstate(divide="ignore"):  # w == 0 gives -inf, which logsumexp absorbs
-        log_w = np.log(w)
-    out = logsumexp(_log_components(log_w, mu, s2, yv), axis=1)
+        log_w = np.log(pred.w)
+    out = logsumexp(_log_components(log_w, pred.mu, pred.sigma2, yv), axis=1)
     return float(out[0]) if scalar_in else out
 
 
@@ -270,6 +265,13 @@ class TrainSpec:
 
 @dataclass
 class TrainHistory:
+    """Per-epoch losses of :func:`train_moe`.
+
+    ``train_nll[e]`` is the row-weighted mean of epoch e's minibatch
+    losses, each taken before that step's update; ``val_nll[e]`` is the
+    full validation split after the epoch, and picks ``best_epoch``.
+    """
+
     train_nll: list[float] = field(default_factory=list)
     val_nll: list[float] = field(default_factory=list)
     best_epoch: int = -1
@@ -283,6 +285,8 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
               x_val: Array, y_val: Array, config: TrainSpec, seed: int) -> TrainHistory:
     """Minibatch Adam on the mixture NLL; mutates ``model`` in place.
 
+    ``train_nll`` records each epoch's mean minibatch loss, taken before
+    each step, so no extra pass over the train split is made.
     After the final epoch the parameters from the epoch with the lowest
     validation NLL are restored. Shuffling is driven only by ``seed``, so a
     rerun reproduces the same trajectory.
@@ -304,12 +308,13 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
     best_params = params.copy()
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        tr = 0.0
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                _, grads = mixture_nll(model, x_train[idx], y_train[idx])
+                loss, grads = mixture_nll(model, x_train[idx], y_train[idx])
+                tr += loss * (len(idx) / n)  # one full batch gives its loss exactly
                 adam_step(state, params, grads)
-            tr = mixture_nll_loss(model, x_train, y_train)
             va = mixture_nll_loss(model, x_val, y_val)
         except TrainingError as e:
             raise TrainingError(f"{e} (epoch {epoch})") from e

@@ -1,7 +1,6 @@
 """Numeric kernels: seeded RNG streams, softmax and logsumexp, a small
 fully connected net (one net or a stack of K) over one parameter vector
-with hand-written reverse-mode gradients, Adam, and a finite-difference
-oracle.
+with hand-written reverse-mode gradients, and Adam.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -9,7 +8,7 @@ Everything is float64. The same seed always yields the same stream.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def logsumexp(a: Array, axis: int = -1, keepdims: bool = False) -> Array:
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _activate(z: Array, tag: str) -> Array:
+def activate(z: Array, tag: str) -> Array:
     """The activation, computed in place."""
     if tag == "tanh":
         return np.tanh(z, out=z)
@@ -245,7 +244,7 @@ class Mlp:
             if check_finite and not np.all(np.isfinite(h)):
                 raise ModelError(f"non-finite values in layer {layer}", layer=layer)
             if layer < self.n_layers - 1:
-                hidden.append(_activate(h, self.activations[layer]))
+                hidden.append(activate(h, self.activations[layer]))
                 if masks is not None:
                     h = h * masks[layer]
                 inputs.append(h)
@@ -348,24 +347,3 @@ def adam_step(state: AdamState, params: Array, grads: Array) -> None:
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
     params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
-
-
-def finite_difference_gradients(f: Callable[[], float], params: Array,
-                                h: float = 1e-5) -> Array:
-    """Central-difference gradient of ``f()`` w.r.t. the array ``params``,
-    perturbed in place.
-
-    ``f`` must read the live ``params``; each coordinate is nudged by +/- h
-    and restored. Used as the slow-but-independent check on the analytic
-    backward pass.
-    """
-    grad = np.zeros_like(params, dtype=np.float64)
-    for j in range(params.size):
-        orig = params.flat[j]
-        params.flat[j] = orig + h
-        f_plus = f()
-        params.flat[j] = orig - h
-        f_minus = f()
-        params.flat[j] = orig
-        grad.flat[j] = (f_plus - f_minus) / (2.0 * h)
-    return grad

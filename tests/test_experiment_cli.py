@@ -114,6 +114,7 @@ def test_manifest_contents(finished_run):
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["seed"] == 0
     assert all(v == "ok" for v in manifest["stages"].values())
+    assert "error" not in manifest
     assert "metrics_tessera_e.json" in manifest["artifacts"]
     assert "manifest.json" not in manifest["artifacts"]
     text = (out / "manifest.json").read_text()
@@ -182,11 +183,14 @@ def test_failed_run_writes_failed_manifest(tmp_path):
     config = ExperimentConfig.from_dict(small_config(
         data={"kind": "csv", "path": str(tmp_path / "nope.csv")}))
     out = tmp_path / "broken"
-    with pytest.raises(Exception):
+    with pytest.raises(Exception) as raised:
         run_experiment(config, out)
     manifest = serialize.load(out / "manifest.json")
     assert manifest["status"] == "failed"
     assert manifest["stages"]["gen-data"] == "failed"
+    assert manifest["error"] == {"type": type(raised.value).__name__,
+                                 "message": str(raised.value)}
+    assert "nope.csv" in manifest["error"]["message"]
 
 
 def test_alpha_is_respected(tmp_path):

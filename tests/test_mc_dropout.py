@@ -12,7 +12,7 @@ from tessera.mc_dropout import (
     mc_predict,
     train_dropout,
 )
-from tessera.nn import Mlp, make_rng
+from tessera.nn import ACTIVATIONS, Mlp, make_rng
 
 
 def hand_identity_net(d=2, hidden=16):
@@ -61,6 +61,35 @@ def test_mc_predict_deterministic_given_seed():
     m2, v2 = mc_predict(model, x, passes=20, rng=make_rng(9))
     assert_allclose(m1, m2, rtol=0)
     assert_allclose(v1, v2, rtol=0)
+
+
+def full_forward_per_pass(model, x, passes, rng):
+    """mc_predict as one full forward pass of the net per draw of masks."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    draws = np.empty((passes, X.shape[0]))
+    for t in range(passes):
+        draws[t] = model.net.forward(X, hidden_masks=model.sample_masks(X.shape[0], rng))[:, 0]
+    return draws.mean(axis=0), draws.var(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("widths", [(3, 1), (3, 16, 1), (3, 16, 8, 1)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, dropout):
+    net = Mlp.init(widths, activation, rng=make_rng(len(widths)))
+    net.params += 0.1 * make_rng(3).standard_normal(net.n_params)  # nonzero biases
+    model = DropoutMlp(net, dropout)
+    x = make_rng(1).standard_normal((37, 3))
+    got = mc_predict(model, x, passes=7, rng=make_rng(2))
+    want = full_forward_per_pass(model, x, 7, make_rng(2))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_mc_predict_rejects_wrong_input_width():
+    model = DropoutMlp.init(3, hidden=8, rng=make_rng(0))
+    with pytest.raises(DimensionError):
+        mc_predict(model, np.zeros((4, 2)))
 
 
 def test_mc_predict_rejects_single_pass():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+from gradcheck import finite_difference_gradients
 from tessera import serialize
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import DimensionError, TrainingError
@@ -20,7 +21,7 @@ from tessera.moe import (
     mixture_nll_loss,
     train_moe,
 )
-from tessera.nn import Mlp, finite_difference_gradients, make_rng, softmax, softplus
+from tessera.nn import AdamState, Mlp, adam_step, make_rng, softmax, softplus
 
 
 def two_component():
@@ -71,9 +72,16 @@ def test_prediction_validation():
 
 # ------------------------------------------------------------- density
 
+def at_points(pred, ys):
+    """The one-row ``pred`` repeated once per query point in ``ys``."""
+    rows = (len(ys), pred.n_components)
+    return MixturePrediction(np.broadcast_to(pred.w, rows), np.broadcast_to(pred.mu, rows),
+                             np.broadcast_to(pred.sigma2, rows))
+
+
 def test_single_component_matches_norm_pdf():
-    pred = MixturePrediction(w=[[1.0]], mu=[[0.7]], sigma2=[[2.25]])
     ys = np.linspace(-4, 6, 11)
+    pred = at_points(MixturePrediction(w=[[1.0]], mu=[[0.7]], sigma2=[[2.25]]), ys)
     assert_allclose(np.exp(mixture_log_pdf(pred, ys)),
                     norm.pdf(ys, loc=0.7, scale=1.5), rtol=1e-12)
 
@@ -86,9 +94,9 @@ def test_two_component_hand_density():
 
 
 def test_density_integrates_to_one():
-    pred = MixturePrediction(w=[[0.2, 0.5, 0.3]], mu=[[-2.0, 0.5, 3.0]],
-                             sigma2=[[0.25, 1.0, 4.0]])
     ys = np.linspace(-20, 25, 20001)
+    pred = at_points(MixturePrediction(w=[[0.2, 0.5, 0.3]], mu=[[-2.0, 0.5, 3.0]],
+                                       sigma2=[[0.25, 1.0, 4.0]]), ys)
     mass = np.trapezoid(np.exp(mixture_log_pdf(pred, ys)), ys)
     assert_allclose(mass, 1.0, atol=1e-9)
 
@@ -99,6 +107,8 @@ def test_density_pairs_rows_with_targets():
     assert_allclose(out, [norm.pdf(0.0), norm.pdf(0.0)], rtol=1e-12)
     with pytest.raises(DimensionError):
         mixture_log_pdf(pred, [0.0, 1.0, 2.0])
+    with pytest.raises(DimensionError):  # a one-row prediction pairs with one target too
+        mixture_log_pdf(two_component(), [0.0, 1.0])
 
 
 def test_log_pdf_survives_tiny_gate_weight():
@@ -259,6 +269,39 @@ def test_training_is_seed_deterministic(small_data):
     assert h1.train_nll == h2.train_nll
     assert h1.val_nll == h2.val_nll
     assert_allclose(p1.mu, p2.mu, rtol=0)
+
+
+@pytest.mark.parametrize("batch_size", [400, 1000])
+def test_train_nll_of_one_full_batch_is_the_loss_before_its_step(small_data, batch_size):
+    X, y, Xv, yv = small_data
+    model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
+    order = make_rng(7).permutation(len(y))  # train_moe's first shuffle under seed 7
+    untrained = mixture_nll_loss(model, X[order], y[order])
+    hist = train_moe(model, X, y, Xv, yv,
+                     TrainSpec(epochs=2, batch_size=batch_size, lr=1e-3), seed=7)
+    assert hist.train_nll[0] == untrained
+
+
+def test_train_nll_weights_each_minibatch_loss_by_its_rows(small_data):
+    X, y, Xv, yv = small_data
+    spec = TrainSpec(epochs=2, batch_size=64, lr=5e-3)  # 400 rows: 6 batches of 64, 1 of 16
+    hist = train_moe(MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(1)),
+                     X, y, Xv, yv, spec, seed=3)
+    replay = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(1))
+    rng, state = make_rng(3), AdamState(replay.params, lr=spec.lr)
+    for epoch in range(spec.epochs):
+        order = rng.permutation(len(y))
+        losses, rows = [], []
+        for start in range(0, len(y), spec.batch_size):
+            idx = order[start:start + spec.batch_size]
+            loss, grads = mixture_nll(replay, X[idx], y[idx])
+            losses.append(loss)
+            rows.append(len(idx))
+            adam_step(state, replay.params, grads)
+        assert rows[-1] == 16
+        want = np.dot(losses, rows) / len(y)
+        assert_allclose(hist.train_nll[epoch], want, rtol=1e-12)
+        assert abs(np.mean(losses) - want) > 1e-9 * abs(want)  # the weighting shows
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp as scipy_logsumexp
 
+from gradcheck import finite_difference_gradients
 from tessera.errors import DimensionError, TrainingError
 from tessera.nn import (
     ACTIVATIONS,
     AdamState,
     Mlp,
     adam_step,
-    finite_difference_gradients,
     logsumexp,
     make_rng,
     softmax,
