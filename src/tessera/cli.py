@@ -10,6 +10,7 @@ effective config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def _effective_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = int(args.seed)
     if getattr(args, "alpha", None) is not None:
-        config.calibration.alpha = float(args.alpha)
+        config.calibration = dataclasses.replace(config.calibration, alpha=args.alpha)
     if getattr(args, "method", None) is not None:
         config.methods = resolve_methods(args.method)
     return config

@@ -9,6 +9,7 @@ are exact, and nothing embeds a timestamp, so reruns are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,6 +119,12 @@ class CalibrationSpec:
     alpha: float = ALPHA_DEFAULT
     epsilon: float = EPSILON_DEFAULT
 
+    def __post_init__(self):
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError("alpha must lie strictly between 0 and 1")
+        if not (self.epsilon >= 0.0):
+            raise ConfigError("epsilon must be nonnegative")
+
 
 @dataclass
 class MetricsSpec:
@@ -196,16 +203,47 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(serialize.load(path))
 
 
-def _artifact(out: Path, name: str, hint: str) -> Path:
+# stage -> the artifacts whose presence marks it done
+_STAGE_ARTIFACTS = {
+    "gen-data": ("data.csv",),
+    "train": ("moe_model.json", "mc_dropout_model.json"),
+    "calibrate": tuple(f"calibration_{k.value}.json" for k in ScaleKind),
+    "evaluate": ("uncertainty_stats.json",),
+}
+
+
+def _artifact(out: Path, name: str) -> Path:
     p = out / name
     if not p.exists():
-        raise ConfigError(f"missing artifact {p}; run `tessera {hint}` first")
+        stage = next(s for s, names in _STAGE_ARTIFACTS.items() if name in names)
+        raise ConfigError(f"missing artifact {p}; run `tessera {stage}` first")
     return p
 
 
+def _stage(name: str):
+    """Make a stage body ``(config, out)`` into the stage: create ``out``,
+    run the body, then write the manifest. When the body raises, the
+    manifest marks ``name`` failed with the error's type and message, and
+    the error propagates."""
+    def wrap(body):
+        @functools.wraps(body)
+        def stage(config: ExperimentConfig, out: Path | str):
+            out = Path(out)
+            out.mkdir(parents=True, exist_ok=True)
+            try:
+                result = body(config, out)
+            except Exception as e:
+                _write_manifest(config, out, failed_stage=name, error=e)
+                raise
+            _write_manifest(config, out)
+            return result
+        return stage
+    return wrap
+
+
+@_stage("gen-data")
 def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
     """Generate (or import) the dataset and write data.csv with metadata."""
-    out.mkdir(parents=True, exist_ok=True)
     spec = config.data
     seed = derived_seed(config.seed, _ROLE_DATA)
     if spec.kind == "heteroscedastic":
@@ -225,14 +263,13 @@ def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
         ds = split_dataset(ds, fractions=config.split.fractions,
                            mode=config.split.mode, seed=seed)
     save_csv(ds, out / "data.csv")
-    _write_manifest(config, out)
     return ds
 
 
+@_stage("train")
 def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutMlp]:
     """Train the mixture model and the dropout baseline on the train split."""
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_csv(_artifact(out, "data.csv", "gen-data"))
+    ds = load_csv(_artifact(out, "data.csv"))
     train, val = ds.part("train"), ds.part("val")
     model = MoeModel.init(ds.dim, n_experts=config.model.n_experts,
                           expert_hidden=config.model.expert_hidden,
@@ -252,15 +289,14 @@ def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutM
                         derived_seed(config.seed, _ROLE_DROPOUT_TRAIN))
     dropout.save(out / "mc_dropout_model.json")
     serialize.dump({"train_mse": mse}, out / "mc_dropout_history.json")
-    _write_manifest(config, out)
     return model, dropout
 
 
+@_stage("calibrate")
 def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, CalibrationResult]:
     """Split-conformal calibration of every scale family on the cal split."""
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_csv(_artifact(out, "data.csv", "gen-data"))
-    model = MoeModel.load(_artifact(out, "moe_model.json", "train"))
+    ds = load_csv(_artifact(out, "data.csv"))
+    model = MoeModel.load(_artifact(out, "moe_model.json"))
     cal = ds.part("cal")
     pred = model.forward(cal.X)
     scales = {ScaleKind.EPISTEMIC: pred.epistemic,
@@ -273,7 +309,6 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
                         epsilon=config.calibration.epsilon)
         res.save(out / f"calibration_{kind.value}.json")
         results[kind.value] = res
-    _write_manifest(config, out)
     return results
 
 
@@ -286,18 +321,17 @@ def _method_intervals(method: str, config: ExperimentConfig, out: Path,
     if method in ("tessera_e", "tessera_a"):
         kind = ScaleKind.EPISTEMIC if method.endswith("_e") else ScaleKind.ALEATORIC
         calib = CalibrationResult.load(
-            _artifact(out, f"calibration_{kind.value}.json", "calibrate"))
+            _artifact(out, f"calibration_{kind.value}.json"))
         scale = pred.epistemic if kind is ScaleKind.EPISTEMIC else pred.aleatoric
         return build_intervals(calib, mu, scale), mu, pred
     if method == "classical_cp":
-        calib = CalibrationResult.load(
-            _artifact(out, "calibration_constant.json", "calibrate"))
+        calib = CalibrationResult.load(_artifact(out, "calibration_constant.json"))
         return build_intervals(calib, mu), mu, pred
     if method in ("moe_e", "moe_a"):
         scale = pred.epistemic if method == "moe_e" else pred.aleatoric
         return mc_intervals(mu, scale ** 2, alpha), mu, pred
     if method == "mc_dropout":
-        dropout = DropoutMlp.load(_artifact(out, "mc_dropout_model.json", "train"))
+        dropout = DropoutMlp.load(_artifact(out, "mc_dropout_model.json"))
         rng = make_rng(derived_seed(config.seed, _ROLE_MC_PASSES))
         mean, var = mc_predict(dropout, test.X, passes=config.mc_dropout.passes, rng=rng)
         gauss = MixturePrediction(w=np.ones((test.n, 1)),
@@ -341,7 +375,6 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
     serialize.dump({"method": method, **report.to_dict()},
                    out / f"metrics_{method}.json")
     curves_dir = out / "curves"
-    curves_dir.mkdir(exist_ok=True)
     serialize.write_csv(curves_dir / f"{method}_sparsification.csv",
                         ["fraction", "model_rmse", "oracle_rmse"],
                         zip(curve.fractions, curve.model_rmse, curve.oracle_rmse))
@@ -353,18 +386,17 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
     return intervals, report
 
 
-def stage_evaluate(config: ExperimentConfig, out: Path,
-                   methods: tuple | None = None) -> dict[str, MetricsReport]:
-    """Metrics and curves for every requested method on the test split."""
-    out.mkdir(parents=True, exist_ok=True)
-    methods = config.methods if methods is None else resolve_methods(methods)
-    ds = load_csv(_artifact(out, "data.csv", "gen-data"))
-    model = MoeModel.load(_artifact(out, "moe_model.json", "train"))
+@_stage("evaluate")
+def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsReport]:
+    """Metrics and curves for every method in ``config.methods`` on the test split."""
+    ds = load_csv(_artifact(out, "data.csv"))
+    model = MoeModel.load(_artifact(out, "moe_model.json"))
     test = ds.part("test")
     pred = model.forward(test.X)
+    (out / "curves").mkdir(exist_ok=True)
     reports = {}
     group_rows = []
-    for method in methods:
+    for method in config.methods:
         intervals, report = _evaluate_method(method, config, out, test, pred)
         reports[method] = report
         if test.groups is not None:
@@ -380,20 +412,9 @@ def stage_evaluate(config: ExperimentConfig, out: Path,
         "mean_aleatoric": float(np.mean(pred.aleatoric)),
         "mean_epistemic": float(np.mean(pred.epistemic)),
     }, out / "uncertainty_stats.json")
-    curves_dir = out / "curves"
-    curves_dir.mkdir(exist_ok=True)
-    serialize.write_csv(curves_dir / "group_coverage.csv",
+    serialize.write_csv(out / "curves" / "group_coverage.csv",
                         ["method", "group", "n", "coverage"], group_rows)
-    _write_manifest(config, out)
     return reports
-
-
-_STAGE_ARTIFACTS = {
-    "gen-data": ("data.csv",),
-    "train": ("moe_model.json", "mc_dropout_model.json"),
-    "calibrate": tuple(f"calibration_{k.value}.json" for k in ScaleKind),
-    "evaluate": ("uncertainty_stats.json",),
-}
 
 
 def _write_manifest(config: ExperimentConfig, out: Path,
@@ -420,19 +441,11 @@ def _write_manifest(config: ExperimentConfig, out: Path,
 
 
 def run_experiment(config: ExperimentConfig, out: Path | str) -> Path:
-    """All four stages in order into the run dir ``out``; on failure the
-    manifest records the stage that failed, and the error's type and
-    message, before the error propagates."""
+    """All four stages in order into the run dir ``out``; the first that
+    fails leaves a failed manifest and its error propagates."""
     out = Path(out)
-    stages = (("gen-data", stage_gen_data), ("train", stage_train),
-              ("calibrate", stage_calibrate), ("evaluate", stage_evaluate))
-    for name, fn in stages:
-        try:
-            fn(config, out)
-        except Exception as e:
-            out.mkdir(parents=True, exist_ok=True)
-            _write_manifest(config, out, failed_stage=name, error=e)
-            raise
+    for stage in (stage_gen_data, stage_train, stage_calibrate, stage_evaluate):
+        stage(config, out)
     return out
 
 

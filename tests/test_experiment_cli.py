@@ -193,6 +193,19 @@ def test_failed_run_writes_failed_manifest(tmp_path):
     assert "nope.csv" in manifest["error"]["message"]
 
 
+def test_stage_without_upstream_artifact_writes_failed_manifest(tmp_path):
+    config = ExperimentConfig.from_dict(small_config())
+    out = tmp_path / "no_model"
+    stage_gen_data(config, out)
+    with pytest.raises(ConfigError, match="tessera train") as raised:
+        stage_calibrate(config, out)
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["stages"] == {"gen-data": "ok", "train": "missing",
+                                  "calibrate": "failed", "evaluate": "missing"}
+    assert manifest["error"] == {"type": "ConfigError", "message": str(raised.value)}
+
+
 def test_alpha_is_respected(tmp_path):
     cfg = small_config(calibration={"alpha": 0.5})
     out = tmp_path / "wide_alpha"
@@ -283,6 +296,24 @@ def test_cli_missing_artifact_fails_nonzero(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_failed_stage_writes_failed_manifest(tmp_path, capsys):
+    # a single-stage command records its failure as `tessera run` does
+    cfg_path = write_config(tmp_path, small_config(train={"lr": 1e300}))
+    staged, whole = tmp_path / "staged", tmp_path / "whole"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(staged)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(staged)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    manifest = serialize.load(staged / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["stages"]["train"] == "failed"
+    assert manifest["error"]["type"] == "TrainingError"
+    assert main(["run", "--config", str(cfg_path), "--out", str(whole)]) == 1
+    run_manifest = serialize.load(whole / "manifest.json")
+    assert run_manifest["stages"] == manifest["stages"]
+    assert run_manifest["error"] == manifest["error"]
+
+
 def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"data": {"kind": "csv"}})
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
@@ -312,6 +343,10 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("model", "activation", 1),
     (None, "seed", "3"),
     (None, "seed", True),
+    ("calibration", "alpha", 0),
+    ("calibration", "alpha", 1),
+    ("calibration", "alpha", 1.5),
+    ("calibration", "epsilon", -1),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
@@ -338,6 +373,15 @@ def test_cli_alpha_flag_overrides_config(tmp_path):
                  "--alpha", "0.25"]) == 0
     calib = serialize.load(out / "calibration_epistemic.json")
     assert calib["alpha"] == 0.25
+
+
+def test_cli_alpha_flag_out_of_range_fails_at_config_load(tmp_path, capsys):
+    out = tmp_path / "never"
+    code = main(["run", "--config", str(write_config(tmp_path, small_config())),
+                 "--out", str(out), "--alpha", "1.5"])
+    assert code == 1
+    assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_requires_metrics(tmp_path):
