@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, tra
 from .metrics import CwcConfig, MetricsReport, cwc, disentangle_stats, groupwise_picp, \
     mpiw_nmpiw, picp, point_metrics, report_nll, sparsification, ssc_detail
 from .moe import MixturePrediction, MoeModel, TrainSpec, train_moe
-from .nn import derived_seed, make_rng
+from .nn import ACTIVATIONS, derived_seed, make_rng
 
 METHODS = ("tessera_e", "tessera_a", "classical_cp", "moe_e", "moe_a", "mc_dropout")
 SCHEMA_VERSION = 1
@@ -112,6 +113,17 @@ class ModelSpec:
     gate_hidden: int = 32
     activation: str = "tanh"
     var_floor: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("n_experts", "expert_hidden", "gate_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.gate not in ("linear", "mlp"):
+            raise ConfigError(f"gate {self.gate!r} is not 'linear' or 'mlp'")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation {self.activation!r} is not one of {ACTIVATIONS}")
+        if not (0.0 < self.var_floor < math.inf):
+            raise ConfigError("var_floor must be positive and finite")
 
 
 @dataclass

@@ -47,7 +47,8 @@ class DropoutMlp:
         """Inverted-dropout masks, one per hidden layer: 0 with probability
         p, else 1/(1-p), so the masked activation is unbiased."""
         keep = 1.0 - self.dropout
-        return [(rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
+        # k / keep == k * (1 / keep) for k in {0, 1}, so one multiply does it
+        return [np.multiply(rng.random((n, w.shape[1])) < keep, 1.0 / keep)
                 for w in self.net.weights[:-1]]
 
     def deterministic_forward(self, x: Array) -> Array:
@@ -105,18 +106,21 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb, yb = X[idx], yv[idx]
-            masks = model.sample_masks(Xb.shape[0], rng)
-            out, cache = model.net.forward_cache(Xb, hidden_masks=masks)
-            resid = out[:, 0] - yb
-            upstream = (2.0 * resid / Xb.shape[0])[:, None]
-            grads = model.net.backward(cache, upstream)
-            adam_step(state, params, grads)
-        mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
-        if not np.isfinite(mse):
-            raise TrainingError(f"non-finite training loss (epoch {epoch})")
+        xs, ys = X[order], yv[order]  # each batch is a contiguous slice
+        try:
+            for start in range(0, n, config.batch_size):
+                Xb, yb = xs[start:start + config.batch_size], ys[start:start + config.batch_size]
+                masks = model.sample_masks(Xb.shape[0], rng)
+                out, cache = model.net.forward_cache(Xb, hidden_masks=masks)
+                resid = out[:, 0] - yb
+                upstream = (2.0 * resid / Xb.shape[0])[:, None]
+                grads = model.net.backward(cache, upstream)
+                adam_step(state, params, grads)
+            mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
+            if not np.isfinite(mse):
+                raise TrainingError("non-finite training loss")
+        except TrainingError as e:
+            raise TrainingError(f"{e} (epoch {epoch})") from e
         history.append(mse)
     return history
 

@@ -188,10 +188,13 @@ class MoeModel:
                    float(d["var_floor"]))
 
 
-def _log_components(pred_w_log: Array, mu: Array, sigma2: Array, y: Array) -> Array:
+def _log_components(pred_w_log: Array, mu: Array, sigma2: Array,
+                    y: Array) -> tuple[Array, Array, Array]:
+    """log w + log N(y; mu, sigma2) per (row, component), plus the residuals
+    y - mu and their squares."""
     resid = y[:, None] - mu
-    log_phi = -0.5 * (LOG_2PI + np.log(sigma2) + resid * resid / sigma2)
-    return pred_w_log + log_phi
+    sq = resid * resid
+    return pred_w_log + -0.5 * (LOG_2PI + np.log(sigma2) + sq / sigma2), resid, sq
 
 
 def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
@@ -206,13 +209,15 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
         raise DimensionError("y must pair with prediction rows")
     with np.errstate(divide="ignore"):  # w == 0 gives -inf, which logsumexp absorbs
         log_w = np.log(pred.w)
-    out = logsumexp(_log_components(log_w, pred.mu, pred.sigma2, yv), axis=1)
+    out = logsumexp(_log_components(log_w, pred.mu, pred.sigma2, yv)[0], axis=1)
     return float(out[0]) if scalar_in else out
 
 
-def _nll_core(model: MoeModel, x: Array, y) -> tuple[float, _ForwardParts, Array, Array, Array]:
-    """Mean NLL of a batch plus the pieces its gradient needs; raises if
-    the loss is not finite."""
+def _nll_core(model: MoeModel, x: Array, y):
+    """Mean NLL of a batch plus the pieces its gradient needs: the forward
+    parts, the targets, the log components, the per-row log mixture, and
+    the residuals y - mu with their squares. Raises if the loss is not
+    finite."""
     parts = model._forward_parts(x)
     yv = np.asarray(y, dtype=np.float64).ravel()
     if yv.shape[0] != parts.X.shape[0]:
@@ -220,12 +225,12 @@ def _nll_core(model: MoeModel, x: Array, y) -> tuple[float, _ForwardParts, Array
     if yv.shape[0] == 0:
         raise DimensionError("empty batch")
     log_w = parts.logits - logsumexp(parts.logits, axis=1, keepdims=True)
-    comp = _log_components(log_w, parts.mu, parts.sigma2, yv)
+    comp, resid, sq = _log_components(log_w, parts.mu, parts.sigma2, yv)
     log_mix = logsumexp(comp, axis=1)
-    loss = float(-np.mean(log_mix))
+    loss = float(-log_mix.mean())
     if not np.isfinite(loss):
         raise TrainingError("non-finite mixture NLL")
-    return loss, parts, yv, comp, log_mix
+    return loss, parts, yv, comp, log_mix, resid, sq
 
 
 def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
@@ -237,18 +242,24 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     """Mean mixture NLL with its exact gradient in the ``model.params``
     layout. Raises if the loss is not finite.
     """
-    loss, parts, yv, comp, log_mix = _nll_core(model, x, y)
+    loss, parts, yv, resp, log_mix, resid, sq = _nll_core(model, x, y)
     n = yv.shape[0]
-    resp = np.exp(comp - log_mix[:, None])  # per-row component responsibilities
+    s2 = parts.sigma2
+    resp -= log_mix[:, None]
+    np.exp(resp, out=resp)  # per-row component responsibilities
     d_logits = (parts.w - resp) / n
-    resid = yv[:, None] - parts.mu
-    d_mu = -(resp * resid / parts.sigma2) / n
-    d_sigma2 = -(resp * 0.5 * (resid * resid / (parts.sigma2 * parts.sigma2)
-                               - 1.0 / parts.sigma2)) / n
-    d_raw = d_sigma2 * sigmoid(parts.raw_var)  # softplus'(r) = sigmoid(r)
-    upstream = np.stack((d_mu.T, d_raw.T), axis=-1)  # (K, n, 2), one slice per expert
-    return loss, np.concatenate((model.gate.backward(parts.gate_cache, d_logits),
-                                 model.experts.backward(parts.expert_cache, upstream)))
+    # (K, n, 2), slice k for expert k. Each formula runs on contiguous (n, K)
+    # arrays and is copied in once: ufuncs writing through the strided views
+    # run slower. softplus'(r) = sigmoid(r) turns d_sigma2 into d_raw.
+    upstream = np.empty((s2.shape[1], n, 2))
+    upstream[..., 0] = (-(resp * resid / s2) / n).T
+    upstream[..., 1] = (-(resp * 0.5 * (sq / (s2 * s2) - 1.0 / s2)) / n
+                        * sigmoid(parts.raw_var)).T
+    grad = np.empty_like(model.params)
+    n_gate = model.gate.n_params
+    model.gate.backward(parts.gate_cache, d_logits, out=grad[:n_gate])
+    model.experts.backward(parts.expert_cache, upstream, out=grad[n_gate:])
+    return loss, grad
 
 
 @dataclass
@@ -308,12 +319,13 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
     best_params = params.copy()
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        xs, ys = x_train[order], y_train[order]  # each batch is a contiguous slice
         tr = 0.0
         try:
             for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                loss, grads = mixture_nll(model, x_train[idx], y_train[idx])
-                tr += loss * (len(idx) / n)  # one full batch gives its loss exactly
+                stop = min(start + config.batch_size, n)
+                loss, grads = mixture_nll(model, xs[start:stop], ys[start:stop])
+                tr += loss * ((stop - start) / n)  # one full batch gives its loss exactly
                 adam_step(state, params, grads)
             va = mixture_nll_loss(model, x_val, y_val)
         except TrainingError as e:

@@ -44,9 +44,10 @@ def softmax(v: Array, axis: int = -1) -> Array:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise DimensionError("softmax requires at least one entry")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = v - v.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softplus(x: Array) -> Array:
@@ -67,18 +68,20 @@ def logsumexp(a: Array, axis: int = -1, keepdims: bool = False) -> Array:
     if a.size == 0:
         raise DimensionError("logsumexp requires at least one entry")
     with np.errstate(all="ignore"):  # the non-finite cases are settled below
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+        m = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
         rest = np.where(is_max, -np.inf, a)
         rest -= a_max
-        s = np.sum(np.exp(rest, out=rest), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    return out if keepdims else np.squeeze(out, axis=axis)
+        out = np.exp(rest, out=rest).sum(axis=axis, keepdims=True)
+        np.divide(out, m, out=out, where=out != 0)
+        np.log1p(out, out=out)
+        out += np.log(m, out=m)
+        out += a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out if keepdims else out.squeeze(axis=axis)
 
 
 def activate(z: Array, tag: str) -> Array:
@@ -128,6 +131,8 @@ class Mlp:
                 raise DimensionError(f"layer {i} input width does not match layer {i - 1} output")
         self.activations = tuple(activations)
         self._shapes = tuple(t.shape for w, b in zip(ws, bs) for t in (w, b))
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in self._shapes]).tolist()
+        self._slices = tuple(map(slice, bounds[:-1], bounds[1:]))
         self.params = np.concatenate([t.ravel() for w, b in zip(ws, bs) for t in (w, b)])
         self.weights, self.biases = self._views(self.params)
 
@@ -175,10 +180,7 @@ class Mlp:
 
     def _views(self, vector: Array) -> tuple[list[Array], list[Array]]:
         """Per-layer weight and bias views into a vector in ``params`` layout."""
-        views, pos = [], 0
-        for shape in self._shapes:
-            views.append(vector[pos:pos + math.prod(shape)].reshape(shape))
-            pos += math.prod(shape)
+        views = [vector[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
         return views[0::2], views[1::2]
 
     def bind(self, params: Array) -> None:
@@ -258,33 +260,41 @@ class Mlp:
         out, _ = self.forward_cache(X, hidden_masks, check_finite)
         return out[..., 0, :] if single else out
 
-    def backward(self, cache, upstream: Array) -> Array:
+    def backward(self, cache, upstream: Array, out: Array | None = None) -> Array:
         """Gradient of sum(upstream * output) in the ``params`` layout.
 
-        ``upstream`` is d(loss)/d(output), shaped like the output.
+        ``upstream`` is d(loss)/d(output), shaped like the output. The
+        gradient is written into ``out``, a float64 vector of ``n_params``
+        entries (say a slice of a longer gradient vector), and ``out`` is
+        returned; every entry is overwritten and no other memory is. With
+        ``out=None`` a fresh vector is returned.
         """
         G = np.asarray(upstream, dtype=np.float64)
         want = self.weights[0].shape[:-2] + (cache["inputs"][0].shape[0], self.output_dim)
         if G.shape != want:
             raise DimensionError(f"upstream must have shape {want}")
-        grad = np.empty_like(self.params)
-        grad_w, grad_b = self._views(grad)
+        if out is None:
+            out = np.empty_like(self.params)
+        elif out.dtype != np.float64 or out.shape != self.params.shape:
+            raise DimensionError(f"out must be a float64 vector of {self.n_params} entries")
+        grad_w, grad_b = self._views(out)
         delta = G
         for layer in range(self.n_layers - 1, -1, -1):
-            grad_w[layer][...] = np.swapaxes(cache["inputs"][layer], -1, -2) @ delta
-            grad_b[layer][...] = delta.sum(axis=-2)
+            np.matmul(cache["inputs"][layer].swapaxes(-1, -2), delta, out=grad_w[layer])
+            delta.sum(axis=-2, out=grad_b[layer])
             if layer > 0:
-                dh = delta @ np.swapaxes(self.weights[layer], -1, -2)
+                # dh is a fresh product, so the chain rule runs in place on it
+                dh = delta @ self.weights[layer].swapaxes(-1, -2)
                 if cache["masks"] is not None:
-                    dh = dh * cache["masks"][layer - 1]
+                    dh *= cache["masks"][layer - 1]
                 tag, a = self.activations[layer - 1], cache["hidden"][layer - 1]
                 if tag == "tanh":
-                    delta = dh * (1.0 - a * a)
+                    slope = np.multiply(a, a)
+                    dh *= np.subtract(1.0, slope, out=slope)
                 elif tag == "relu":
-                    delta = dh * (a > 0)  # relu(z) > 0 exactly where z > 0
-                else:
-                    delta = dh
-        return grad
+                    dh *= a > 0  # relu(z) > 0 exactly where z > 0
+                delta = dh
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -320,6 +330,7 @@ class AdamState:
         self.eps = float(eps)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.scratch = np.empty_like(params)
         self.t = 0
 
 
@@ -330,8 +341,8 @@ def check_adam_schedule(epochs: int, batch_size: int, lr: float) -> None:
         raise ConfigError("epochs must be >= 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    if not (lr > 0):
-        raise ConfigError("lr must be positive")
+    if not (0 < lr < math.inf):
+        raise ConfigError("lr must be positive and finite")
 
 
 def adam_step(state: AdamState, params: Array, grads: Array) -> None:
@@ -339,11 +350,20 @@ def adam_step(state: AdamState, params: Array, grads: Array) -> None:
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.shape or params.shape != state.m.shape:
         raise DimensionError("params, gradient and optimizer state must share one shape")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise TrainingError(f"non-finite gradient at optimizer step {state.t + 1}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g) and
+    # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in place, in that float order
+    m, v, tmp = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - state.beta2, out=tmp)
+    denom = np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+    denom += state.eps
+    step = np.divide(m, c1)
+    step *= state.lr
+    params -= np.divide(step, denom, out=step)

@@ -1,0 +1,171 @@
+"""Reference formulations of one training step, for bitwise checks.
+
+Each function here writes a training-step kernel the plain way: one
+numpy expression per formula, a fresh array per intermediate, a gradient
+glued together with ``np.concatenate``, and minibatches gathered by index
+from the unshuffled data. The kernels in ``tessera`` compute the same
+float operations on the same operands in the same order, but in place and
+with fewer calls; the tests hold them to these versions bit for bit
+(``np.array_equal``), so any reordering of a float operation shows.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import expit as sigmoid
+
+from tessera.moe import LOG_2PI
+from tessera.nn import make_rng, softplus
+
+
+def logsumexp(a, axis=-1, keepdims=False):
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+        rest = np.where(is_max, -np.inf, a)
+        rest -= a_max
+        s = np.sum(np.exp(rest, out=rest), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def softmax(v, axis=-1):
+    v = np.asarray(v, dtype=np.float64)
+    shifted = v - np.max(v, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _views(net, vector):
+    views, pos = [], 0
+    for shape in net._shapes:
+        views.append(vector[pos:pos + math.prod(shape)].reshape(shape))
+        pos += math.prod(shape)
+    return views[0::2], views[1::2]
+
+
+def backward(net, cache, upstream):
+    """Gradient of sum(upstream * output) of ``net`` in its params layout."""
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = _views(net, grad)
+    delta = np.asarray(upstream, dtype=np.float64)
+    for layer in range(net.n_layers - 1, -1, -1):
+        grad_w[layer][...] = np.swapaxes(cache["inputs"][layer], -1, -2) @ delta
+        grad_b[layer][...] = delta.sum(axis=-2)
+        if layer > 0:
+            dh = delta @ np.swapaxes(net.weights[layer], -1, -2)
+            if cache["masks"] is not None:
+                dh = dh * cache["masks"][layer - 1]
+            tag, a = net.activations[layer - 1], cache["hidden"][layer - 1]
+            if tag == "tanh":
+                delta = dh * (1.0 - a * a)
+            elif tag == "relu":
+                delta = dh * (a > 0)
+            else:
+                delta = dh
+    return grad
+
+
+def mixture_nll(model, x, y):
+    """(mean mixture NLL, gradient in the ``model.params`` layout)."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    logits, gate_cache = model.gate.forward_cache(X)
+    w = softmax(logits, axis=1)
+    out, expert_cache = model.experts.forward_cache(X)
+    mu = out[..., 0].T.copy()
+    raw = out[..., 1].T.copy()
+    sigma2 = softplus(raw) + model.var_floor
+    log_w = logits - logsumexp(logits, axis=1, keepdims=True)
+    resid = yv[:, None] - mu
+    comp = log_w + -0.5 * (LOG_2PI + np.log(sigma2) + resid * resid / sigma2)
+    log_mix = logsumexp(comp, axis=1)
+    loss = float(-np.mean(log_mix))
+    n = yv.shape[0]
+    resp = np.exp(comp - log_mix[:, None])
+    d_logits = (w - resp) / n
+    resid = yv[:, None] - mu
+    d_mu = -(resp * resid / sigma2) / n
+    d_sigma2 = -(resp * 0.5 * (resid * resid / (sigma2 * sigma2) - 1.0 / sigma2)) / n
+    d_raw = d_sigma2 * sigmoid(raw)
+    upstream = np.stack((d_mu.T, d_raw.T), axis=-1)
+    return loss, np.concatenate((backward(model.gate, gate_cache, d_logits),
+                                 backward(model.experts, expert_cache, upstream)))
+
+
+class Adam:
+    """Bias-corrected Adam whose moments are rebound, not updated, per step."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.t = 0
+
+    def step(self, params, g):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+
+
+def sample_masks(model, n, rng):
+    keep = 1.0 - model.dropout
+    return [(rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
+            for w in model.net.weights[:-1]]
+
+
+def train_moe(model, x_train, y_train, x_val, y_val, config, seed):
+    """The minibatch-Adam loop with each batch gathered by index; returns
+    (train_nll, val_nll, best_epoch) and leaves the best params in ``model``."""
+    n = x_train.shape[0]
+    rng = make_rng(seed)
+    params = model.params
+    adam = Adam(params, config.lr)
+    train_nll, val_nll, best_epoch = [], [], -1
+    best_val, best_params = np.inf, params.copy()
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        tr = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grads = mixture_nll(model, x_train[idx], y_train[idx])
+            tr += loss * (len(idx) / n)
+            adam.step(params, grads)
+        va = mixture_nll(model, x_val, y_val)[0]
+        train_nll.append(tr)
+        val_nll.append(va)
+        if va < best_val:
+            best_val, best_params, best_epoch = va, params.copy(), epoch
+    params[...] = best_params
+    return train_nll, val_nll, best_epoch
+
+
+def train_dropout(model, x, y, config, seed):
+    """The dropout baseline's loop with each batch gathered by index;
+    returns the per-epoch full-data MSE."""
+    n = x.shape[0]
+    rng = make_rng(seed)
+    params = model.net.params
+    adam = Adam(params, config.lr)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            Xb, yb = x[idx], y[idx]
+            masks = sample_masks(model, Xb.shape[0], rng)
+            out, cache = model.net.forward_cache(Xb, hidden_masks=masks)
+            resid = out[:, 0] - yb
+            upstream = (2.0 * resid / Xb.shape[0])[:, None]
+            adam.step(params, backward(model.net, cache, upstream))
+        history.append(float(np.mean((model.deterministic_forward(x) - y) ** 2)))
+    return history

@@ -347,6 +347,15 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("calibration", "alpha", 1),
     ("calibration", "alpha", 1.5),
     ("calibration", "epsilon", -1),
+    ("model", "n_experts", 0),
+    ("model", "expert_hidden", 0),
+    ("model", "gate_hidden", 0),
+    ("model", "gate", "tree"),
+    ("model", "activation", "gelu"),
+    ("model", "var_floor", -1.0),
+    ("model", "var_floor", float("inf")),
+    ("train", "lr", float("inf")),
+    ("mc_dropout", "lr", float("inf")),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()

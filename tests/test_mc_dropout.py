@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 from tessera.datagen import gen_heteroscedastic
-from tessera.errors import ConfigError, DimensionError
+from tessera.errors import ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import (
     DropoutMlp,
     McDropoutSpec,
@@ -165,6 +165,16 @@ def test_training_reduces_mse():
     assert history[-1] < before
     assert history[-1] < history[0]
     assert len(history) == 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_divergence_reports_epoch():
+    ds = gen_heteroscedastic(200, 2, "constant", seed=6)
+    model = DropoutMlp.init(2, hidden=8, dropout=0.5, rng=make_rng(3))
+    # the first step throws the weights so far that the second gradient is inf
+    with pytest.raises(TrainingError, match=r"optimizer step \d+ \(epoch 0\)"):
+        train_dropout(model, ds.X, ds.y, McDropoutSpec(epochs=3, batch_size=32, lr=1e300),
+                      seed=11)
 
 
 def test_training_deterministic_given_seed():

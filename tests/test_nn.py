@@ -76,6 +76,7 @@ def _lse_inputs(draw):
     return np.asfortranarray(a) if draw(st.booleans()) else a
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(_lse_inputs(), st.sampled_from([0, 1, -1]), st.booleans())
 def test_logsumexp_matches_scipy_bitwise(a, axis, keepdims):

@@ -1,0 +1,163 @@
+"""The lean training-step kernels against the plain formulations in
+``stepcheck``, bit for bit."""
+
+import numpy as np
+import pytest
+
+import stepcheck
+from tessera.datagen import gen_heteroscedastic
+from tessera.mc_dropout import DropoutMlp, McDropoutSpec, train_dropout
+from tessera.moe import MoeModel, TrainSpec, mixture_nll, train_moe
+from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, logsumexp, make_rng, softmax
+
+# finite rows whose spread overflows a float64 difference, plus ties
+_HUGE = np.array([[1e308, -1e308, 1.5e308], [-1e308, -1.7e308, -1e308],
+                  [1.7e308, 1.7e308, -1.7e308], [-1.7e308, 1e-300, 1.7e308],
+                  [3.0, 3.0, 3.0], [0.0, -0.0, 1.0]])
+# same-sign rows near +-1e308: max subtraction cannot overflow
+_LARGE = np.array([[1e308, 1.7e308, 1.5e308], [-1e308, -1.7e308, -1.2e308],
+                   [1.7e308, 1.7e308, 1e307], [-3.0, -3.0, -3.0]])
+# entries from a small pool: most rows hold a tie beside entries that are not
+_TIED = make_rng(1).choice([0.0, 0.5, 1.3, -2.1, 7.7], size=(200, 4))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_model(gate, activation, seed, k=4, dim=3, hidden=16):
+    model = MoeModel.init(dim, n_experts=k, expert_hidden=hidden, gate_kind=gate,
+                          gate_hidden=8, activation=activation, rng=make_rng(seed))
+    model.params += 0.3 * make_rng(seed + 1).standard_normal(model.params.size)
+    return model
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [_HUGE, _LARGE, np.asfortranarray(_HUGE), _TIED,
+                               make_rng(0).standard_normal((128, 4))])
+def test_logsumexp_and_softmax_match_reference(a):
+    for axis in (0, 1, -1):
+        for keepdims in (False, True):
+            assert same_bits(logsumexp(a, axis=axis, keepdims=keepdims),
+                             stepcheck.logsumexp(a, axis=axis, keepdims=keepdims))
+    if a is not _HUGE and a.flags.c_contiguous:  # softmax runs along rows
+        assert same_bits(softmax(a, axis=1), stepcheck.softmax(a, axis=1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gate", ["linear", "mlp"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("n", [1, 5, 128])
+def test_mixture_nll_matches_reference(gate, activation, n):
+    model = random_model(gate, activation, seed=n)
+    rng = make_rng(100 + n)
+    x, y = rng.standard_normal((n, 3)), 2.0 * rng.standard_normal(n)
+    loss, grad = mixture_nll(model, x, y)
+    want_loss, want_grad = stepcheck.mixture_nll(model, x, y)
+    assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("all_tied", [True, False])
+def test_mixture_nll_with_tied_logits_matches_reference(all_tied):
+    # tied logits take logsumexp's m > 1 path: either every logit of a row
+    # ties, or experts 0 and 1 share their gate column and lead each row
+    model = random_model("linear", "tanh", seed=4)
+    w, b = model.gate.weights[0], model.gate.biases[0]
+    if all_tied:
+        w[...], b[...] = 0.0, 0.5
+    else:
+        w[:, 1], b[:] = w[:, 0], [9.0, 9.0, 0.0, -1.0]
+    rng = make_rng(5)
+    x, y = rng.standard_normal((64, 3)), rng.standard_normal(64)
+    logits = model.gate.forward(x)
+    assert np.all(logits[:, 0] == logits[:, 1]) and np.all(logits.argmax(axis=1) == 0)
+    loss, grad = mixture_nll(model, x, y)
+    want_loss, want_grad = stepcheck.mixture_nll(model, x, y)
+    assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_backward_matches_reference_and_fills_only_its_buffer(activation, stacked, masked):
+    nets = [Mlp.init((3, 6, 5, 2), activation, rng=make_rng(s)) for s in range(3)]
+    net = Mlp.stack(nets) if stacked else nets[0]
+    net.params += 0.2 * make_rng(7).standard_normal(net.n_params)
+    rng = make_rng(8)
+    lead = (3,) if stacked else ()
+    masks = [np.multiply(rng.random(lead + (9, w)) < 0.6, 1.0 / 0.6) for w in (6, 5)]
+    out, cache = net.forward_cache(rng.standard_normal((9, 3)),
+                                   hidden_masks=masks if masked else None)
+    upstream = rng.standard_normal(out.shape)
+    want = stepcheck.backward(net, cache, upstream)
+    assert same_bits(net.backward(cache, upstream), want)
+    buf = np.full(net.n_params + 7, np.nan)
+    view = buf[3:-4]
+    assert net.backward(cache, upstream, out=view) is view
+    assert same_bits(view, want)
+    assert np.isnan(buf[:3]).all() and np.isnan(buf[-4:]).all()
+
+
+@pytest.mark.parametrize("lr,beta1,beta2,eps", [(1e-3, 0.9, 0.999, 1e-8),
+                                                (0.05, 0.5, 0.9, 1e-6),
+                                                (1e-4, 0.0, 0.0, 0.0)])
+def test_adam_step_matches_reference(lr, beta1, beta2, eps):
+    rng = make_rng(9)
+    params = rng.standard_normal(50)
+    want = params.copy()
+    state = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    ref = stepcheck.Adam(want, lr, beta1, beta2, eps)
+    for _ in range(25):
+        g = rng.standard_normal(50) * 10.0 ** rng.uniform(-8, 3, 50)
+        adam_step(state, params, g)
+        ref.step(want, g)
+        assert same_bits(params, want)
+        assert same_bits(state.m, ref.m) and same_bits(state.v, ref.v)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5, 0.9])
+def test_sample_masks_match_reference(dropout):
+    net = Mlp.init((2, 7, 4, 1), "relu", rng=make_rng(0))
+    model = DropoutMlp(net, dropout=dropout)
+    got = model.sample_masks(13, make_rng(3))
+    want = stepcheck.sample_masks(model, 13, make_rng(3))
+    assert len(got) == len(want) == 2
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def ragged_data():
+    # 33 train rows in batches of 8: the last batch holds a single row
+    ds = gen_heteroscedastic(50, 3, "step", seed=17)
+    return ds.X[:33], ds.y[:33], ds.X[33:], ds.y[33:]
+
+
+@pytest.mark.parametrize("gate,activation", [("linear", "tanh"), ("mlp", "relu"),
+                                             ("linear", "identity")])
+def test_train_moe_matches_index_per_batch_loop(ragged_data, gate, activation):
+    X, y, Xv, yv = ragged_data
+    spec = TrainSpec(epochs=4, batch_size=8, lr=1e-2)
+    model = random_model(gate, activation, seed=21, k=3, hidden=8)
+    replay = random_model(gate, activation, seed=21, k=3, hidden=8)
+    hist = train_moe(model, X, y, Xv, yv, spec, seed=5)
+    train_nll, val_nll, best_epoch = stepcheck.train_moe(replay, X, y, Xv, yv, spec, seed=5)
+    assert same_bits(hist.train_nll, train_nll) and same_bits(hist.val_nll, val_nll)
+    assert hist.best_epoch == best_epoch
+    assert same_bits(model.params, replay.params)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation):
+    X, y, _, _ = ragged_data
+    spec = McDropoutSpec(hidden=8, dropout=0.3, epochs=4, batch_size=8, lr=1e-2)
+
+    def fresh():
+        return DropoutMlp.init(3, hidden=8, dropout=0.3, activation=activation,
+                               rng=make_rng(2))
+
+    model, replay = fresh(), fresh()
+    history = train_dropout(model, X, y, spec, seed=6)
+    assert same_bits(history, stepcheck.train_dropout(replay, X, y, spec, seed=6))
+    assert same_bits(model.net.params, replay.net.params)
