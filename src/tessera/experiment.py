@@ -37,19 +37,37 @@ _ROLE_DATA, _ROLE_MOE_INIT, _ROLE_MOE_TRAIN, _ROLE_DROPOUT_INIT, \
     _ROLE_DROPOUT_TRAIN, _ROLE_MC_PASSES = range(6)
 
 
-# field annotation -> (accepted types, what the error message asks for)
-_SCALAR_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                 "str": (str, "a string"), "str | None": ((str, type(None)), "a string")}
+# field annotation -> (accepted types, what the error message asks for); a
+# tuple field takes a list of such items, and a lone string as a list of one
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "str": (str, "a string"), "str | None": ((str, type(None)), "a string"),
+                "tuple[int, ...]": (int, "a list of integers"),
+                "tuple[float, ...]": ((int, float), "a list of numbers"),
+                "tuple[float, ...] | None": ((int, float), "a list of numbers or null"),
+                "tuple[str, ...]": (str, "a list of method names")}
+
+
+def _is_a(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _check_types(cls, d: dict, context: str) -> None:
-    """Reject a scalar of the wrong type, e.g. ``config.train.epochs must be
-    an integer``; a bool counts as no number."""
+    """Reject a value of the wrong type, e.g. ``config.train.epochs must be
+    an integer``; a bool counts as no number, and a string as no number."""
     for f in dataclasses.fields(cls):
-        if f.name in d and f.type in _SCALAR_TYPES:
-            types, wanted = _SCALAR_TYPES[f.type]
-            if isinstance(d[f.name], bool) or not isinstance(d[f.name], types):
-                raise ConfigError(f"{context}.{f.name} must be {wanted}")
+        if f.name not in d or f.type not in _FIELD_TYPES:
+            continue
+        types, wanted = _FIELD_TYPES[f.type]
+        value = d[f.name]
+        if not f.type.startswith("tuple"):
+            ok = _is_a(value, types)
+        elif value is None:
+            ok = f.type.endswith("| None")
+        else:
+            items = (value,) if isinstance(value, str) else value
+            ok = isinstance(items, (list, tuple)) and all(_is_a(v, types) for v in items)
+        if not ok:
+            raise ConfigError(f"{context}.{f.name} must be {wanted}")
 
 
 def _from_dict(cls, d: dict, context: str):
@@ -80,7 +98,7 @@ class DataSpec:
     noise_high: float = 1.0
     noise_level: float = 0.5
     n_clusters: int = 8
-    held_out_clusters: tuple = (6, 7)
+    held_out_clusters: tuple[int, ...] = (6, 7)
     mode: str = "ood"
     cluster_std: float = 0.5
     center_radius: float = 2.0
@@ -98,7 +116,7 @@ class DataSpec:
 
 @dataclass
 class SplitSpec:
-    fractions: tuple = DEFAULT_FRACTIONS
+    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
     mode: str = "random"
 
     def __post_init__(self):
@@ -140,10 +158,10 @@ class CalibrationSpec:
 
 @dataclass
 class MetricsSpec:
-    cwc_eta: tuple = (10.0, 50.0, 100.0)
+    cwc_eta: tuple[float, ...] = (10.0, 50.0, 100.0)
     cwc_mu: float = 0.9
-    ssc_bins: tuple = (3, 5, 10)
-    sparsification_grid: tuple | None = None
+    ssc_bins: tuple[int, ...] = (3, 5, 10)
+    sparsification_grid: tuple[float, ...] | None = None
     group_min_n: int = 10
     group_top_k: int = 15
 
@@ -158,7 +176,7 @@ class MetricsSpec:
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     data: DataSpec = field(default_factory=DataSpec)
     split: SplitSpec = field(default_factory=SplitSpec)
     model: ModelSpec = field(default_factory=ModelSpec)

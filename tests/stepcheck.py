@@ -12,7 +12,6 @@ with fewer calls; the tests hold them to these versions bit for bit
 import math
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from tessera.moe import LOG_2PI
 from tessera.nn import make_rng, softplus
@@ -93,7 +92,7 @@ def mixture_nll(model, x, y):
     resid = yv[:, None] - mu
     d_mu = -(resp * resid / sigma2) / n
     d_sigma2 = -(resp * 0.5 * (resid * resid / (sigma2 * sigma2) - 1.0 / sigma2)) / n
-    d_raw = d_sigma2 * sigmoid(raw)
+    d_raw = d_sigma2 * (1.0 / (1.0 + np.exp(-raw)))
     upstream = np.stack((d_mu.T, d_raw.T), axis=-1)
     return loss, np.concatenate((backward(model.gate, gate_cache, d_logits),
                                  backward(model.experts, expert_cache, upstream)))

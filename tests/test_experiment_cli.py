@@ -356,6 +356,15 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("model", "var_floor", float("inf")),
     ("train", "lr", float("inf")),
     ("mc_dropout", "lr", float("inf")),
+    ("data", "held_out_clusters", "ab"),
+    ("data", "held_out_clusters", 5),
+    ("split", "fractions", 0.5),
+    ("split", "fractions", [0.5, "x", 0.2, 0.3]),
+    ("metrics", "cwc_eta", 5),
+    ("metrics", "ssc_bins", ["a"]),
+    ("metrics", "ssc_bins", [True]),
+    ("metrics", "sparsification_grid", [0.1, "z"]),
+    (None, "methods", 5),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
@@ -398,14 +407,33 @@ def test_report_requires_metrics(tmp_path):
         build_report([tmp_path], tmp_path / "rep")
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats takes about a second to import; only evaluate's statistics need it
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # import tessera.cli, gen-data, train and calibrate need numpy alone; only
+    # evaluate's statistics import scipy.stats, and only when they run
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, tessera.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    cfg = small_config(train={"epochs": 2, "batch_size": 64, "lr": 3e-3},
+                       mc_dropout={"hidden": 8, "epochs": 2, "passes": 5})
+    code = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+from tessera.experiment import ExperimentConfig, stage_calibrate, stage_gen_data, stage_train
+import tessera.cli
+config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+for stage in (stage_gen_data, stage_train, stage_calibrate):
+    stage(config, sys.argv[2])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    assert serialize.load(out / "manifest.json")["stages"]["calibrate"] == "ok"

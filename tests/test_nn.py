@@ -1,9 +1,14 @@
+import math
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import ndtri as scipy_ndtri
 
 from gradcheck import finite_difference_gradients
 from tessera.errors import DimensionError, TrainingError
@@ -11,9 +16,12 @@ from tessera.nn import (
     ACTIVATIONS,
     AdamState,
     Mlp,
+    activate,
     adam_step,
     logsumexp,
     make_rng,
+    ndtri,
+    sigmoid,
     softmax,
     softplus,
 )
@@ -98,6 +106,74 @@ def test_logsumexp_edge_rows():
         logsumexp(np.zeros((0, 3)), axis=1)
 
 
+# ---------------------------------------------------------------- sigmoid
+
+def _ulps(a, b):
+    """Distance in units in the last place between nonnegative float64s."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-800.0, 800.0), st.floats(-40.0, 40.0),
+                          st.sampled_from((745.0, -745.0, 746.0, -746.0, -37.0, 1e308,
+                                           -1e308, 5e-324))),
+                min_size=1, max_size=64))
+def test_sigmoid_within_4_ulp_of_expit(vals):
+    x = np.array(vals)
+    # Both are 1/(1+e^-x), but numpy's vectorised exp and libm's differ in
+    # the last bit on a few inputs. Near x = -37, e^-x is about 2^53, so the
+    # rounding of 1 + e^-x can turn that bit into opposite errors of up to
+    # 2 ulp each: a dense scan of [-745, 745] finds 4 ulp there, 2 elsewhere.
+    assert _ulps(sigmoid(x), expit(x)).max() <= 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigmoid_edges():
+    x = np.array([0.0, -0.0, -np.inf, np.inf, np.nan, -745.0, -1e308, 1e308])
+    before = x.copy()
+    out = sigmoid(x)
+    assert out[0] == 0.5 and out[1] == 0.5
+    assert out[2] == 0.0 and out[3] == 1.0 and np.isnan(out[4])
+    assert out[5] == expit(-745.0) and out[6] == 0.0 and out[7] == 1.0
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # input untouched
+    grid = np.linspace(-745.0, 745.0, 200_001)
+    assert _ulps(sigmoid(grid), expit(grid)).max() <= 4
+
+
+# ------------------------------------------------------------------ ndtri
+
+_EXP_M2, _EXP_M32 = math.exp(-2.0), math.exp(-32.0)
+# each branch point of the Cephes approximations, and its two neighbours
+_NDTRI_EDGES = tuple(float(v) for p in (_EXP_M2, 1.0 - _EXP_M2, _EXP_M32, 1.0 - _EXP_M32)
+                     for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)))
+
+
+def _same_float(a: float, b: float) -> bool:
+    return np.array_equal(np.float64(a).view(np.uint64), np.float64(b).view(np.uint64))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.floats(-745.0, -1e-300).map(math.exp),
+                 st.floats(-745.0, -1e-300).map(lambda t: 1.0 - math.exp(t))))
+def test_ndtri_matches_scipy_bitwise(p):
+    assert _same_float(ndtri(p), scipy_ndtri(p))
+
+
+@pytest.mark.parametrize("p", _NDTRI_EDGES + (5e-324, 2.5e-323, 1e-310, 0.5))
+def test_ndtri_branch_points_match_scipy_bitwise(p):
+    assert _same_float(ndtri(p), scipy_ndtri(p))
+    assert math.isfinite(ndtri(p))
+
+
+def test_ndtri_endpoints_and_domain():
+    assert ndtri(0.0) == -math.inf and ndtri(-0.0) == -math.inf and ndtri(1.0) == math.inf
+    for bad in (-1e-300, -1.0, 1.0 + 2.0 ** -52, 2.0, math.inf, -math.inf, math.nan):
+        assert math.isnan(ndtri(bad)) and math.isnan(scipy_ndtri(bad))
+    assert ndtri(0.5) == 0.0
+
+
 # ------------------------------------------------------------------- rng
 
 def test_make_rng_deterministic():
@@ -175,6 +251,16 @@ def _rel_err(a, b, abs_floor=1e-8):
     return np.max(np.abs(a - b) / denom)
 
 
+def _min_abs_pre_activation(net, x):
+    """Smallest |pre-activation| over the hidden units of ``net`` on ``x``."""
+    h, smallest = x, np.inf
+    for w, b, tag in zip(net.weights, net.biases, net.activations):
+        h = h @ w + b
+        smallest = min(smallest, np.abs(h).min())
+        h = activate(h, tag)
+    return smallest
+
+
 @pytest.mark.parametrize("activation,widths", [
     ("tanh", (3, 5, 2)),
     ("tanh", (2, 4, 4, 1)),
@@ -182,12 +268,16 @@ def _rel_err(a, b, abs_floor=1e-8):
     ("relu", (3, 5, 2)),
 ])
 def test_grad_matches_finite_differences(activation, widths):
-    rng = make_rng(hash((activation, widths)) % (2 ** 31))
+    rng = make_rng(zlib.crc32(repr((activation, widths)).encode()))
     worst = 0.0
     for draw in range(25):  # 100 draws total across the parametrization
-        net = Mlp.init(widths, activation, rng=rng)
-        x = rng.standard_normal((3, widths[0]))
-        c = rng.standard_normal((3, widths[-1]))
+        while True:
+            net = Mlp.init(widths, activation, rng=rng)
+            x = rng.standard_normal((3, widths[0]))
+            c = rng.standard_normal((3, widths[-1]))
+            # a central difference that straddles relu's kink is no check
+            if activation != "relu" or _min_abs_pre_activation(net, x) >= 1e-3:
+                break
 
         def loss():
             return float(np.sum(net.forward(x) * c))
