@@ -27,6 +27,8 @@ from . import serialize
 SPLIT_TAGS = ("train", "test", "val", "cal")
 DEFAULT_FRACTIONS = (0.6, 0.2, 0.1, 0.1)
 NOISE_PROFILES = ("constant", "linear", "step")
+SPLIT_MODES = ("random", "by_group")
+CLUSTER_MODES = ("ood", "iid")
 # Rows per block in the CSV codec. Each block's cells are held as Python
 # strings; at 4096 rows they raised the default config's peak RSS by ~2 MB,
 # while at 512 the per-block overhead is lost in the codec's timing noise.
@@ -189,8 +191,9 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
     if dim < 1 or n_clusters < 2:
         raise DimensionError("dim must be >= 1 and n_clusters >= 2")
     held = sorted(set(int(c) for c in held_out_clusters))
-    if mode not in ("ood", "iid"):
+    if mode not in CLUSTER_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    check_fractions(fractions)
     if any(c < 0 or c >= n_clusters for c in held):
         raise ConfigError("held_out_clusters must be valid cluster indices")
     if mode == "ood" and (not held or len(held) >= n_clusters):
@@ -242,6 +245,17 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
     return ds
 
 
+def check_fractions(fractions) -> Array:
+    """The four split fractions as an array; they must be nonnegative and
+    sum to 1."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    if fr.shape != (4,):
+        raise ConfigError("fractions must list four values (train, test, val, cal)")
+    if not (np.all(fr >= 0) and abs(float(fr.sum()) - 1.0) <= 1e-9):
+        raise ConfigError("fractions must be nonnegative and sum to 1")
+    return fr
+
+
 def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random",
                   seed: int = 0) -> Dataset:
     """Assign split tags (train, test, val, cal) at the given fractions.
@@ -250,11 +264,7 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random"
     ``by_group`` keeps each group intact, assigning whole groups greedily
     (largest first) to whichever split is furthest below its target.
     """
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (4,):
-        raise ConfigError("fractions must list four values (train, test, val, cal)")
-    if np.any(fr < 0) or abs(float(fr.sum()) - 1.0) > 1e-9:
-        raise ConfigError("fractions must be nonnegative and sum to 1")
+    fr = check_fractions(fractions)
     n = ds.n
     split = np.empty(n, dtype=object)
     if mode == "random":

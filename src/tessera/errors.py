@@ -30,11 +30,4 @@ class TrainingError(TesseraError, RuntimeError):
 
 
 class ModelError(TesseraError, RuntimeError):
-    """A forward pass produced non-finite values.
-
-    ``layer`` identifies the offending layer index when known.
-    """
-
-    def __init__(self, message, layer=None):
-        super().__init__(message)
-        self.layer = layer
+    """A forward pass produced non-finite values; the message names the layer."""

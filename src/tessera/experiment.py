@@ -20,12 +20,14 @@ import numpy as np
 from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
     build_intervals, calibrate
-from .datagen import DEFAULT_FRACTIONS, Dataset, gen_clustered_shift, \
-    gen_heteroscedastic, load_csv, save_csv, split_dataset
+from .datagen import CLUSTER_MODES, DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, \
+    check_fractions, gen_clustered_shift, gen_heteroscedastic, load_csv, save_csv, \
+    split_dataset
 from .errors import ConfigError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
-from .metrics import CwcConfig, MetricsReport, cwc, disentangle_stats, groupwise_picp, \
-    mpiw_nmpiw, picp, point_metrics, report_nll, sparsification, ssc_detail
+from .metrics import CwcConfig, MetricsReport, check_grid, check_group_limits, \
+    check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, picp, \
+    point_metrics, report_nll, sparsification, ssc_detail
 from .moe import MixturePrediction, MoeModel, TrainSpec, train_moe
 from .nn import ACTIVATIONS, derived_seed, make_rng
 
@@ -111,7 +113,16 @@ class DataSpec:
             raise ConfigError(f"kind {self.kind!r} is not a known data kind")
         if self.kind == "csv" and not self.path:
             raise ConfigError("path is required when kind is 'csv'")
+        for name in ("n", "dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.mode not in CLUSTER_MODES:
+            raise ConfigError(f"mode {self.mode!r} is not one of {CLUSTER_MODES}")
         self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
+        if self.kind == "clustered_shift" and not all(
+                0 <= c < self.n_clusters for c in self.held_out_clusters):
+            raise ConfigError("held_out_clusters must be valid cluster indices "
+                              f"in [0, {self.n_clusters})")
 
 
 @dataclass
@@ -120,7 +131,9 @@ class SplitSpec:
     mode: str = "random"
 
     def __post_init__(self):
-        self.fractions = tuple(float(f) for f in self.fractions)
+        self.fractions = tuple(float(f) for f in check_fractions(self.fractions))
+        if self.mode not in SPLIT_MODES:
+            raise ConfigError(f"mode {self.mode!r} is not one of {SPLIT_MODES}")
 
 
 @dataclass
@@ -170,6 +183,21 @@ class MetricsSpec:
         self.ssc_bins = tuple(int(j) for j in self.ssc_bins)
         if self.sparsification_grid is not None:
             self.sparsification_grid = tuple(float(f) for f in self.sparsification_grid)
+        # the rules the metrics apply at evaluate, checked at load instead
+        checks = {
+            "cwc_eta": lambda: [CwcConfig(eta=eta) for eta in self.cwc_eta],
+            "cwc_mu": lambda: CwcConfig(mu=self.cwc_mu),
+            "ssc_bins": lambda: [check_ssc_bins(j) for j in self.ssc_bins],
+            "sparsification_grid": lambda: self.sparsification_grid is None
+            or check_grid(self.sparsification_grid),
+            "group_min_n": lambda: check_group_limits(self.group_min_n, 1),
+            "group_top_k": lambda: check_group_limits(1, self.group_top_k),
+        }
+        for name, check in checks.items():
+            try:
+                check()
+            except MetricError as e:
+                raise ConfigError(f"{name}: {e}") from None
 
 
 @dataclass
@@ -343,11 +371,11 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
 
 
 def _method_intervals(method: str, config: ExperimentConfig, out: Path,
-                      test: Dataset, pred: MixturePrediction):
+                      test: Dataset, pred: MixturePrediction, mu):
     """Intervals, the uncertainty signal they came from, and the method's
-    point predictions and density model for the test split."""
+    point predictions and density model for the test split; the MoE
+    methods share ``pred`` and its mean ``mu``."""
     alpha = config.calibration.alpha
-    mu = pred.mean
     if method in ("tessera_e", "tessera_a"):
         kind = ScaleKind.EPISTEMIC if method.endswith("_e") else ScaleKind.ALEATORIC
         calib = CalibrationResult.load(
@@ -372,8 +400,10 @@ def _method_intervals(method: str, config: ExperimentConfig, out: Path,
 
 
 def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
-                     test: Dataset, pred: MixturePrediction):
-    intervals, mu, density = _method_intervals(method, config, out, test, pred)
+                     test: Dataset, pred: MixturePrediction, mu, moe_scores):
+    intervals, mu, density = _method_intervals(method, config, out, test, pred, mu)
+    pm, nll = moe_scores() if density is pred else \
+        (point_metrics(mu, test.y), report_nll(density, test.y))
     mspec = config.metrics
     cov = picp(intervals, test.y)
     mpiw, nmpiw = mpiw_nmpiw(intervals, test.y)
@@ -395,12 +425,10 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
             break
         ssc_rows[j] = bins
         ssc_map[str(j)] = [b.coverage for b in bins]
-    pm = point_metrics(mu, test.y)
     report = MetricsReport(
         n_test=test.n, picp=cov, mpiw=mpiw, nmpiw=nmpiw, cwc=cwc_map,
         ause=curve.ause, ssc=ssc_map, ssc_note=ssc_note,
-        rmse=pm.rmse, mae=pm.mae, pearson=pm.pearson, spearman=pm.spearman,
-        nll=report_nll(density, test.y),
+        rmse=pm.rmse, mae=pm.mae, pearson=pm.pearson, spearman=pm.spearman, nll=nll,
     )
     serialize.dump({"method": method, **report.to_dict()},
                    out / f"metrics_{method}.json")
@@ -423,11 +451,14 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsRepo
     model = MoeModel.load(_artifact(out, "moe_model.json"))
     test = ds.part("test")
     pred = model.forward(test.X)
+    mu = pred.mean
+    # the five MoE methods score one mean and one density: once per call, if any runs
+    moe_scores = functools.cache(lambda: (point_metrics(mu, test.y), report_nll(pred, test.y)))
     (out / "curves").mkdir(exist_ok=True)
     reports = {}
     group_rows = []
     for method in config.methods:
-        intervals, report = _evaluate_method(method, config, out, test, pred)
+        intervals, report = _evaluate_method(method, config, out, test, pred, mu, moe_scores)
         reports[method] = report
         if test.groups is not None:
             table = groupwise_picp(intervals, test.y, test.groups,

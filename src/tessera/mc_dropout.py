@@ -18,6 +18,10 @@ from .errors import ConfigError, DimensionError, TrainingError
 from .nn import AdamState, Array, Mlp, activate, adam_step, as_rng, check_adam_schedule, \
     make_rng, ndtri
 
+# Rows per block of a masked layer in mc_predict: small enough that a
+# block's uniforms, mask and output stay in cache (512-2048 time alike)
+_BLOCK_ROWS = 1024
+
 
 class DropoutMlp:
     """MLP regressor whose hidden units are dropped out both in training
@@ -128,8 +132,15 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
                rng: int | np.random.Generator | None = None) -> tuple[Array, Array]:
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
-    No mask touches the first layer's activation, so it is computed once;
-    each pass draws its masks and runs the layers after it.
+    No mask touches the first layer's activation, so it is computed once.
+    Each pass runs every later layer in blocks of ``_BLOCK_ROWS`` rows:
+    draw the block's uniforms into one buffer, threshold them in place into
+    the inverted-dropout mask, multiply in the block of the layer input and
+    matmul into that block of the layer output, so the working set stays
+    in cache. The uniforms are drawn layer by layer and row-major within a
+    layer, and consecutive ``rng.random`` calls continue one stream, so
+    the masks, and every output bit, are those of ``sample_masks`` over
+    all rows at once.
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
@@ -138,19 +149,37 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError(f"input must be (n, {net.input_dim})")
+    n = X.shape[0]
     first = X @ net.weights[0]
     first += net.biases[0]
     if net.n_layers > 1:
         activate(first, net.activations[0])
-    draws = np.empty((passes, X.shape[0]))
+    keep = 1.0 - model.dropout
+    draws = np.empty((passes, n))
+    # row blocks; a lone last row joins the block before it, since numpy
+    # runs a one-row matmul through another BLAS kernel (dot or gemv)
+    edges = [*range(0, max(n - 1, 1), _BLOCK_ROWS), n]
+    # each masked layer's input, and its block buffer for uniforms and mask
+    inputs = [first] + [np.empty((n, w.shape[0])) for w in net.weights[2:]]
+    blocks = [np.empty((min(n, _BLOCK_ROWS + 1), w.shape[0])) for w in net.weights[1:]]
+    if net.n_layers == 1:
+        draws[:] = first[:, 0]
     for t in range(passes):
-        h = first
-        for layer, mask in enumerate(model.sample_masks(X.shape[0], rng), start=1):
-            h = (h * mask) @ net.weights[layer]
-            h += net.biases[layer]
-            if layer < net.n_layers - 1:
-                activate(h, net.activations[layer])
-        draws[t] = h[:, 0]
+        for layer in range(1, net.n_layers):
+            h, buf = inputs[layer - 1], blocks[layer - 1]
+            last = layer == net.n_layers - 1
+            dest = draws[t, :, None] if last else inputs[layer]
+            for start, stop in zip(edges, edges[1:]):
+                mask = buf[:stop - start]
+                rng.random(out=mask)
+                np.less(mask, keep, out=mask)
+                mask *= 1.0 / keep  # k / keep == k * (1 / keep) for k in {0, 1}
+                mask *= h[start:stop]
+                out = dest[start:stop]
+                np.matmul(mask, net.weights[layer], out=out)
+                out += net.biases[layer]
+                if not last:
+                    activate(out, net.activations[layer])
     return draws.mean(axis=0), draws.var(axis=0, ddof=1)
 
 

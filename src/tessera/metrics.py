@@ -106,6 +106,17 @@ class SparsificationCurve:
         return float(max(np.trapezoid(gap, self.fractions), 0.0))
 
 
+def check_grid(grid: Sequence[float]) -> Array:
+    """The sparsification fraction grid as an array; it must rise strictly
+    from 0 and stay below 1."""
+    g = np.asarray(grid, dtype=np.float64)
+    if g.size == 0 or not np.all(np.diff(g) > 0):
+        raise MetricError("grid must be strictly increasing")
+    if g[0] != 0.0 or g[-1] >= 1.0:
+        raise MetricError("grid must start at 0 and stay below 1")
+    return g
+
+
 def sparsification(uncertainty: Array, errors: Array,
                    grid: Sequence[float] | None = None) -> SparsificationCurve:
     """Sparsification curves for an uncertainty signal.
@@ -118,11 +129,7 @@ def sparsification(uncertainty: Array, errors: Array,
     e = np.abs(_vector(errors, "errors"))
     if u.size != e.size:
         raise MetricError("uncertainty and errors must have equal lengths")
-    g = np.asarray(DEFAULT_SPARSIFICATION_GRID if grid is None else grid, dtype=np.float64)
-    if g.size == 0 or np.any(np.diff(g) <= 0):
-        raise MetricError("grid must be strictly increasing")
-    if g[0] != 0.0 or g[-1] >= 1.0 or np.any(g < 0):
-        raise MetricError("grid must start at 0 and stay below 1")
+    g = check_grid(DEFAULT_SPARSIFICATION_GRID if grid is None else grid)
     n = u.size
 
     def curve(keys: Array) -> Array:
@@ -145,6 +152,11 @@ class SscBin:
     coverage: float
 
 
+def check_ssc_bins(n_bins: int) -> None:
+    if n_bins < 2:
+        raise MetricError("need at least two bins")
+
+
 def ssc_detail(intervals: PredictionIntervals, y, n_bins: int) -> list[SscBin]:
     """Size-stratified coverage: equal-count bins of ascending width.
 
@@ -153,8 +165,7 @@ def ssc_detail(intervals: PredictionIntervals, y, n_bins: int) -> list[SscBin]:
     carries no information.
     """
     yv = _paired(intervals, y)
-    if n_bins < 2:
-        raise MetricError("need at least two bins")
+    check_ssc_bins(n_bins)
     n = intervals.n
     if n < n_bins:
         raise MetricError("need at least one sample per bin")
@@ -210,6 +221,12 @@ class GroupCoverage:
         return list(reversed(tail))
 
 
+def check_group_limits(min_n: int, top_k: int) -> None:
+    for name, value in (("min_n", min_n), ("top_k", top_k)):
+        if value < 1:
+            raise MetricError(f"{name} must be >= 1")
+
+
 def groupwise_picp(intervals: PredictionIntervals, y, groups,
                    min_n: int = 10, top_k: int = 15) -> GroupCoverage:
     """Coverage per group label, skipping groups with fewer than min_n
@@ -220,8 +237,7 @@ def groupwise_picp(intervals: PredictionIntervals, y, groups,
     garr = np.asarray(groups)
     if garr.shape != yv.shape:
         raise MetricError("groups must have one label per interval")
-    if min_n < 1 or top_k < 1:
-        raise MetricError("min_n and top_k must be >= 1")
+    check_group_limits(min_n, top_k)
     covered = intervals.covers(yv)
     names, counts = np.unique(garr, return_counts=True)
     order = np.lexsort((names, -counts))

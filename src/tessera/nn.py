@@ -324,7 +324,7 @@ class Mlp:
             h = h @ self.weights[layer]
             h += self.biases[layer][..., None, :]
             if check_finite and not np.all(np.isfinite(h)):
-                raise ModelError(f"non-finite values in layer {layer}", layer=layer)
+                raise ModelError(f"non-finite values in layer {layer}")
             if layer < self.n_layers - 1:
                 hidden.append(activate(h, self.activations[layer]))
                 if masks is not None:

@@ -155,6 +155,12 @@ def test_split_fraction_validation():
         split_dataset(ds, fractions=(0.6, 0.2, 0.2))
     with pytest.raises(ConfigError):
         split_dataset(ds, mode="stratified")
+    with pytest.raises(ConfigError, match="nonnegative and sum to 1"):
+        split_dataset(ds, fractions=(0.6, 0.2, float("nan"), 0.2))
+    # ood mode splits the kept clusters by the same fractions without split_dataset
+    for fractions in ((0.5, 0.5), (0.7, 0.2, 0.1, 0.1)):
+        with pytest.raises(ConfigError, match="fractions"):
+            gen_clustered_shift(400, 2, mode="ood", fractions=fractions)
 
 
 def test_by_group_split_keeps_groups_whole():

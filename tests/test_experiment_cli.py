@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,24 @@ def test_stagewise_equals_run(tmp_path, finished_run):
     for rel in ("data.csv", "moe_model.json", "calibration_epistemic.json",
                 "metrics_tessera_e.json", "manifest.json"):
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("method", ["tessera_a", "mc_dropout"])
+def test_evaluating_one_method_matches_the_full_evaluate(tmp_path, finished_run, method):
+    # the MoE methods share one mean, point metrics and NLL per evaluate;
+    # evaluating one method alone must write the same bytes for it
+    _, out = finished_run
+    alone = tmp_path / "alone"
+    shutil.copytree(out, alone)
+    shutil.rmtree(alone / "curves")
+    for f in alone.glob("metrics_*.json"):
+        f.unlink()
+    stage_evaluate(ExperimentConfig.from_dict(small_config(methods=[method])), alone)
+    assert sorted(f.name for f in alone.glob("metrics_*.json")) == [f"metrics_{method}.json"]
+    curves = sorted(f.name for f in (out / "curves").glob(f"{method}_*.csv"))
+    assert curves and curves == sorted(f.name for f in (alone / "curves").glob(f"{method}_*.csv"))
+    for rel in [f"metrics_{method}.json"] + [f"curves/{name}" for name in curves]:
+        assert (out / rel).read_bytes() == (alone / rel).read_bytes(), rel
 
 
 def test_cold_stages_equal_run_and_parse_once_each(tmp_path, monkeypatch, parses):
@@ -365,6 +384,26 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("metrics", "ssc_bins", [True]),
     ("metrics", "sparsification_grid", [0.1, "z"]),
     (None, "methods", 5),
+    ("metrics", "cwc_eta", [10.0, -1]),
+    ("metrics", "cwc_eta", [0]),
+    ("metrics", "cwc_mu", 5),
+    ("metrics", "cwc_mu", 0),
+    ("metrics", "cwc_mu", 1),
+    ("metrics", "ssc_bins", [5, 1]),
+    ("metrics", "sparsification_grid", [2.0]),
+    ("metrics", "sparsification_grid", [0.1, 0.5]),
+    ("metrics", "sparsification_grid", [0.0, 0.5, 0.5]),
+    ("metrics", "sparsification_grid", [0.0, 1.0]),
+    ("metrics", "sparsification_grid", []),
+    ("metrics", "group_min_n", 0),
+    ("metrics", "group_top_k", 0),
+    ("split", "fractions", [0.5, 0.5]),
+    ("split", "fractions", [0.6, 0.2, 0.1, 0.2]),
+    ("split", "fractions", [1.2, -0.2, 0.0, 0.0]),
+    ("split", "mode", "stratified"),
+    ("data", "n", 0),
+    ("data", "dim", 0),
+    ("data", "mode", "shifted"),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
@@ -380,6 +419,17 @@ def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key
     assert code == 1
     assert re.search(field, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("held", [[99], [-1], [6, 8]])
+def test_held_out_cluster_out_of_range_fails_at_config_load(held):
+    cfg = small_config(data={"kind": "clustered_shift", "n": 400, "dim": 2,
+                             "n_clusters": 8, "held_out_clusters": held})
+    with pytest.raises(ConfigError, match=r"config\.data\.held_out_clusters .*\[0, 8\)"):
+        ExperimentConfig.from_dict(cfg)
+    # only the clustered generator reads them
+    cfg["data"]["kind"] = "heteroscedastic"
+    ExperimentConfig.from_dict(cfg)
 
 
 def test_cli_alpha_flag_overrides_config(tmp_path):

@@ -6,6 +6,7 @@ from scipy.stats import norm
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import (
+    _BLOCK_ROWS,
     DropoutMlp,
     McDropoutSpec,
     mc_intervals,
@@ -72,18 +73,36 @@ def full_forward_per_pass(model, x, passes, rng):
     return draws.mean(axis=0), draws.var(axis=0, ddof=1)
 
 
+def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows):
+    net = Mlp.init(widths, activation, rng=make_rng(len(widths)))
+    net.params += 0.1 * make_rng(3).standard_normal(net.n_params)  # nonzero biases
+    model = DropoutMlp(net, dropout)
+    x = make_rng(1).standard_normal((rows, 3))
+    got_rng, want_rng = make_rng(2), make_rng(2)
+    got = mc_predict(model, x, passes=7, rng=got_rng)
+    want = full_forward_per_pass(model, x, 7, want_rng)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert got_rng.random() == want_rng.random()  # both drew the same number of uniforms
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("widths", [(3, 1), (3, 16, 1), (3, 16, 8, 1)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, dropout):
-    net = Mlp.init(widths, activation, rng=make_rng(len(widths)))
-    net.params += 0.1 * make_rng(3).standard_normal(net.n_params)  # nonzero biases
-    model = DropoutMlp(net, dropout)
-    x = make_rng(1).standard_normal((37, 3))
-    got = mc_predict(model, x, passes=7, rng=make_rng(2))
-    want = full_forward_per_pass(model, x, 7, make_rng(2))
-    for g, w in zip(got, want):
-        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, 37)
+
+
+# mc_predict runs its masked layers in blocks of _BLOCK_ROWS rows; 1/keep is a
+# power of two at dropout 0.5 but not at 0.3
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                  2 * _BLOCK_ROWS + 7])
+@pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("widths", [(3, 16, 1), (3, 16, 8, 1)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_mc_predict_matches_a_full_forward_per_pass_across_blocks(activation, widths,
+                                                                  dropout, rows):
+    assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows)
 
 
 def test_mc_predict_rejects_wrong_input_width():

@@ -177,6 +177,8 @@ def test_sparsification_grid_validation():
         sparsification([1.0], [1.0], grid=[0.1, 0.5])
     with pytest.raises(MetricError):
         sparsification([1.0], [1.0], grid=[0.0, 1.0])
+    with pytest.raises(MetricError):
+        sparsification([1.0], [1.0], grid=[0.0, float("nan"), 0.5])
 
 
 # ------------------------------------------------------------------ ssc
