@@ -12,6 +12,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -151,12 +152,7 @@ def gen_heteroscedastic(n: int, dim: int, noise_profile: str = "step", seed: int
     profile: ``constant`` everywhere, ``linear`` in the distance from the
     origin, or a two-level ``step`` on the sign of the first feature.
     """
-    if n < 1 or dim < 1:
-        raise DimensionError("n and dim must be >= 1")
-    if noise_profile not in NOISE_PROFILES:
-        raise ConfigError(f"unknown noise profile {noise_profile!r}")
-    if noise_low < 0 or noise_high < 0 or noise_level < 0:
-        raise ConfigError("noise scales must be nonnegative")
+    check_heteroscedastic(n, dim, noise_profile, noise_low, noise_high, noise_level)
     rng = make_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(n, dim))
     sigma = _noise_scale(X, noise_profile, noise_low, noise_high, noise_level)
@@ -186,20 +182,9 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
     ``ood_radius`` from the origin while the rest stay near
     ``center_radius``, so the shift is controllably far.
     """
-    if n < n_clusters:
-        raise DimensionError("need at least one sample per cluster")
-    if dim < 1 or n_clusters < 2:
-        raise DimensionError("dim must be >= 1 and n_clusters >= 2")
-    held = sorted(set(int(c) for c in held_out_clusters))
-    if mode not in CLUSTER_MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+    held = check_clustered(n, dim, n_clusters, held_out_clusters, mode, cluster_std,
+                           center_radius, ood_radius, noise)
     check_fractions(fractions)
-    if any(c < 0 or c >= n_clusters for c in held):
-        raise ConfigError("held_out_clusters must be valid cluster indices")
-    if mode == "ood" and (not held or len(held) >= n_clusters):
-        raise ConfigError("ood mode needs a nonempty strict subset of held-out clusters")
-    if not (cluster_std > 0 and center_radius > 0 and ood_radius > 0 and noise >= 0):
-        raise ConfigError("cluster geometry parameters must be positive")
     rng = make_rng(seed)
     centers = rng.normal(0.0, center_radius, size=(n_clusters, dim))
     for c in held:
@@ -243,6 +228,50 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
         split[perm[lo:hi]] = tag
     ds.split = np.asarray(split, dtype=str)
     return ds
+
+
+def check_heteroscedastic(n: int, dim: int, noise_profile: str, noise_low: float,
+                          noise_high: float, noise_level: float) -> None:
+    """Reject settings :func:`gen_heteroscedastic` cannot run; each message
+    starts with the offending argument's name."""
+    for name, value in (("n", n), ("dim", dim)):
+        if value < 1:
+            raise DimensionError(f"{name} must be >= 1")
+    if noise_profile not in NOISE_PROFILES:
+        raise ConfigError(f"noise_profile {noise_profile!r} is not one of {NOISE_PROFILES}")
+    for name, value in (("noise_low", noise_low), ("noise_high", noise_high),
+                        ("noise_level", noise_level)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be nonnegative and finite")
+
+
+def check_clustered(n: int, dim: int, n_clusters: int, held_out_clusters, mode: str,
+                    cluster_std: float, center_radius: float, ood_radius: float,
+                    noise: float) -> list[int]:
+    """Reject settings :func:`gen_clustered_shift` cannot run, and return
+    the sorted distinct held-out cluster indices; each message starts with
+    the offending argument's name."""
+    if dim < 1:
+        raise DimensionError("dim must be >= 1")
+    if n_clusters < 2:
+        raise DimensionError("n_clusters must be >= 2")
+    if n < n_clusters:
+        raise DimensionError(f"n must be >= n_clusters ({n_clusters}): one sample per cluster")
+    if mode not in CLUSTER_MODES:
+        raise ConfigError(f"mode {mode!r} is not one of {CLUSTER_MODES}")
+    held = sorted(set(int(c) for c in held_out_clusters))
+    if any(c < 0 or c >= n_clusters for c in held):
+        raise ConfigError(f"held_out_clusters must be valid cluster indices in [0, {n_clusters})")
+    if mode == "ood" and not 0 < len(held) < n_clusters:
+        raise ConfigError("held_out_clusters must be a nonempty strict subset of the "
+                          "clusters in ood mode")
+    for name, value in (("cluster_std", cluster_std), ("center_radius", center_radius),
+                        ("ood_radius", ood_radius)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite")
+    if not 0 <= noise < math.inf:
+        raise ConfigError("noise must be nonnegative and finite")
+    return held
 
 
 def check_fractions(fractions) -> Array:

@@ -21,9 +21,9 @@ from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
     build_intervals, calibrate
 from .datagen import CLUSTER_MODES, DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, \
-    check_fractions, gen_clustered_shift, gen_heteroscedastic, load_csv, save_csv, \
-    split_dataset
-from .errors import ConfigError, MetricError
+    check_clustered, check_fractions, check_heteroscedastic, gen_clustered_shift, \
+    gen_heteroscedastic, load_csv, save_csv, split_dataset
+from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
 from .metrics import CwcConfig, MetricsReport, check_grid, check_group_limits, \
     check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, picp, \
@@ -84,7 +84,7 @@ def _from_dict(cls, d: dict, context: str):
     _check_types(cls, d, context)
     try:
         return cls(**d)
-    except ConfigError as e:
+    except (ConfigError, DimensionError) as e:  # a generator's shape rules raise DimensionError
         raise ConfigError(f"{context}.{e}") from None
 
 
@@ -111,18 +111,18 @@ class DataSpec:
     def __post_init__(self):
         if self.kind not in ("heteroscedastic", "clustered_shift", "csv"):
             raise ConfigError(f"kind {self.kind!r} is not a known data kind")
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("path is required when kind is 'csv'")
-        for name in ("n", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.mode not in CLUSTER_MODES:
             raise ConfigError(f"mode {self.mode!r} is not one of {CLUSTER_MODES}")
         self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
-        if self.kind == "clustered_shift" and not all(
-                0 <= c < self.n_clusters for c in self.held_out_clusters):
-            raise ConfigError("held_out_clusters must be valid cluster indices "
-                              f"in [0, {self.n_clusters})")
+        if self.kind == "heteroscedastic":
+            check_heteroscedastic(self.n, self.dim, self.noise_profile, self.noise_low,
+                                  self.noise_high, self.noise_level)
+        elif self.kind == "clustered_shift":
+            check_clustered(self.n, self.dim, self.n_clusters, self.held_out_clusters,
+                            self.mode, self.cluster_std, self.center_radius,
+                            self.ood_radius, self.noise)
+        elif not self.path:
+            raise ConfigError("path is required when kind is 'csv'")
 
 
 @dataclass

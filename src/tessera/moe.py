@@ -17,8 +17,8 @@ import numpy as np
 
 from . import serialize
 from .errors import DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, logsumexp, \
-    make_rng, sigmoid, softmax, softplus
+from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng, \
+    sigmoid, softmax_lse, softplus
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VAR_FLOOR_DEFAULT = 1e-6
@@ -37,9 +37,11 @@ class MixturePrediction:
     sigma2: Array
 
     def __post_init__(self):
-        self.w = np.atleast_2d(np.asarray(self.w, dtype=np.float64))
-        self.mu = np.atleast_2d(np.asarray(self.mu, dtype=np.float64))
-        self.sigma2 = np.atleast_2d(np.asarray(self.sigma2, dtype=np.float64))
+        # row-major (n, K): numpy sums a contiguous row pairwise, so the layout
+        # fixes the float order of every sum over the K components below
+        self.w = np.atleast_2d(np.ascontiguousarray(self.w, dtype=np.float64))
+        self.mu = np.atleast_2d(np.ascontiguousarray(self.mu, dtype=np.float64))
+        self.sigma2 = np.atleast_2d(np.ascontiguousarray(self.sigma2, dtype=np.float64))
         if not (self.w.shape == self.mu.shape == self.sigma2.shape):
             raise DimensionError("w, mu, sigma2 must share one (n, K) shape")
         if self.w.shape[1] < 1 or self.w.shape[0] < 1:
@@ -85,7 +87,7 @@ class MixturePrediction:
 
 class _ForwardParts(NamedTuple):
     X: Array
-    logits: Array
+    log_w: Array
     w: Array
     mu: Array
     raw_var: Array
@@ -160,14 +162,16 @@ class MoeModel:
         if X.shape[1] != self.input_dim:
             raise DimensionError(f"input must be (n, {self.input_dim})")
         logits, gate_cache = self.gate.forward_cache(X, check_finite=check_finite)
-        w = softmax(logits, axis=1)
         out, expert_cache = self.experts.forward_cache(X, check_finite=check_finite)
-        # row-major (n, K): numpy sums a contiguous row pairwise, so the layout
-        # fixes the float order of every sum over the K experts
-        mu = out[..., 0].T.copy()
-        raw = out[..., 1].T.copy()
+        # (n, K) arrays on K-major storage, the layout softmax_lse reduces
+        # over without a copy; every (n, K) result below inherits it
+        logits = np.asfortranarray(logits)
+        lse, w = softmax_lse(logits)
+        mu = np.asfortranarray(out[..., 0].T)
+        raw = np.asfortranarray(out[..., 1].T)
         sigma2 = softplus(raw) + self.var_floor
-        return _ForwardParts(X, logits, w, mu, raw, sigma2, gate_cache, expert_cache)
+        return _ForwardParts(X, logits - lse[:, None], w, mu, raw, sigma2, gate_cache,
+                             expert_cache)
 
     def forward(self, x: Array, check_finite: bool = True) -> MixturePrediction:
         parts = self._forward_parts(x, check_finite=check_finite)
@@ -206,16 +210,16 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
     yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if yv.shape[0] != pred.n:
         raise DimensionError("y must pair with prediction rows")
-    with np.errstate(divide="ignore"):  # w == 0 gives -inf, which logsumexp absorbs
+    with np.errstate(divide="ignore"):  # w == 0 gives -inf, which softmax_lse absorbs
         log_w = np.log(pred.w)
-    out = logsumexp(_log_components(log_w, pred.mu, pred.sigma2, yv)[0], axis=1)
+    out = softmax_lse(_log_components(log_w, pred.mu, pred.sigma2, yv)[0])[0]
     return float(out[0]) if scalar_in else out
 
 
 def _nll_core(model: MoeModel, x: Array, y):
     """Mean NLL of a batch plus the pieces its gradient needs: the forward
-    parts, the targets, the log components, the per-row log mixture, and
-    the residuals y - mu with their squares. Raises if the loss is not
+    parts, the targets, the per-row component responsibilities, and the
+    residuals y - mu with their squares. Raises if the loss is not
     finite."""
     parts = model._forward_parts(x)
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -223,13 +227,12 @@ def _nll_core(model: MoeModel, x: Array, y):
         raise DimensionError("y must have one target per row of x")
     if yv.shape[0] == 0:
         raise DimensionError("empty batch")
-    log_w = parts.logits - logsumexp(parts.logits, axis=1, keepdims=True)
-    comp, resid, sq = _log_components(log_w, parts.mu, parts.sigma2, yv)
-    log_mix = logsumexp(comp, axis=1)
+    comp, resid, sq = _log_components(parts.log_w, parts.mu, parts.sigma2, yv)
+    log_mix, resp = softmax_lse(comp)
     loss = float(-log_mix.mean())
     if not np.isfinite(loss):
         raise TrainingError("non-finite mixture NLL")
-    return loss, parts, yv, comp, log_mix, resid, sq
+    return loss, parts, yv, resp, resid, sq
 
 
 def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
@@ -241,15 +244,14 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     """Mean mixture NLL with its exact gradient in the ``model.params``
     layout. Raises if the loss is not finite.
     """
-    loss, parts, yv, resp, log_mix, resid, sq = _nll_core(model, x, y)
+    loss, parts, yv, resp, resid, sq = _nll_core(model, x, y)
     n = yv.shape[0]
     s2 = parts.sigma2
-    resp -= log_mix[:, None]
-    np.exp(resp, out=resp)  # per-row component responsibilities
     d_logits = (parts.w - resp) / n
-    # (K, n, 2), slice k for expert k. Each formula runs on contiguous (n, K)
-    # arrays and is copied in once: ufuncs writing through the strided views
-    # run slower. softplus'(r) = sigmoid(r) turns d_sigma2 into d_raw.
+    # (K, n, 2), slice k for expert k. Each formula runs on K-major (n, K)
+    # arrays, so its transpose is contiguous and is copied in at once: ufuncs
+    # writing through the strided views run slower. softplus'(r) = sigmoid(r)
+    # turns d_sigma2 into d_raw.
     upstream = np.empty((s2.shape[1], n, 2))
     upstream[..., 0] = (-(resp * resid / s2) / n).T
     upstream[..., 1] = (-(resp * 0.5 * (sq / (s2 * s2) - 1.0 / s2)) / n

@@ -1,7 +1,7 @@
-"""Numeric kernels: seeded RNG streams, softmax, logsumexp, the sigmoid
-and the standard normal quantile, a small fully connected net (one net or
-a stack of K) over one parameter vector with hand-written reverse-mode
-gradients, and Adam.
+"""Numeric kernels: seeded RNG streams, the row softmax with its
+log-sum-exp, the sigmoid and the standard normal quantile, a small fully
+connected net (one net or a stack of K) over one parameter vector with
+hand-written reverse-mode gradients, and Adam.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -35,20 +35,6 @@ def derived_seed(seed: int, role: int) -> int:
     """Stable 63-bit integer seed for a numbered sub-stream of ``seed``."""
     state = np.random.SeedSequence([int(seed), int(role)]).generate_state(1, np.uint64)
     return int(state[0] >> 1)
-
-
-def softmax(v: Array, axis: int = -1) -> Array:
-    """Probability vector via max-subtracted exponentials.
-
-    Stable for entries of large magnitude; rows always sum to one.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise DimensionError("softmax requires at least one entry")
-    e = v - v.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
 
 
 def softplus(x: Array) -> Array:
@@ -135,33 +121,35 @@ def ndtri(p: float) -> float:
     return x if upper else -x
 
 
-def logsumexp(a: Array, axis: int = -1, keepdims: bool = False) -> Array:
-    """log(sum(exp(a))) along ``axis``, bit-identical to scipy 1.17's
-    ``scipy.special.logsumexp`` for real float64 input.
+def softmax_lse(a: Array) -> tuple[Array, Array]:
+    """Row log-sum-exp and row softmax of an (n, K) array from one
+    max-shifted pass: ``lse`` (n,) and ``p`` (n, K), p = exp(a - lse).
 
-    Per slice, the ``m`` entries equal to the max are split off, the rest
-    are summed as ``s = sum(exp(a - max)) / m`` (left as is when 0), and the
-    result is ``log1p(s) + log(m) + max``. Slices where that is not finite
-    (a +inf or NaN entry, or all entries -inf) get ``log(sum(exp(a)))``.
+    The pass runs on K-major (K, n) storage, a copy of ``a`` unless ``a``
+    is already stored that way (Fortran order), so the row max and the row
+    sum are each one numpy reduction over axis 0 rather than n reductions
+    of length K; ``p`` is an (n, K) view of that storage. A row whose max
+    is not finite gets that max as its lse (-inf for an all -inf row, +inf,
+    or NaN for a NaN entry) and NaN probabilities.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        raise DimensionError("logsumexp requires at least one entry")
-    with np.errstate(all="ignore"):  # the non-finite cases are settled below
-        a_max = a.max(axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
-        rest = np.where(is_max, -np.inf, a)
-        rest -= a_max
-        out = np.exp(rest, out=rest).sum(axis=axis, keepdims=True)
-        np.divide(out, m, out=out, where=out != 0)
-        np.log1p(out, out=out)
-        out += np.log(m, out=m)
-        out += a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return out if keepdims else out.squeeze(axis=axis)
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError("softmax_lse requires a nonempty (n, K) array")
+    at = np.ascontiguousarray(a.T)
+    # a spread past the float range shifts to -inf, and e^-inf = 0 is right; a
+    # row whose max is not finite makes inf - inf, settled below
+    with np.errstate(all="ignore"):
+        m = at.max(axis=0)
+        e = np.subtract(at, m)
+        np.exp(e, out=e)
+        s = e.sum(axis=0)
+        e /= s
+        lse = np.log(s, out=s)
+        lse += m
+    finite = np.isfinite(m)
+    if not finite.all():
+        np.copyto(lse, m, where=~finite)
+    return lse, e.T
 
 
 def activate(z: Array, tag: str) -> Array:

@@ -17,28 +17,16 @@ from tessera.moe import LOG_2PI
 from tessera.nn import make_rng, softplus
 
 
-def logsumexp(a, axis=-1, keepdims=False):
-    a = np.asarray(a, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
-        rest = np.where(is_max, -np.inf, a)
-        rest -= a_max
-        s = np.sum(np.exp(rest, out=rest), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    return out if keepdims else np.squeeze(out, axis=axis)
-
-
-def softmax(v, axis=-1):
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+def softmax_lse(a):
+    """(row log-sum-exp, row softmax) of an (n, K) array. The max and the
+    sum run over axis 0 of a C-ordered (K, n) copy, as in ``tessera.nn``:
+    that layout fixes the float order of the sum over the K entries."""
+    at = np.ascontiguousarray(np.transpose(a))
+    m = np.max(at, axis=0)
+    with np.errstate(over="ignore"):  # a spread past the float range gives -inf, and e^-inf = 0
+        e = np.exp(at - m)
+    s = np.sum(e, axis=0)
+    return np.log(s) + m, np.transpose(e / s)
 
 
 def _views(net, vector):
@@ -76,20 +64,18 @@ def mixture_nll(model, x, y):
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
     logits, gate_cache = model.gate.forward_cache(X)
-    w = softmax(logits, axis=1)
+    lse, w = softmax_lse(logits)
     out, expert_cache = model.experts.forward_cache(X)
-    mu = out[..., 0].T.copy()
-    raw = out[..., 1].T.copy()
+    mu = out[..., 0].T
+    raw = out[..., 1].T
     sigma2 = softplus(raw) + model.var_floor
-    log_w = logits - logsumexp(logits, axis=1, keepdims=True)
+    log_w = logits - lse[:, None]
     resid = yv[:, None] - mu
     comp = log_w + -0.5 * (LOG_2PI + np.log(sigma2) + resid * resid / sigma2)
-    log_mix = logsumexp(comp, axis=1)
+    log_mix, resp = softmax_lse(comp)
     loss = float(-np.mean(log_mix))
     n = yv.shape[0]
-    resp = np.exp(comp - log_mix[:, None])
     d_logits = (w - resp) / n
-    resid = yv[:, None] - mu
     d_mu = -(resp * resid / sigma2) / n
     d_sigma2 = -(resp * 0.5 * (resid * resid / (sigma2 * sigma2) - 1.0 / sigma2)) / n
     d_raw = d_sigma2 * (1.0 / (1.0 + np.exp(-raw)))

@@ -404,13 +404,21 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("data", "n", 0),
     ("data", "dim", 0),
     ("data", "mode", "shifted"),
+    # a dict value sets several fields of the section; the error names ``key``
+    ("data", "held_out_clusters", {"kind": "clustered_shift", "held_out_clusters": []}),
+    ("data", "n_clusters", {"kind": "clustered_shift", "n_clusters": 1,
+                            "held_out_clusters": [0]}),
+    ("data", "n", {"kind": "clustered_shift", "n": 5, "mode": "iid"}),
+    ("data", "cluster_std", {"kind": "clustered_shift", "cluster_std": -1}),
+    ("data", "noise_low", {"noise_low": -1}),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
     if section is None:
         cfg[key] = value
     else:
-        cfg[section] = {**cfg.get(section, {}), key: value}
+        fields = value if isinstance(value, dict) else {key: value}
+        cfg[section] = {**cfg.get(section, {}), **fields}
     field = rf"config\.{key}" if section is None else rf"config\.{section}\.{key}"
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig.from_dict(cfg)

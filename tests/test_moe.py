@@ -21,7 +21,7 @@ from tessera.moe import (
     mixture_nll_loss,
     train_moe,
 )
-from tessera.nn import AdamState, Mlp, adam_step, make_rng, softmax, softplus
+from tessera.nn import AdamState, Mlp, adam_step, make_rng, softmax_lse, softplus
 
 
 def two_component():
@@ -157,7 +157,7 @@ def test_forward_matches_experts_one_by_one_bitwise():
     mu, raw = np.empty((n, k)), np.empty((n, k))
     for j, expert in enumerate(model.experts.unstack()):
         mu[:, j], raw[:, j] = expert.forward(X).T
-    ref = MixturePrediction(softmax(model.gate.forward(X), axis=1), mu,
+    ref = MixturePrediction(softmax_lse(model.gate.forward(X))[1], mu,
                             softplus(raw) + model.var_floor)
     pred = model.forward(X)
     for name in ("mean", "aleatoric", "epistemic"):
@@ -198,7 +198,8 @@ def test_nll_matches_brute_force():
     assert_allclose(mixture_nll_loss(model, X, y), loss, rtol=0)
 
 
-@pytest.mark.parametrize("gate_kind,n_experts", [("linear", 2), ("mlp", 3)])
+@pytest.mark.parametrize("gate_kind,n_experts", [("linear", 2), ("mlp", 3), ("linear", 1),
+                                                 ("mlp", 10)])
 def test_nll_gradients_match_finite_differences(gate_kind, n_experts):
     model = MoeModel.init(2, n_experts=n_experts, expert_hidden=5,
                           gate_kind=gate_kind, gate_hidden=4, rng=make_rng(7))

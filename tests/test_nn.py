@@ -1,13 +1,13 @@
 import math
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
-from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import ndtri as scipy_ndtri
 
 from gradcheck import finite_difference_gradients
@@ -18,46 +18,119 @@ from tessera.nn import (
     Mlp,
     activate,
     adam_step,
-    logsumexp,
     make_rng,
     ndtri,
     sigmoid,
-    softmax,
+    softmax_lse,
     softplus,
 )
 
 
-# ---------------------------------------------------------------- softmax
+# ------------------------------------------------------------ softmax_lse
 
 def test_softmax_known_value():
-    out = softmax(np.array([np.log(2.0), 0.0]))
-    assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
+    lse, p = softmax_lse(np.array([[np.log(2.0), 0.0]]))
+    assert_allclose(p, [[2.0 / 3.0, 1.0 / 3.0]], rtol=1e-12)
+    assert_allclose(lse, [np.log(3.0)], rtol=1e-12)
 
 
 def test_softmax_shift_invariance():
-    v = np.array([0.3, -1.2, 2.5])
-    assert_allclose(softmax(v), softmax(v + 1000.0), rtol=1e-12)
+    v = np.array([[0.3, -1.2, 2.5]])
+    lse, p = softmax_lse(v)
+    lse_up, p_up = softmax_lse(v + 1000.0)
+    assert_allclose(p, p_up, rtol=1e-12)
+    assert_allclose(lse_up, lse + 1000.0, rtol=1e-15)
 
 
 def test_softmax_rows_independent():
     m = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-    out = softmax(m, axis=1)
-    assert_allclose(out.sum(axis=1), [1.0, 1.0], rtol=1e-12)
-    assert_allclose(out[1], [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
+    lse, p = softmax_lse(m)
+    assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=1e-12)
+    assert_allclose(p[1], [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
+    assert lse[1] == 5.0 + np.log(3.0)
+    lse0, p0 = softmax_lse(m[:1])
+    assert np.array_equal(p0, p[:1]) and lse0[0] == lse[0]
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=8))
 def test_softmax_is_probability_vector(vals):
-    out = softmax(np.array(vals))
-    assert np.all(out >= 0.0)
-    assert np.all(out <= 1.0)
-    assert np.isclose(out.sum(), 1.0, atol=1e-9)
+    _, p = softmax_lse(np.array([vals]))
+    assert np.all(p >= 0.0)
+    assert np.all(p <= 1.0)
+    assert np.isclose(p.sum(), 1.0, atol=1e-9)
 
 
 def test_softmax_empty_rejected():
-    with pytest.raises(DimensionError):
-        softmax(np.array([]))
+    for bad in (np.array([]), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            softmax_lse(bad)
+
+
+# The oracle: log(sum(exp(a))) and exp(a) / sum(exp(a)) in mpmath at 50
+# digits, unshifted (mpmath's exponent range is unbounded, so e^1e300 is
+# an ordinary number there). Error bound for a row with finite max m,
+# with eps = 2**-52 and u = eps / 2:
+# - each shifted entry d = fl(a - m) <= 0 is off by at most u|d|, which
+#   moves e^d by a factor 1 + u|d|; since e^d |d| <= 1/e, that adds at
+#   most K u / e to s = sum(e^d), and s >= 1 (the max contributes e^0 = 1);
+# - numpy's exp is within 2 ulp (4u relative), and a sum of K nonnegative
+#   terms is within (K - 1) u relative, in any order numpy adds them;
+# - so s is within (K + K/e + 3) u relative, log s within that plus 2u
+#   log K absolute, and the final rounding of log s + m adds u |lse|.
+# That gives |lse - exact| <= eps (|lse| + K + 2): a few ulp of
+# max(|m|, log K) plus a term linear in K from the summation bound. Each
+# p = e^d / s adds one rounding to those relative errors, and p |d| <= 1/e
+# again, so |p - exact| <= eps (K + 5). Rows whose max is not finite have
+# an exact lse of -inf, +inf or NaN, and NaN probabilities by definition.
+_LSE_POOL = (0.0, -0.0, 1.0, -3.5, 709.0, -745.0, 1e300, -1e300, 1.7e308, -1.7e308, -np.inf)
+
+
+@st.composite
+def _lse_inputs(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 4, 8, 9, 17]))
+    cell = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_LSE_POOL))
+    a = np.array(draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
+    for row, fill in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.sampled_from([-np.inf, np.inf, np.nan])),
+                                   max_size=2)):
+        if fill == -np.inf:
+            a[row] = fill  # every entry -inf
+        else:
+            a[row, draw(st.integers(0, k - 1))] = fill
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+def _exact_row(row):
+    with mpmath.workdps(50):
+        terms = [mpmath.exp(mpmath.mpf(float(v))) for v in row]
+        total = mpmath.fsum(terms)
+        return mpmath.log(total), terms, total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_lse_inputs())
+def test_softmax_lse_matches_mpmath_oracle(a):
+    eps = np.finfo(np.float64).eps
+    k = a.shape[1]
+    lse, p = softmax_lse(a)
+    assert lse.shape == (a.shape[0],) and p.shape == a.shape
+    for i, row in enumerate(a):
+        exact, terms, total = _exact_row(row)
+        if not np.isfinite(row.max()):
+            assert np.array_equal(lse[i], float(exact), equal_nan=True)
+            assert np.isnan(p[i]).all()
+            continue
+        with mpmath.workdps(50):
+            assert abs(lse[i] - exact) <= eps * (abs(lse[i]) + k + 2)
+            for got, term in zip(p[i], terms):
+                assert abs(got - term / total) <= eps * (k + 5)
+    # the pass runs on one K-major copy, whatever the input layout
+    for other in (np.ascontiguousarray(a), np.asfortranarray(a)):
+        lse2, p2 = softmax_lse(other)
+        assert np.array_equal(lse2.view(np.uint64), lse.view(np.uint64))
+        assert np.array_equal(p2.view(np.uint64), p.view(np.uint64))
 
 
 def test_softplus_matches_reference():
@@ -66,44 +139,6 @@ def test_softplus_matches_reference():
     ref = np.where(x > 30, x, np.log1p(np.exp(np.minimum(x, 30))))
     assert_allclose(softplus(x), ref, rtol=1e-12)
     assert softplus(np.array([800.0]))[0] == 800.0  # no overflow
-
-
-# -------------------------------------------------------------- logsumexp
-
-# draws from the pool make ties, extremes and the non-finite cases common
-_LSE_POOL = (0.0, -0.0, 1.0, -3.5, 709.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan)
-
-
-@st.composite
-def _lse_inputs(draw):
-    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    cell = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_LSE_POOL))
-    a = np.array(draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
-    for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        a[row] = -np.inf
-    return np.asfortranarray(a) if draw(st.booleans()) else a
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=400, deadline=None)
-@given(_lse_inputs(), st.sampled_from([0, 1, -1]), st.booleans())
-def test_logsumexp_matches_scipy_bitwise(a, axis, keepdims):
-    with np.errstate(all="ignore"):
-        want = np.asarray(scipy_logsumexp(a, axis=axis, keepdims=keepdims))
-    got = logsumexp(a, axis=axis, keepdims=keepdims)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_logsumexp_edge_rows():
-    a = np.array([[0.0, 0.0], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0],
-                  [-np.inf, 2.0], [1000.0, 1000.0]])
-    out = logsumexp(a, axis=1)
-    assert out[0] == np.log(2.0) and out[5] == 1000.0 + np.log(2.0)
-    assert out[1] == -np.inf and out[2] == np.inf and np.isnan(out[3]) and out[4] == 2.0
-    assert logsumexp(a[:1], axis=1, keepdims=True).shape == (1, 1)
-    with pytest.raises(DimensionError):
-        logsumexp(np.zeros((0, 3)), axis=1)
 
 
 # ---------------------------------------------------------------- sigmoid

@@ -8,7 +8,7 @@ import stepcheck
 from tessera.datagen import gen_heteroscedastic
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, train_dropout
 from tessera.moe import MoeModel, TrainSpec, mixture_nll, train_moe
-from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, logsumexp, make_rng, softmax
+from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, make_rng, softmax_lse
 
 # finite rows whose spread overflows a float64 difference, plus ties
 _HUGE = np.array([[1e308, -1e308, 1.5e308], [-1e308, -1.7e308, -1e308],
@@ -36,13 +36,12 @@ def random_model(gate, activation, seed, k=4, dim=3, hidden=16):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [_HUGE, _LARGE, np.asfortranarray(_HUGE), _TIED,
                                make_rng(0).standard_normal((128, 4))])
-def test_logsumexp_and_softmax_match_reference(a):
-    for axis in (0, 1, -1):
-        for keepdims in (False, True):
-            assert same_bits(logsumexp(a, axis=axis, keepdims=keepdims),
-                             stepcheck.logsumexp(a, axis=axis, keepdims=keepdims))
-    if a is not _HUGE and a.flags.c_contiguous:  # softmax runs along rows
-        assert same_bits(softmax(a, axis=1), stepcheck.softmax(a, axis=1))
+def test_softmax_lse_matches_reference(a):
+    # (n, K) and (K, n), each stored both ways: K = 3, 4, 6, 128 and 200
+    for rows in (a, a.T, np.ascontiguousarray(a.T), np.asfortranarray(a)):
+        lse, p = softmax_lse(rows)
+        want_lse, want_p = stepcheck.softmax_lse(rows)
+        assert same_bits(lse, want_lse) and same_bits(p, want_p)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -61,8 +60,9 @@ def test_mixture_nll_matches_reference(gate, activation, n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("all_tied", [True, False])
 def test_mixture_nll_with_tied_logits_matches_reference(all_tied):
-    # tied logits take logsumexp's m > 1 path: either every logit of a row
-    # ties, or experts 0 and 1 share their gate column and lead each row
+    # tied logits put several exact e^0 = 1 terms in a row's sum: either
+    # every logit of a row ties, or experts 0 and 1 share their gate column
+    # and lead each row
     model = random_model("linear", "tanh", seed=4)
     w, b = model.gate.weights[0], model.gate.biases[0]
     if all_tied:
