@@ -8,6 +8,7 @@ return bit-identical results.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 from .conformal import PredictionIntervals
 from .errors import MetricError
 from .moe import MixturePrediction, mixture_log_pdf
-from .nn import Array
+from .nn import Array, _polevl
 
 DEFAULT_SPARSIFICATION_GRID = tuple(np.arange(20) * 0.05)  # 0.00, 0.05, ..., 0.95
 
@@ -191,11 +192,6 @@ def ssc_detail(intervals: PredictionIntervals, y, n_bins: int) -> list[SscBin]:
     return bins
 
 
-def ssc(intervals: PredictionIntervals, y, n_bins: int) -> list[float]:
-    """Per-bin coverage of ``ssc_detail``."""
-    return [b.coverage for b in ssc_detail(intervals, y, n_bins)]
-
-
 @dataclass(frozen=True)
 class GroupCoverageEntry:
     group: str
@@ -254,6 +250,206 @@ def groupwise_picp(intervals: PredictionIntervals, y, groups,
     return GroupCoverage(entries=entries, min_n=min_n, top_k=top_k)
 
 
+def _unit(v: Array) -> Array:
+    """v centred and divided by its norm. The norm is taken of v scaled by
+    its largest magnitude, so the squares cannot overflow or underflow."""
+    vm = v - np.mean(v)
+    vmax = np.max(np.abs(vm))
+    return vm / (vmax * np.sqrt(np.sum((vm / vmax) ** 2)))
+
+
+def _pearson(x: Array, y: Array) -> float:
+    """Pearson's r of two non-constant samples, in the float order of
+    scipy 1.17's ``pearsonr``."""
+    return float(np.clip(np.dot(_unit(x), _unit(y)), -1.0, 1.0))
+
+
+def _runs(x: Array) -> tuple[Array, Array, Array]:
+    """An argsort of x, and the start and length of each run of equal
+    values in sorted order. Callers give every member of a run the same
+    rank, so the order within a run does not matter."""
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    return order, starts, np.diff(np.r_[starts, x.size])
+
+
+def _ranks(x: Array) -> tuple[Array, Array]:
+    """1-based ranks, ties sharing the mean of their positions, and the
+    length of each run of ties."""
+    order, starts, counts = _runs(x)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, counts
+
+
+def _dense_ranks(x: Array) -> tuple[Array, Array]:
+    """0-based ranks of the distinct values, and the length of each run of ties."""
+    order, _, counts = _runs(x)
+    dense = np.empty(x.size, dtype=np.int64)
+    dense[order] = np.repeat(np.arange(counts.size), counts)
+    return dense, counts
+
+
+def _spearman(x: Array, y: Array) -> float:
+    return _pearson(_ranks(x)[0], _ranks(y)[0])
+
+
+def _tied_pairs(counts: Array) -> int:
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def _inversions(v: Array) -> int:
+    """Pairs i < j with v[i] > v[j], for integers 0 <= v < v.size, by a
+    bottom-up merge sort: at width w, each element of an odd w-block counts
+    the elements of the even block before it that exceed it. Keys offset by
+    block * v.size keep the array globally sorted, so one searchsorted per
+    level counts every block at once; O(n log^2 n), no pair matrix."""
+    n = v.size
+    pos = np.arange(n)
+    s = v.astype(np.int64)
+    total = 0
+    w = 1
+    while w < n:
+        block = pos // w
+        keys = block * n + s  # sorted: s is sorted within each w-block
+        right = block % 2 == 1
+        left_block = block[right] - 1
+        not_above = np.searchsorted(keys, left_block * n + s[right], side="right") - left_block * w
+        total += int(np.sum(w - not_above))
+        block = pos // (2 * w)
+        s = np.sort(block * n + s, kind="stable") - block * n  # merges sorted runs
+        w *= 2
+    return total
+
+
+def _kendall_tau_b(x: Array, y: Array) -> float:
+    """Kendall's tau-b (Knight 1966): discordant pairs are the inversions
+    of y's ranks once the pairs are sorted by (x, y). The tie counts and
+    the final float order follow scipy 1.17's ``kendalltau``."""
+    n = x.size
+    xd, xcounts = _dense_ranks(x)
+    yd, ycounts = _dense_ranks(y)
+    pairs = np.sort(xd * ycounts.size + yd)
+    joint = np.diff(np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1], True]))
+    tot = n * (n - 1) // 2
+    xtie, ytie = _tied_pairs(xcounts), _tied_pairs(ycounts)
+    if xtie == tot or ytie == tot:
+        return np.nan
+    con_minus_dis = (tot - xtie - ytie + _tied_pairs(joint)
+                     - 2 * _inversions(pairs % ycounts.size))
+    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
+
+
+# Stirling series of lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2):
+# B_2k / (2k (2k - 1) z^(2k - 1)), k = 1..7, as a polynomial in 1/z^2 (highest
+# degree first). The first omitted term is below 1e-16 at z >= 10.
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_STIRLING_MIN = 10.0
+_CF_EPS = 1e-16
+_CF_MAX_TERMS = 1000
+
+
+def _stirling_tail(z: float) -> float:
+    return _polevl(1.0 / (z * z), _STIRLING) / z
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2). At large a, lgamma(a) - lgamma(a + 1/2) cancels to
+    O(log a) from terms of size a log a, so it is rewritten with the
+    Stirling tails and log1p, in which no large terms cancel."""
+    if a < _STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    diff = (0.5 - (a - 0.5) * math.log1p(0.5 / a) - 0.5 * math.log(a + 0.5)
+            + _stirling_tail(a) - _stirling_tail(a + 0.5))
+    return math.lgamma(0.5) + diff
+
+
+def _beta_cf(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) / (x^a y^b / B(a, b)) by the continued fraction of
+    DiDonato & Morris (1992, BFRAC), for lam = (a + b) y - b >= 0; y = 1 - x
+    and lam come in formed by the caller without cancellation."""
+    c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, y + 1.0
+    n, p, s = 0.0, 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for _ in range(_CF_MAX_TERMS):
+        n += 1.0
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = (p * (p + c0) * e * e) * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = 1.0 + t
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= _CF_EPS * r:
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0  # rescale
+    raise MetricError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
+
+
+def _student_t_p(t: float, df: float) -> float:
+    """Two-sided p of Student's t: I_x(df/2, 1/2) at x = df / (df + t^2),
+    with the complement y = t^2 / (df + t^2) formed directly, not as 1 - x."""
+    if math.isnan(t) or math.isnan(df):
+        return np.nan
+    tt = t * t
+    if math.isinf(tt):  # below 1e-300 for df >= 2
+        return 0.0
+    a = 0.5 * df
+    x, y = df / (df + tt), tt / (df + tt)
+    if y == 0.0:  # |t| < 1e-150: p is 1 to double precision
+        return 1.0
+    # log(x^a y^(1/2) / B(a, 1/2)), with a log x as -a log1p(t^2 / df): a
+    # one-ulp error in x itself would cost a relative a * 2^-53 in p
+    front = math.exp(-a * math.log1p(tt / df) + 0.5 * math.log(y) - _log_beta_half(a))
+    lam = (a + 0.5) * y - 0.5
+    if lam >= 0.0:
+        p = front * _beta_cf(a, 0.5, x, y, lam)
+    else:  # I_x(a, 1/2) = 1 - I_y(1/2, a)
+        p = 1.0 - front * _beta_cf(0.5, a, y, x, -lam)
+    return min(p, 1.0)
+
+
+def _welch_p(a: Array, e: Array) -> float:
+    """Two-sided p of Welch's unequal-variance t-test."""
+    n1, n2 = a.size, e.size
+    vn1, vn2 = float(np.var(a, ddof=1)) / n1, float(np.var(e, ddof=1)) / n2
+    d = float(np.mean(a) - np.mean(e))
+    s = vn1 + vn2
+    if s == 0.0:  # both samples constant: t is 0/0 or +-inf
+        return np.nan if d == 0.0 else 0.0
+    # Welch-Satterthwaite df, with the variances scaled to sum to 1 so the
+    # squares neither overflow nor underflow
+    df = 1.0 / ((vn1 / s) ** 2 / (n1 - 1) + (vn2 / s) ** 2 / (n2 - 1))
+    return _student_t_p(d / math.sqrt(s), df)
+
+
+def _mann_whitney_p(a: Array, e: Array) -> float:
+    """Two-sided asymptotic p of the Mann-Whitney U test: average ranks,
+    tie-corrected variance and a 0.5 continuity correction, as scipy 1.17's
+    ``mannwhitneyu(method="asymptotic")``."""
+    both = np.concatenate([a, e])
+    if np.isnan(both).any():
+        return np.nan
+    ranks, counts = _ranks(both)
+    n1, n2 = a.size, e.size
+    n = n1 + n2
+    u1 = float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2
+    u = max(u1, n1 * n2 - u1)
+    c = counts.astype(np.float64)
+    tie_term = float(np.sum(c ** 3 - c))
+    sd = math.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+    num = u - n1 * n2 / 2 - 0.5
+    z = num / sd if sd > 0.0 else math.copysign(math.inf, num)  # sd is 0 when all tie
+    return min(math.erfc(z * math.sqrt(0.5)), 1.0)
+
+
 @dataclass(frozen=True)
 class PointMetrics:
     rmse: float
@@ -266,7 +462,7 @@ def point_metrics(preds: Array, y) -> PointMetrics:
     """RMSE, MAE, and both correlations of predictions against labels.
 
     A constant input makes the correlations undefined; they come back as
-    NaN rather than raising.
+    NaN rather than raising, as they do for an input that holds a NaN.
     """
     p = _vector(preds, "preds")
     yv = _vector(y, "y")
@@ -277,12 +473,9 @@ def point_metrics(preds: Array, y) -> PointMetrics:
     resid = p - yv
     rmse = float(np.sqrt(np.mean(resid ** 2)))
     mae = float(np.mean(np.abs(resid)))
-    if np.std(p) == 0.0 or np.std(yv) == 0.0:
+    if not (np.std(p) > 0.0 and np.std(yv) > 0.0):
         return PointMetrics(rmse, mae, np.nan, np.nan)
-    from scipy import stats  # ~1 s to import, so only the stages that need it pay
-    pearson = float(stats.pearsonr(p, yv).statistic)
-    spearman = float(stats.spearmanr(p, yv).statistic)
-    return PointMetrics(rmse, mae, pearson, spearman)
+    return PointMetrics(rmse, mae, _pearson(p, yv), _spearman(p, yv))
 
 
 @dataclass(frozen=True)
@@ -299,7 +492,8 @@ def disentangle_stats(sig_a: Array, sig_e: Array) -> DisentangleStats:
 
     Correlations (Pearson, Spearman, Kendall tau-b) quantify association;
     Welch's t and the normal-approximation Mann-Whitney U compare the two
-    samples' locations. Constant inputs make the correlations NaN.
+    samples' locations. Constant inputs make the correlations NaN; an input
+    that holds a NaN makes every statistic NaN.
     """
     a = _vector(sig_a, "sig_a")
     e = _vector(sig_e, "sig_e")
@@ -307,17 +501,12 @@ def disentangle_stats(sig_a: Array, sig_e: Array) -> DisentangleStats:
         raise MetricError("signals must have equal lengths")
     if a.size < 3:
         raise MetricError("need at least three samples")
-    from scipy import stats  # see point_metrics
-    if np.std(a) == 0.0 or np.std(e) == 0.0:
+    if not (np.std(a) > 0.0 and np.std(e) > 0.0):
         pearson = spearman = kendall = np.nan
     else:
-        pearson = float(stats.pearsonr(a, e).statistic)
-        spearman = float(stats.spearmanr(a, e).statistic)
-        kendall = float(stats.kendalltau(a, e).statistic)
-    welch = float(stats.ttest_ind(a, e, equal_var=False).pvalue)
-    mwu = float(stats.mannwhitneyu(a, e, method="asymptotic").pvalue)
+        pearson, spearman, kendall = _pearson(a, e), _spearman(a, e), _kendall_tau_b(a, e)
     return DisentangleStats(pearson=pearson, spearman=spearman, kendall=kendall,
-                            welch_t_p=welch, mann_whitney_p=mwu)
+                            welch_t_p=_welch_p(a, e), mann_whitney_p=_mann_whitney_p(a, e))
 
 
 def report_nll(pred: MixturePrediction, y) -> float:

@@ -1,4 +1,4 @@
-"""Shared pytest plumbing.
+"""Shared pytest plumbing and test helpers.
 
 The acceptance tests register one line per criterion; this hook replays
 them in a dedicated section after the run so the verdicts are visible
@@ -8,6 +8,7 @@ without -s.
 import pytest
 
 from tessera import datagen
+from tessera.metrics import ssc_detail
 
 acceptance_lines: list[str] = []
 
@@ -30,3 +31,8 @@ def parses(monkeypatch):
         return parse(f, name)
     monkeypatch.setattr(datagen, "_parse_csv", counted)
     return calls
+
+
+def ssc(intervals, y, n_bins: int) -> list[float]:
+    """Per-bin coverage of ``metrics.ssc_detail``."""
+    return [b.coverage for b in ssc_detail(intervals, y, n_bins)]

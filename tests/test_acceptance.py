@@ -25,13 +25,14 @@ import pytest
 from scipy import stats
 
 import conftest
+from conftest import ssc
 from gradcheck import finite_difference_gradients
 from tessera.conformal import ScaleKind, build_intervals, calibrate, conformal_quantile
 from tessera.datagen import gen_clustered_shift, gen_heteroscedastic, split_dataset
 from tessera.errors import MetricError
 from tessera.experiment import ExperimentConfig, run_experiment
 from tessera.mc_dropout import mc_intervals
-from tessera.metrics import CwcConfig, cwc, disentangle_stats, sparsification, ssc
+from tessera.metrics import CwcConfig, cwc, disentangle_stats, sparsification
 from tessera.moe import MoeModel, TrainSpec, mixture_nll, mixture_nll_loss, train_moe
 from tessera.nn import derived_seed, make_rng
 

@@ -495,3 +495,36 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert serialize.load(out / "manifest.json")["stages"]["calibrate"] == "ok"
+
+
+def test_full_pipeline_runs_without_scipy(tmp_path):
+    # the statistics of evaluate are numpy kernels: all four stages run with
+    # every scipy import blocked, and none is loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cfg = small_config(train={"epochs": 2, "batch_size": 64, "lr": 3e-3},
+                       mc_dropout={"hidden": 8, "epochs": 2, "passes": 5})
+    code = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+from tessera.experiment import (ExperimentConfig, stage_calibrate, stage_evaluate,
+                                stage_gen_data, stage_train)
+config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+for stage in (stage_gen_data, stage_train, stage_calibrate, stage_evaluate):
+    stage(config, sys.argv[2])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["status"] == "ok" and manifest["stages"]["evaluate"] == "ok"

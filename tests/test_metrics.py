@@ -1,8 +1,15 @@
+import math
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from conftest import ssc
 from tessera.conformal import PredictionIntervals
 from tessera.errors import MetricError
 from tessera.metrics import (
@@ -16,8 +23,8 @@ from tessera.metrics import (
     point_metrics,
     report_nll,
     sparsification,
-    ssc,
     ssc_detail,
+    _student_t_p,
 )
 from tessera.moe import MixturePrediction
 from tessera.nn import make_rng
@@ -349,6 +356,57 @@ def test_kendall_matches_brute_force():
     assert out.kendall == pytest.approx(naive_kendall_tau_b(a, e), rel=1e-10)
 
 
+def tied_pair(n, levels):
+    """Strategy for two length-n samples drawn from `levels` distinct values."""
+    values = st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)
+    return st.tuples(values, values).map(lambda p: (np.array(p[0], float), np.array(p[1], float)))
+
+
+# n around the merge's block widths 2^k; few levels make heavy ties
+MERGE_SIZES = sorted({2 ** k + d for k in range(1, 9) for d in (-1, 0, 1)} - {1, 2})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(MERGE_SIZES).flatmap(
+    lambda n: st.integers(2, 6).flatmap(lambda levels: tied_pair(n, levels))))
+def test_kendall_matches_brute_force_with_ties(pair):
+    a, e = pair
+    assume(np.ptp(a) > 0 and np.ptp(e) > 0)
+    assert disentangle_stats(a, e).kendall == pytest.approx(naive_kendall_tau_b(a, e),
+                                                             rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 300).flatmap(
+    lambda n: st.integers(2, 12).flatmap(lambda levels: tied_pair(n, levels))),
+       st.floats(-3.0, 3.0))
+def test_spearman_and_mann_whitney_match_scipy_with_ties(pair, shift):
+    a, e = pair
+    e = e + shift  # moves the locations apart; a whole shift keeps cross-sample ties
+    out = disentangle_stats(a, e)
+    assert out.mann_whitney_p == pytest.approx(
+        stats.mannwhitneyu(a, e, method="asymptotic").pvalue, rel=1e-12)
+    if np.ptp(a) > 0 and np.ptp(e) > 0:
+        assert out.spearman == pytest.approx(stats.spearmanr(a, e).statistic, rel=1e-12)
+        assert point_metrics(a, e).spearman == out.spearman
+
+
+def test_kendall_at_large_n_allocates_linear_memory():
+    # a pair matrix or a bincount over pair codes would need n^2 = 2.5e9 cells
+    n = 50_000
+    rng = make_rng(11)
+    a = rng.integers(0, 100, n).astype(float)
+    e = a + rng.integers(0, 300, n)
+    tracemalloc.start()
+    try:
+        tau = disentangle_stats(a, e).kendall
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * n  # a few dozen float64 vectors of length n
+    assert tau == pytest.approx(stats.kendalltau(a, e).statistic, rel=1e-12)
+
+
 def test_identical_samples_give_p_one():
     x = make_rng(5).standard_normal(50)
     out = disentangle_stats(x, x.copy())
@@ -377,7 +435,52 @@ def test_welch_statistic_matches_hand_formula():
     t_scipy = stats.ttest_ind(a, e, equal_var=False).statistic
     assert t_scipy == pytest.approx(t_hand, rel=1e-12)
     out = disentangle_stats(a, e)
-    assert out.welch_t_p == stats.ttest_ind(a, e, equal_var=False).pvalue
+    vn1, vn2 = a.var(ddof=1) / len(a), e.var(ddof=1) / len(e)
+    df_hand = (vn1 + vn2) ** 2 / (vn1 ** 2 / (len(a) - 1) + vn2 ** 2 / (len(e) - 1))
+    assert out.welch_t_p == pytest.approx(student_t_tail(t_hand, df_hand), rel=T_TAIL_REL)
+    assert out.welch_t_p == pytest.approx(stats.ttest_ind(a, e, equal_var=False).pvalue,
+                                          rel=T_TAIL_REL)
+
+
+def student_t_tail(t, df):
+    """Two-sided P(|T| >= |t|) of Student's t with df degrees of freedom,
+    to 40 digits: I_x(df/2, 1/2) at x = df / (df + t^2), in mpmath."""
+    with mpmath.workdps(40):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True))
+
+
+# Relative error bound of the Student-t tail, in units of u = 2^-53. For
+# |t| >= 1 the kernel returns p = exp(L) * cf, L = -a log1p(t^2/df) +
+# log(y)/2 - log B(a, 1/2), a = df/2, y = t^2/(df + t^2). The term
+# a log1p(t^2/df) carries four roundings (t^2, the division, log1p, the
+# product), and where p >= 1e-290 it is below 700 in size (|log p| <= 668;
+# log(y)/2 and log B lie within [-6, 6], and log cf within [-7, 2]), so exp
+# turns it into at most 4 * 700 u of relative error. log B, log y, exp and
+# the continued fraction (at most 160 terms, rescaled every term) add under
+# 200 u. For |t| < 1 (the other branch), p = 1 - I_y(1/2, a) >= 0.31 and
+# a log1p(t^2/df) < t^2/2 < 1/2, so the error is a few u. Hence 3000 u,
+# about 3.3e-13.
+T_TAIL_REL = 3000 * 2.0 ** -53
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda k: min(max(10.0 ** k, lo), hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1.0, 1e5), log_uniform(1.0, 1e5)),
+       st.one_of(st.floats(0.0, 40.0, exclude_min=True), log_uniform(1e-8, 40.0)),
+       st.booleans())
+@example(1.0, 40.0, False)
+@example(1e5, 1e-300, True)
+@example(2.0, 1.0, False)  # the boundary between the two branches
+@example(99999.0, 1.0000000000000002, False)
+@example(99859.0, 3.132873113257828, False)  # a*log(x) in place of the log1p form errs 4.9e-12
+def test_student_t_tail_matches_mpmath(df, t, negative):
+    exact = student_t_tail(t, df)
+    assume(exact >= 1e-290)
+    assert _student_t_p(-t if negative else t, df) == pytest.approx(exact, rel=T_TAIL_REL)
 
 
 def test_mann_whitney_u_matches_brute_force():
@@ -389,10 +492,20 @@ def test_mann_whitney_u_matches_brute_force():
     assert stats.mannwhitneyu(a, e, method="asymptotic").statistic == u_brute
 
 
-@pytest.mark.filterwarnings("ignore:Precision loss")
-def test_disentangle_constant_input():
-    out = disentangle_stats(np.ones(10), np.arange(10.0))
-    assert np.isnan(out.pearson) and np.isnan(out.kendall)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, e, welch_p, mwu_p", [
+    # scipy 1.17's p values: Welch's t is 0/0 or +-inf between constant
+    # samples, and U's tie-corrected variance is 0 when every value ties
+    (np.ones(10), np.arange(10.0), 0.00527118606698135, 0.004307399841485677),
+    (np.ones(10), np.ones(10), np.nan, 1.0),
+    (np.ones(10), np.zeros(10), 0.0, 1.5937911688066244e-05),
+    (np.r_[np.arange(9.0), np.nan], np.arange(10.0), np.nan, np.nan),
+])
+def test_disentangle_constant_input(a, e, welch_p, mwu_p):
+    out = disentangle_stats(a, e)
+    assert np.isnan(out.pearson) and np.isnan(out.spearman) and np.isnan(out.kendall)
+    assert out.welch_t_p == pytest.approx(welch_p, rel=1e-12, nan_ok=True)
+    assert out.mann_whitney_p == pytest.approx(mwu_p, rel=1e-12, nan_ok=True)
 
 
 def test_disentangle_length_checks():
