@@ -159,52 +159,42 @@ def calibrate(y_cal: Array, mu_cal: Array, scale_cal: Array | None = None,
 
 @dataclass
 class PredictionIntervals:
-    """Per-sample intervals [lower, upper] around a point prediction.
+    """Per-sample intervals center +/- half.
 
-    ``scale`` keeps the per-sample difficulty signal the intervals were
-    built from (standard-deviation-like units; ones for the classical
-    baseline). ``half`` is the intended half-width; widths derive from it
-    so a constant-scale family has bitwise-identical widths even when the
-    rounded bounds differ in the last ulp across centers.
+    Widths derive from ``half``, so a constant-scale family has
+    bitwise-identical widths even when the rounded bounds differ in the
+    last ulp across centers.
     """
 
     center: Array
-    lower: Array
-    upper: Array
-    scale: Array
-    half: Array | None = None
+    half: Array
 
     def __post_init__(self):
         self.center = _as_vector(self.center, "center")
-        self.lower = _as_vector(self.lower, "lower")
-        self.upper = _as_vector(self.upper, "upper")
-        self.scale = _as_vector(self.scale, "scale")
-        if not (self.center.shape == self.lower.shape == self.upper.shape == self.scale.shape):
-            raise DimensionError("interval fields must have equal lengths")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise DimensionError("interval bounds must not be NaN")
-        if np.any(self.lower > self.center) or np.any(self.center > self.upper):
-            raise DimensionError("intervals must bracket their centers")
-        if self.half is None:
-            self.half = (self.upper - self.lower) / 2.0
-        else:
-            self.half = _as_vector(self.half, "half")
-            if self.half.shape != self.center.shape:
-                raise DimensionError("half must have one entry per interval")
-            if np.any(np.isnan(self.half)) or np.any(self.half < 0):
-                raise DimensionError("half-widths must be nonnegative")
+        self.half = _as_vector(self.half, "half")
+        if self.half.shape != self.center.shape:
+            raise DimensionError("half must have one entry per interval")
+        # an infinite center would make center -/+ an infinite half NaN
+        if not np.all(np.isfinite(self.center)):
+            raise DimensionError("interval centers must be finite")
+        if np.any(np.isnan(self.half)) or np.any(self.half < 0):
+            raise DimensionError("half-widths must be nonnegative")
 
     @property
     def n(self) -> int:
         return self.center.size
 
     @property
-    def width(self) -> Array:
-        return 2.0 * self.half
+    def lower(self) -> Array:
+        return self.center - self.half
 
     @property
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+    def upper(self) -> Array:
+        return self.center + self.half
+
+    @property
+    def width(self) -> Array:
+        return 2.0 * self.half
 
     def covers(self, y: Array) -> Array:
         """Boolean per-sample coverage; endpoints count as covered."""
@@ -231,13 +221,6 @@ def build_intervals(calib: CalibrationResult, mu_test: Array,
             raise DimensionError("mu_test and scale_test must have equal lengths")
         if np.any(scale < 0):
             raise CalibrationError("scales must be nonnegative")
-    if calib.infinite:
-        half = np.full_like(mv, np.inf)
-        lower = np.full_like(mv, -np.inf)
-        upper = np.full_like(mv, np.inf)
-    else:
-        half = calib.q_hat * scale
-        lower = mv - half
-        upper = mv + half
-    return PredictionIntervals(center=mv, lower=lower, upper=upper, scale=scale,
-                               half=half)
+    # inf * 0 would be NaN where a scale is zero
+    half = np.full_like(mv, np.inf) if calib.infinite else calib.q_hat * scale
+    return PredictionIntervals(center=mv, half=half)

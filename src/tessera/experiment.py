@@ -25,7 +25,7 @@ from .datagen import CLUSTER_MODES, DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, \
     gen_heteroscedastic, load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
-from .metrics import CwcConfig, MetricsReport, check_grid, check_group_limits, \
+from .metrics import CwcConfig, MetricsReport, check_grid, check_group_min_n, \
     check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, picp, \
     point_metrics, report_nll, sparsification, ssc_detail
 from .moe import MixturePrediction, MoeModel, TrainSpec, train_moe
@@ -176,7 +176,6 @@ class MetricsSpec:
     ssc_bins: tuple[int, ...] = (3, 5, 10)
     sparsification_grid: tuple[float, ...] | None = None
     group_min_n: int = 10
-    group_top_k: int = 15
 
     def __post_init__(self):
         self.cwc_eta = tuple(float(e) for e in self.cwc_eta)
@@ -190,8 +189,7 @@ class MetricsSpec:
             "ssc_bins": lambda: [check_ssc_bins(j) for j in self.ssc_bins],
             "sparsification_grid": lambda: self.sparsification_grid is None
             or check_grid(self.sparsification_grid),
-            "group_min_n": lambda: check_group_limits(self.group_min_n, 1),
-            "group_top_k": lambda: check_group_limits(1, self.group_top_k),
+            "group_min_n": lambda: check_group_min_n(self.group_min_n),
         }
         for name, check in checks.items():
             try:
@@ -461,10 +459,9 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsRepo
         intervals, report = _evaluate_method(method, config, out, test, pred, mu, moe_scores)
         reports[method] = report
         if test.groups is not None:
-            table = groupwise_picp(intervals, test.y, test.groups,
-                                   min_n=config.metrics.group_min_n,
-                                   top_k=config.metrics.group_top_k)
-            group_rows.extend((method, e.group, e.n, e.picp) for e in table.entries)
+            entries = groupwise_picp(intervals, test.y, test.groups,
+                                     min_n=config.metrics.group_min_n)
+            group_rows.extend((method, e.group, e.n, e.picp) for e in entries)
     stats = disentangle_stats(pred.aleatoric, pred.epistemic)
     serialize.dump({
         "pearson": stats.pearson, "spearman": stats.spearman,

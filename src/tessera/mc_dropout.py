@@ -194,7 +194,4 @@ def mc_intervals(mean: Array, variance: Array, alpha: float = 0.10) -> Predictio
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha must lie strictly between 0 and 1")
     z = ndtri(1.0 - alpha / 2.0)
-    sd = np.sqrt(v)
-    half = z * sd
-    return PredictionIntervals(center=m, lower=m - half, upper=m + half, scale=sd,
-                               half=half)
+    return PredictionIntervals(center=m, half=z * np.sqrt(v))

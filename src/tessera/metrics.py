@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +139,8 @@ def sparsification(uncertainty: Array, errors: Array,
         suffix = np.cumsum(sq[::-1])[::-1]  # suffix[i] = sum of sq[i:]
         out = np.empty(g.size)
         for i, f in enumerate(g):
-            drop = int(np.floor(f * n + _FLOOR_SLACK))
+            # the slack must not round a fraction below 1 up to every sample
+            drop = min(int(np.floor(f * n + _FLOOR_SLACK)), n - 1)
             out[i] = np.sqrt(suffix[drop] / (n - drop))
         return out
 
@@ -199,32 +200,13 @@ class GroupCoverageEntry:
     picp: float
 
 
-@dataclass
-class GroupCoverage:
-    """Per-group coverage table, most frequent group first."""
-
-    entries: list[GroupCoverageEntry] = field(default_factory=list)
-    min_n: int = 10
-    top_k: int = 15
-
-    @property
-    def most_frequent(self) -> list[GroupCoverageEntry]:
-        return self.entries[:self.top_k]
-
-    @property
-    def least_frequent(self) -> list[GroupCoverageEntry]:
-        tail = self.entries[-self.top_k:] if self.entries else []
-        return list(reversed(tail))
-
-
-def check_group_limits(min_n: int, top_k: int) -> None:
-    for name, value in (("min_n", min_n), ("top_k", top_k)):
-        if value < 1:
-            raise MetricError(f"{name} must be >= 1")
+def check_group_min_n(min_n: int) -> None:
+    if min_n < 1:
+        raise MetricError("min_n must be >= 1")
 
 
 def groupwise_picp(intervals: PredictionIntervals, y, groups,
-                   min_n: int = 10, top_k: int = 15) -> GroupCoverage:
+                   min_n: int = 10) -> list[GroupCoverageEntry]:
     """Coverage per group label, skipping groups with fewer than min_n
     samples. Entries are ordered by descending size, ties by name."""
     yv = _paired(intervals, y)
@@ -233,7 +215,7 @@ def groupwise_picp(intervals: PredictionIntervals, y, groups,
     garr = np.asarray(groups)
     if garr.shape != yv.shape:
         raise MetricError("groups must have one label per interval")
-    check_group_limits(min_n, top_k)
+    check_group_min_n(min_n)
     covered = intervals.covers(yv)
     names, counts = np.unique(garr, return_counts=True)
     order = np.lexsort((names, -counts))
@@ -247,7 +229,7 @@ def groupwise_picp(intervals: PredictionIntervals, y, groups,
     if not entries:
         warnings.warn("no group reaches min_n samples; coverage table is empty",
                       stacklevel=2)
-    return GroupCoverage(entries=entries, min_n=min_n, top_k=top_k)
+    return entries
 
 
 def _unit(v: Array) -> Array:
@@ -536,18 +518,4 @@ class MetricsReport:
     nll: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_test": self.n_test,
-            "picp": self.picp,
-            "mpiw": self.mpiw,
-            "nmpiw": self.nmpiw,
-            "cwc": dict(self.cwc),
-            "ause": self.ause,
-            "ssc": None if self.ssc is None else {k: list(v) for k, v in self.ssc.items()},
-            "ssc_note": self.ssc_note,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "pearson": self.pearson,
-            "spearman": self.spearman,
-            "nll": self.nll,
-        }
+        return asdict(self)

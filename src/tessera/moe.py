@@ -10,7 +10,7 @@ the scale of disagreement between expert means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,18 +56,9 @@ class MixturePrediction:
         return self.w.shape[0]
 
     @property
-    def n_components(self) -> int:
-        return self.w.shape[1]
-
-    @property
     def mean(self) -> Array:
         """Gate-weighted predictive mean per row."""
         return np.sum(self.w * self.mu, axis=1)
-
-    @property
-    def mu_bar(self) -> Array:
-        """Unweighted average of component means per row."""
-        return np.mean(self.mu, axis=1)
 
     @property
     def aleatoric(self) -> Array:
@@ -81,7 +72,7 @@ class MixturePrediction:
         Deliberately ignores the gate weights, so a confident gate does not
         mask experts that disagree. Zero exactly when all means coincide.
         """
-        dev = self.mu - self.mu_bar[:, None]
+        dev = self.mu - np.mean(self.mu, axis=1)[:, None]
         return np.sqrt(np.mean(dev * dev, axis=1))
 
 
@@ -289,8 +280,7 @@ class TrainHistory:
     best_epoch: int = -1
 
     def to_dict(self) -> dict:
-        return {"train_nll": self.train_nll, "val_nll": self.val_nll,
-                "best_epoch": self.best_epoch}
+        return asdict(self)
 
 
 def train_moe(model: MoeModel, x_train: Array, y_train: Array,

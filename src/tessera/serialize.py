@@ -107,15 +107,11 @@ def load_checkpoint(path, kind: str) -> dict:
     return d
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips exactly through float()."""
-    return repr(float(x))
-
-
 def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Plain comma-separated output; floats via repr, everything else str."""
+    """Plain comma-separated output; floats via repr, the shortest decimal that
+    round-trips through float(), everything else str."""
     with atomic_write(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(format_float(v) if isinstance(v, (float, np.floating))
+            f.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                              else str(v) for v in row) + "\n")

@@ -164,6 +164,24 @@ def test_build_intervals_hand_case():
     assert_allclose(iv.width, 2.0 * 2.0 * np.array([1.0, 3.0]), rtol=1e-12)
 
 
+@pytest.mark.parametrize("q_hat", [2.0, 0.7316, math.pi * 1e3])
+def test_build_intervals_bounds_are_bitwise_mu_plus_minus_q_scale(q_hat):
+    rng = make_rng(3)
+    mu = rng.standard_normal(200) * 10.0 ** rng.integers(-6, 7, 200)
+    scale = rng.exponential(size=200) * 10.0 ** rng.integers(-6, 7, 200)
+    scale[::7] = 0.0
+    for kind, s_test in ((ScaleKind.EPISTEMIC, scale), (ScaleKind.ALEATORIC, scale),
+                         (ScaleKind.CONSTANT, np.ones(200))):
+        res = CalibrationResult(kind=kind, alpha=0.1, epsilon=1e-8, n_cal=99, q_hat=q_hat)
+        iv = build_intervals(res, mu_test=mu, scale_test=scale)
+        assert np.array_equal(iv.lower, mu - q_hat * s_test)
+        assert np.array_equal(iv.upper, mu + q_hat * s_test)
+        assert np.array_equal(iv.width, 2.0 * (q_hat * s_test))
+        if kind is not ScaleKind.CONSTANT:  # a zero scale gives the point itself
+            assert np.array_equal(iv.lower[::7], mu[::7])
+            assert np.array_equal(iv.upper[::7], mu[::7])
+
+
 def test_zero_scale_gives_zero_width():
     res = CalibrationResult(kind=ScaleKind.ALEATORIC, alpha=0.1, epsilon=1e-8,
                             n_cal=99, q_hat=2.5)
@@ -173,23 +191,31 @@ def test_zero_scale_gives_zero_width():
 
 
 def test_infinite_quantile_gives_infinite_intervals():
-    res = CalibrationResult(kind=ScaleKind.CONSTANT, alpha=0.1, epsilon=1e-8,
-                            n_cal=5, q_hat=math.inf)
-    iv = build_intervals(res, mu_test=[0.0, 100.0])
-    assert not iv.all_finite
-    assert np.all(iv.covers([1e12, -1e12]))
-    assert np.all(np.isinf(iv.width))
+    for kind in ScaleKind:
+        res = CalibrationResult(kind=kind, alpha=0.1, epsilon=1e-8,
+                                n_cal=5, q_hat=math.inf)
+        # a zero scale too: inf * 0 would be NaN
+        iv = build_intervals(res, mu_test=[0.0, 100.0], scale_test=[0.0, 2.0])
+        assert np.array_equal(iv.lower, [-np.inf, -np.inf])
+        assert np.array_equal(iv.upper, [np.inf, np.inf])
+        assert np.all(iv.covers([1e12, -1e12]))
+        assert np.all(np.isinf(iv.width))
 
 
 def test_interval_ordering_enforced():
-    with pytest.raises(DimensionError):
-        PredictionIntervals(center=[0.0], lower=[1.0], upper=[2.0], scale=[1.0])
-    with pytest.raises(DimensionError):
-        PredictionIntervals(center=[0.0], lower=[-1.0], upper=[-0.5], scale=[1.0])
+    # lower <= center <= upper holds exactly when every half-width is >= 0
+    for half in ([-1.0], [1.0, -1e-300], [np.nan], [np.inf, np.nan]):
+        with pytest.raises(DimensionError, match="half-widths"):
+            PredictionIntervals(center=np.zeros(len(half)), half=half)
+    for center in ([np.nan], [np.inf], [0.0, -np.inf]):
+        with pytest.raises(DimensionError, match="centers"):
+            PredictionIntervals(center=center, half=np.ones(len(center)))
+    with pytest.raises(DimensionError, match="one entry per interval"):
+        PredictionIntervals(center=[0.0, 1.0], half=[1.0])
 
 
 def test_covers_endpoints():
-    iv = PredictionIntervals(center=[0.0], lower=[-1.0], upper=[1.0], scale=[1.0])
+    iv = PredictionIntervals(center=[0.0], half=[1.0])
     assert iv.covers([-1.0])[0]
     assert iv.covers([1.0])[0]
     assert not iv.covers([1.0 + 1e-12])[0]
@@ -200,7 +226,7 @@ def test_constant_kind_ignores_scale_argument():
                             n_cal=99, q_hat=1.5)
     iv = build_intervals(res, mu_test=[0.0, 1.0])
     assert_allclose(iv.width, [3.0, 3.0], rtol=1e-12)
-    assert_allclose(iv.scale, [1.0, 1.0], rtol=0)
+    assert np.array_equal(iv.half, [1.5, 1.5])
 
 
 # -------------------------------------------------------- serialization

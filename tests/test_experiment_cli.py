@@ -396,7 +396,6 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("metrics", "sparsification_grid", [0.0, 1.0]),
     ("metrics", "sparsification_grid", []),
     ("metrics", "group_min_n", 0),
-    ("metrics", "group_top_k", 0),
     ("split", "fractions", [0.5, 0.5]),
     ("split", "fractions", [0.6, 0.2, 0.1, 0.2]),
     ("split", "fractions", [1.2, -0.2, 0.0, 0.0]),
@@ -426,6 +425,18 @@ def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key
     code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
     assert code == 1
     assert re.search(field, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_removed_group_top_k_fails_at_config_load(tmp_path, capsys):
+    # the knob fed no output and is gone; a config that still sets it is refused
+    cfg = small_config(metrics={"group_top_k": 15})
+    match = r"unknown keys in config\.metrics: \['group_top_k'\]"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(cfg)
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert re.search(match, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from tessera.mc_dropout import (
     mc_predict,
     train_dropout,
 )
-from tessera.nn import ACTIVATIONS, Mlp, make_rng
+from tessera.nn import ACTIVATIONS, Mlp, make_rng, ndtri
 
 
 def hand_identity_net(d=2, hidden=16):
@@ -138,6 +138,19 @@ def test_intervals_use_normal_quantile():
     assert_allclose(iv.lower, mean - z * np.sqrt(var), rtol=1e-12)
     assert_allclose(iv.upper, mean + z * np.sqrt(var), rtol=1e-12)
     assert_allclose(iv.width, 2 * z * np.sqrt(var), rtol=1e-12)
+
+
+def test_interval_bounds_are_bitwise_mean_plus_minus_z_sd():
+    rng = make_rng(5)
+    mean = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 7, 300)
+    var = rng.exponential(size=300) * 10.0 ** rng.integers(-12, 13, 300)
+    var[::9] = 0.0
+    for alpha in (0.01, 0.1, 0.3):
+        iv = mc_intervals(mean, var, alpha=alpha)
+        z = ndtri(1.0 - alpha / 2.0)
+        assert np.array_equal(iv.lower, mean - z * np.sqrt(var))
+        assert np.array_equal(iv.upper, mean + z * np.sqrt(var))
+        assert np.array_equal(iv.width, 2.0 * (z * np.sqrt(var)))
 
 
 def test_interval_z_is_the_normal_quantile_bitwise():

@@ -32,13 +32,16 @@ from tessera import serialize
 
 
 def intervals_from_bounds(lower, upper):
+    """[lower, upper] as center +/- half. The bounds used here are small
+    integers or infinite, so the derived bounds equal them exactly."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     center = np.zeros_like(lower)
     finite = np.isfinite(lower) & np.isfinite(upper)
     center[finite] = (lower[finite] + upper[finite]) / 2.0
-    return PredictionIntervals(center=center, lower=lower, upper=upper,
-                               scale=np.ones_like(center))
+    iv = PredictionIntervals(center=center, half=(upper - lower) / 2.0)
+    assert np.array_equal(iv.lower, lower) and np.array_equal(iv.upper, upper)
+    return iv
 
 
 # ----------------------------------------------------------------- picp
@@ -188,6 +191,19 @@ def test_sparsification_grid_validation():
         sparsification([1.0], [1.0], grid=[0.0, float("nan"), 0.5])
 
 
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_sparsification_grid_next_to_one_keeps_a_sample(n):
+    # the largest float below 1 passes check_grid, and floor(f * n + slack)
+    # reaches n; the curve must still keep the least uncertain sample
+    f = np.nextafter(1.0, 0.0)
+    u = np.arange(float(n))
+    err = u + 1.0  # the least uncertain sample has error 1
+    curve = sparsification(u, err, grid=[0.0, f])
+    assert np.all(np.isfinite(curve.model_rmse)) and np.all(np.isfinite(curve.oracle_rmse))
+    assert curve.model_rmse[-1] == 1.0 and curve.oracle_rmse[-1] == 1.0
+    assert np.isfinite(curve.ause)
+
+
 # ------------------------------------------------------------------ ssc
 
 def test_ssc_hand_case():
@@ -247,36 +263,34 @@ def test_groupwise_hand_case():
         np.full(n_c, 0.5),
     ])
     iv = intervals_from_bounds(lower, upper)
-    table = groupwise_picp(iv, y, groups, min_n=10, top_k=1)
-    assert [(e.group, e.n) for e in table.entries] == [("b", 15), ("a", 12)]
-    assert table.entries[0].picp == 1.0
-    assert table.entries[1].picp == pytest.approx(0.5)
-    assert [e.group for e in table.most_frequent] == ["b"]
-    assert [e.group for e in table.least_frequent] == ["a"]
+    entries = groupwise_picp(iv, y, groups, min_n=10)
+    assert [(e.group, e.n) for e in entries] == [("b", 15), ("a", 12)]
+    assert entries[0].picp == 1.0
+    assert entries[1].picp == pytest.approx(0.5)
 
 
 def test_groupwise_single_group_equals_overall():
     iv = intervals_from_bounds(np.zeros(20), np.ones(20))
     y = np.where(np.arange(20) < 15, 0.5, 2.0)
     groups = np.full(20, "only")
-    table = groupwise_picp(iv, y, groups, min_n=10)
-    assert len(table.entries) == 1
-    assert table.entries[0].picp == pytest.approx(picp(iv, y))
+    entries = groupwise_picp(iv, y, groups, min_n=10)
+    assert len(entries) == 1
+    assert entries[0].picp == pytest.approx(picp(iv, y))
 
 
 def test_groupwise_ties_break_by_name():
     iv = intervals_from_bounds(np.zeros(20), np.ones(20))
     groups = np.array(["z"] * 10 + ["a"] * 10)
-    table = groupwise_picp(iv, np.full(20, 0.5), groups, min_n=10)
-    assert [e.group for e in table.entries] == ["a", "z"]
+    entries = groupwise_picp(iv, np.full(20, 0.5), groups, min_n=10)
+    assert [e.group for e in entries] == ["a", "z"]
 
 
 def test_groupwise_warns_when_all_groups_too_small():
     iv = intervals_from_bounds(np.zeros(4), np.ones(4))
     groups = np.array(["a", "b", "c", "d"])
     with pytest.warns(UserWarning, match="min_n"):
-        table = groupwise_picp(iv, np.full(4, 0.5), groups, min_n=10)
-    assert table.entries == []
+        entries = groupwise_picp(iv, np.full(4, 0.5), groups, min_n=10)
+    assert entries == []
 
 
 # --------------------------------------------------------- point metrics

@@ -74,7 +74,7 @@ def test_prediction_validation():
 
 def at_points(pred, ys):
     """The one-row ``pred`` repeated once per query point in ``ys``."""
-    rows = (len(ys), pred.n_components)
+    rows = (len(ys), pred.w.shape[1])
     return MixturePrediction(np.broadcast_to(pred.w, rows), np.broadcast_to(pred.mu, rows),
                              np.broadcast_to(pred.sigma2, rows))
 
@@ -181,7 +181,7 @@ def brute_force_nll(model, X, y):
     total = 0.0
     for i in range(len(y)):
         mix = 0.0
-        for k in range(pred.n_components):
+        for k in range(pred.w.shape[1]):
             mix += pred.w[i, k] * norm.pdf(y[i], pred.mu[i, k],
                                            np.sqrt(pred.sigma2[i, k]))
         total += -np.log(mix)
