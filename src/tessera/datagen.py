@@ -29,7 +29,6 @@ SPLIT_TAGS = ("train", "test", "val", "cal")
 DEFAULT_FRACTIONS = (0.6, 0.2, 0.1, 0.1)
 NOISE_PROFILES = ("constant", "linear", "step")
 SPLIT_MODES = ("random", "by_group")
-CLUSTER_MODES = ("ood", "iid")
 # Rows per block in the CSV codec. Each block's cells are held as Python
 # strings; at 4096 rows they raised the default config's peak RSS by ~2 MB,
 # while at 512 the per-block overhead is lost in the codec's timing noise.
@@ -169,22 +168,18 @@ def gen_heteroscedastic(n: int, dim: int, noise_profile: str = "step", seed: int
 
 def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
                         held_out_clusters=(6, 7), seed: int = 0,
-                        mode: str = "ood", fractions=DEFAULT_FRACTIONS,
                         cluster_std: float = 0.5, center_radius: float = 2.0,
                         ood_radius: float = 6.0, noise: float = 0.3) -> Dataset:
-    """Gaussian clusters with a distribution-shift split.
+    """Gaussian clusters, some of them shifted far from the rest; unsplit.
 
-    In ``ood`` mode every sample from the held-out clusters goes to the
-    test split and the remaining rows are split train/val/cal at the
-    relative proportions of ``fractions``; calibration therefore sees no
-    shifted data. In ``iid`` mode cluster identity is ignored and rows are
-    split like any other dataset. Held-out cluster centers sit at
-    ``ood_radius`` from the origin while the rest stay near
-    ``center_radius``, so the shift is controllably far.
+    Held-out cluster centers sit at ``ood_radius`` from the origin while
+    the rest stay near ``center_radius``, so the shift is controllably far.
+    ``meta["held_out_groups"]`` lists the held-out clusters' group labels;
+    passing it to :func:`split_dataset` as ``test_groups`` puts exactly
+    those clusters in the test split, so calibration sees no shifted data.
     """
-    held = check_clustered(n, dim, n_clusters, held_out_clusters, mode, cluster_std,
+    held = check_clustered(n, dim, n_clusters, held_out_clusters, cluster_std,
                            center_radius, ood_radius, noise)
-    check_fractions(fractions)
     rng = make_rng(seed)
     centers = rng.normal(0.0, center_radius, size=(n_clusters, dim))
     for c in held:
@@ -202,32 +197,15 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
     X = centers[assignment] + cluster_std * rng.standard_normal((n, dim))
     sigma = np.full(n, float(noise))
     y = _smooth_f(X) + sigma * rng.standard_normal(n)
-    groups = np.array([f"cluster_{c:02d}" for c in range(n_clusters)])[assignment]
-    ds = Dataset(X=X, y=y, sigma_true=sigma, groups=groups, meta={
+    labels = np.array([f"cluster_{c:02d}" for c in range(n_clusters)])
+    return Dataset(X=X, y=y, sigma_true=sigma, groups=labels[assignment], meta={
         "generator": "clustered_shift",
         "n": int(n), "dim": int(dim), "seed": int(seed),
         "n_clusters": int(n_clusters), "held_out_clusters": held,
-        "mode": mode, "fractions": [float(f) for f in fractions],
+        "held_out_groups": labels[held].tolist(),
         "cluster_std": float(cluster_std), "center_radius": float(center_radius),
         "ood_radius": float(ood_radius), "noise": float(noise),
     })
-    if mode == "iid":
-        return split_dataset(ds, fractions=fractions, seed=seed)
-    split = np.empty(n, dtype=object)
-    held_mask = np.isin(assignment, held)
-    split[held_mask] = "test"
-    rest_idx = np.flatnonzero(~held_mask)
-    if rest_idx.size == 0:
-        raise ConfigError("held-out clusters swallowed every sample")
-    rest_fracs = np.array([fractions[0], fractions[2], fractions[3]], dtype=np.float64)
-    rest_fracs = rest_fracs / rest_fracs.sum()
-    perm = rest_idx[rng.permutation(rest_idx.size)]
-    edges = np.round(np.cumsum(rest_fracs) * rest_idx.size).astype(int)
-    edges[-1] = rest_idx.size
-    for tag, lo, hi in zip(("train", "val", "cal"), np.r_[0, edges[:-1]], edges):
-        split[perm[lo:hi]] = tag
-    ds.split = np.asarray(split, dtype=str)
-    return ds
 
 
 def check_heteroscedastic(n: int, dim: int, noise_profile: str, noise_low: float,
@@ -245,7 +223,7 @@ def check_heteroscedastic(n: int, dim: int, noise_profile: str, noise_low: float
             raise ConfigError(f"{name} must be nonnegative and finite")
 
 
-def check_clustered(n: int, dim: int, n_clusters: int, held_out_clusters, mode: str,
+def check_clustered(n: int, dim: int, n_clusters: int, held_out_clusters,
                     cluster_std: float, center_radius: float, ood_radius: float,
                     noise: float) -> list[int]:
     """Reject settings :func:`gen_clustered_shift` cannot run, and return
@@ -257,14 +235,9 @@ def check_clustered(n: int, dim: int, n_clusters: int, held_out_clusters, mode: 
         raise DimensionError("n_clusters must be >= 2")
     if n < n_clusters:
         raise DimensionError(f"n must be >= n_clusters ({n_clusters}): one sample per cluster")
-    if mode not in CLUSTER_MODES:
-        raise ConfigError(f"mode {mode!r} is not one of {CLUSTER_MODES}")
     held = sorted(set(int(c) for c in held_out_clusters))
     if any(c < 0 or c >= n_clusters for c in held):
         raise ConfigError(f"held_out_clusters must be valid cluster indices in [0, {n_clusters})")
-    if mode == "ood" and not 0 < len(held) < n_clusters:
-        raise ConfigError("held_out_clusters must be a nonempty strict subset of the "
-                          "clusters in ood mode")
     for name, value in (("cluster_std", cluster_std), ("center_radius", center_radius),
                         ("ood_radius", ood_radius)):
         if not 0 < value < math.inf:
@@ -286,30 +259,45 @@ def check_fractions(fractions) -> Array:
 
 
 def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random",
-                  seed: int = 0) -> Dataset:
+                  seed: int = 0, test_groups=None) -> Dataset:
     """Assign split tags (train, test, val, cal) at the given fractions.
 
-    ``random`` permutes rows; realized sizes are within one row of exact.
-    ``by_group`` keeps each group intact, assigning whole groups greedily
-    (largest first) to whichever split is furthest below its target.
+    Rows whose group label is in ``test_groups`` all go to test. The other
+    rows are split by ``mode`` at the fractions, with test's share set to
+    zero and the rest renormalized when ``test_groups`` is given.
+    ``random`` permutes the rows; realized sizes are within one row of
+    exact. ``by_group`` keeps each group intact, assigning whole groups
+    greedily (largest first) to whichever split is furthest below its
+    target. While rows remain, the deficits sum to their count, so the
+    furthest is never a split with a zero share.
     """
     fr = check_fractions(fractions)
-    n = ds.n
-    split = np.empty(n, dtype=object)
+    if (test_groups is not None or mode == "by_group") and ds.groups is None:
+        raise ConfigError("test_groups and the by_group split require group labels")
+    shares = fr
+    held = np.zeros(ds.n, dtype=bool)
+    if test_groups is not None:
+        test_groups = sorted(set(map(str, test_groups)))
+        held = np.isin(ds.groups, test_groups)
+        shares = fr.copy()
+        shares[SPLIT_TAGS.index("test")] = 0.0
+        if shares.sum() == 0.0:
+            raise ConfigError("fractions give train, val and cal no share outside test_groups")
+        shares = shares / shares.sum()
+    rest = np.flatnonzero(~held)
+    split = np.empty(ds.n, dtype=object)
+    split[held] = "test"
     if mode == "random":
-        rng = make_rng(seed)
-        perm = rng.permutation(n)
-        edges = np.round(np.cumsum(fr) * n).astype(int)
-        edges[-1] = n
+        perm = rest[make_rng(seed).permutation(rest.size)]
+        edges = np.round(np.cumsum(shares) * rest.size).astype(int)
+        edges[-1] = rest.size
         for tag, lo, hi in zip(SPLIT_TAGS, np.r_[0, edges[:-1]], edges):
             split[perm[lo:hi]] = tag
     elif mode == "by_group":
-        if ds.groups is None:
-            raise ConfigError("by_group split requires group labels")
-        names, inverse, counts = np.unique(ds.groups, return_inverse=True,
+        names, inverse, counts = np.unique(ds.groups[rest], return_inverse=True,
                                            return_counts=True)
         order = np.lexsort((names, -counts))
-        targets = fr * n
+        targets = shares * rest.size
         assigned = np.zeros(4)
         choice = np.empty(len(names), dtype=object)
         for i in order:
@@ -321,14 +309,16 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random"
                               stacklevel=2)
             choice[i] = SPLIT_TAGS[pick]
             assigned[pick] += counts[i]
-        split = choice[inverse]
+        split[rest] = choice[inverse]
     else:
         raise ConfigError(f"unknown split mode {mode!r}")
-    out = ds.select(np.arange(n))
+    out = ds.select(np.arange(ds.n))
     out.split = np.asarray(split, dtype=str)
     out.meta = dict(ds.meta)
     out.meta["split"] = {"fractions": [float(f) for f in fr], "mode": mode,
                          "seed": int(seed)}
+    if test_groups is not None:
+        out.meta["split"]["test_groups"] = test_groups
     return out
 
 

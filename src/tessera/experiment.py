@@ -20,9 +20,9 @@ import numpy as np
 from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
     build_intervals, calibrate
-from .datagen import CLUSTER_MODES, DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, \
-    check_clustered, check_fractions, check_heteroscedastic, gen_clustered_shift, \
-    gen_heteroscedastic, load_csv, save_csv, split_dataset
+from .datagen import DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, check_clustered, \
+    check_fractions, check_heteroscedastic, gen_clustered_shift, gen_heteroscedastic, \
+    load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
 from .metrics import CwcConfig, MetricsReport, check_grid, check_group_min_n, \
@@ -111,16 +111,19 @@ class DataSpec:
     def __post_init__(self):
         if self.kind not in ("heteroscedastic", "clustered_shift", "csv"):
             raise ConfigError(f"kind {self.kind!r} is not a known data kind")
-        if self.mode not in CLUSTER_MODES:
-            raise ConfigError(f"mode {self.mode!r} is not one of {CLUSTER_MODES}")
+        if self.mode not in ("ood", "iid"):
+            raise ConfigError(f"mode {self.mode!r} is not 'ood' or 'iid'")
         self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
         if self.kind == "heteroscedastic":
             check_heteroscedastic(self.n, self.dim, self.noise_profile, self.noise_low,
                                   self.noise_high, self.noise_level)
         elif self.kind == "clustered_shift":
-            check_clustered(self.n, self.dim, self.n_clusters, self.held_out_clusters,
-                            self.mode, self.cluster_std, self.center_radius,
-                            self.ood_radius, self.noise)
+            held = check_clustered(self.n, self.dim, self.n_clusters, self.held_out_clusters,
+                                   self.cluster_std, self.center_radius, self.ood_radius,
+                                   self.noise)
+            if self.mode == "ood" and not 0 < len(held) < self.n_clusters:
+                raise ConfigError("held_out_clusters must be a nonempty strict subset of "
+                                  "the clusters in ood mode")
         elif not self.path:
             raise ConfigError("path is required when kind is 'csv'")
 
@@ -268,10 +271,20 @@ _STAGE_ARTIFACTS = {
 }
 
 
+def _recorded_stages(out: Path) -> dict[str, str]:
+    """Stage statuses of the run dir's manifest; empty before the first."""
+    path = out / "manifest.json"
+    return serialize.load(path).get("stages", {}) if path.exists() else {}
+
+
 def _artifact(out: Path, name: str) -> Path:
+    """An upstream artifact that exists and whose stage is not recorded failed."""
     p = out / name
+    stage = next(s for s, names in _STAGE_ARTIFACTS.items() if name in names)
+    if _recorded_stages(out).get(stage) == "failed":
+        raise ConfigError(f"{p} is stale: `tessera {stage}` failed in this run dir; "
+                          "run it again first")
     if not p.exists():
-        stage = next(s for s, names in _STAGE_ARTIFACTS.items() if name in names)
         raise ConfigError(f"missing artifact {p}; run `tessera {stage}` first")
     return p
 
@@ -289,9 +302,9 @@ def _stage(name: str):
             try:
                 result = body(config, out)
             except Exception as e:
-                _write_manifest(config, out, failed_stage=name, error=e)
+                _write_manifest(config, out, name, error=e)
                 raise
-            _write_manifest(config, out)
+            _write_manifest(config, out, name)
             return result
         return stage
     return wrap
@@ -299,9 +312,11 @@ def _stage(name: str):
 
 @_stage("gen-data")
 def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
-    """Generate (or import) the dataset and write data.csv with metadata."""
+    """Generate (or import) the dataset, split it unless it comes with a split
+    column (ood: the held-out clusters are test), and write data.csv."""
     spec = config.data
     seed = derived_seed(config.seed, _ROLE_DATA)
+    test_groups = None
     if spec.kind == "heteroscedastic":
         ds = gen_heteroscedastic(spec.n, spec.dim, spec.noise_profile, seed,
                                  noise_low=spec.noise_low, noise_high=spec.noise_high,
@@ -309,15 +324,16 @@ def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
     elif spec.kind == "clustered_shift":
         ds = gen_clustered_shift(spec.n, spec.dim, n_clusters=spec.n_clusters,
                                  held_out_clusters=spec.held_out_clusters, seed=seed,
-                                 mode=spec.mode, fractions=config.split.fractions,
                                  cluster_std=spec.cluster_std,
                                  center_radius=spec.center_radius,
                                  ood_radius=spec.ood_radius, noise=spec.noise)
+        if spec.mode == "ood":
+            test_groups = ds.meta["held_out_groups"]
     else:
         ds = load_csv(spec.path)
     if ds.split is None:
         ds = split_dataset(ds, fractions=config.split.fractions,
-                           mode=config.split.mode, seed=seed)
+                           mode=config.split.mode, seed=seed, test_groups=test_groups)
     save_csv(ds, out / "data.csv")
     return ds
 
@@ -374,15 +390,19 @@ def _method_intervals(method: str, config: ExperimentConfig, out: Path,
     point predictions and density model for the test split; the MoE
     methods share ``pred`` and its mean ``mu``."""
     alpha = config.calibration.alpha
-    if method in ("tessera_e", "tessera_a"):
-        kind = ScaleKind.EPISTEMIC if method.endswith("_e") else ScaleKind.ALEATORIC
-        calib = CalibrationResult.load(
-            _artifact(out, f"calibration_{kind.value}.json"))
-        scale = pred.epistemic if kind is ScaleKind.EPISTEMIC else pred.aleatoric
+    if method in ("tessera_e", "tessera_a", "classical_cp"):
+        kind = {"tessera_e": ScaleKind.EPISTEMIC,
+                "tessera_a": ScaleKind.ALEATORIC}.get(method, ScaleKind.CONSTANT)
+        path = _artifact(out, f"calibration_{kind.value}.json")
+        calib = CalibrationResult.load(path)
+        epsilon = config.calibration.epsilon
+        if (calib.alpha, calib.epsilon) != (alpha, epsilon):
+            raise ConfigError(f"{path} was calibrated at alpha={calib.alpha}, epsilon="
+                              f"{calib.epsilon}, but the config asks for alpha={alpha}, "
+                              f"epsilon={epsilon}; run `tessera calibrate` again first")
+        scale = pred.epistemic if kind is ScaleKind.EPISTEMIC else \
+            pred.aleatoric if kind is ScaleKind.ALEATORIC else None
         return build_intervals(calib, mu, scale), mu, pred
-    if method == "classical_cp":
-        calib = CalibrationResult.load(_artifact(out, "calibration_constant.json"))
-        return build_intervals(calib, mu), mu, pred
     if method in ("moe_e", "moe_a"):
         scale = pred.epistemic if method == "moe_e" else pred.aleatoric
         return mc_intervals(mu, scale ** 2, alpha), mu, pred
@@ -475,15 +495,19 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsRepo
     return reports
 
 
-def _write_manifest(config: ExperimentConfig, out: Path,
-                    failed_stage: str | None = None, error: Exception | None = None) -> None:
+def _write_manifest(config: ExperimentConfig, out: Path, stage: str,
+                    error: Exception | None = None) -> None:
+    """Record the run dir after ``stage`` raised ``error`` or succeeded; a stage
+    recorded failed stays failed until it succeeds itself."""
     artifacts = sorted(str(p.relative_to(out)).replace("\\", "/")
                        for p in out.rglob("*")
                        if p.is_file() and p.name != "manifest.json")
-    stages = {name: ("ok" if all((out / a).exists() for a in needs) else "missing")
+    failed = {s for s, status in _recorded_stages(out).items() if status == "failed"} - {stage}
+    if error is not None:
+        failed.add(stage)
+    stages = {name: "failed" if name in failed
+              else "ok" if all((out / a).exists() for a in needs) else "missing"
               for name, needs in _STAGE_ARTIFACTS.items()}
-    if failed_stage is not None:
-        stages[failed_stage] = "failed"
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -491,7 +515,7 @@ def _write_manifest(config: ExperimentConfig, out: Path,
         "seed": config.seed,
         "stages": stages,
         "artifacts": artifacts,
-        "status": "failed" if failed_stage else "ok",
+        "status": "failed" if "failed" in stages.values() else "ok",
     }
     if error is not None:
         manifest["error"] = {"type": type(error).__name__, "message": str(error)}

@@ -89,6 +89,8 @@ class McDropoutSpec:
         check_adam_schedule(self.epochs, self.batch_size, self.lr)
 
 
+# a diverging run ends in TrainingError; numpy's warnings on the way only repeat it
+@np.errstate(all="ignore")
 def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
                   seed: int) -> list[float]:
     """Minibatch Adam on mean squared error with dropout active.

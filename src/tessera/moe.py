@@ -283,6 +283,8 @@ class TrainHistory:
         return asdict(self)
 
 
+# a diverging run ends in TrainingError; numpy's warnings on the way only repeat it
+@np.errstate(all="ignore")
 def train_moe(model: MoeModel, x_train: Array, y_train: Array,
               x_val: Array, y_val: Array, config: TrainSpec, seed: int) -> TrainHistory:
     """Minibatch Adam on the mixture NLL; mutates ``model`` in place.

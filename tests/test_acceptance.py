@@ -258,6 +258,7 @@ def test_disagreement_flags_shifted_clusters():
     for seed in range(3):
         ds = gen_clustered_shift(4000, 4, seed=seed,
                                  ood_radius=10.0, cluster_std=0.4)
+        ds = split_dataset(ds, seed=seed, test_groups=ds.meta["held_out_groups"])
         model = _fit_moe(ds, seed, n_experts=3, epochs=250)
         e_shifted = float(np.mean(model.forward(ds.part("test").X).epistemic))
         e_in_dist = float(np.mean(model.forward(ds.part("val").X).epistemic))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -77,14 +78,23 @@ def test_unknown_profile_rejected():
 
 # -------------------------------------------------------- clustered shift
 
+def test_generator_is_unsplit_and_names_the_held_out_groups():
+    ds = gen_clustered_shift(1000, 2, n_clusters=8, held_out_clusters=(7, 6), seed=0)
+    assert ds.split is None
+    assert ds.meta["held_out_clusters"] == [6, 7]
+    assert ds.meta["held_out_groups"] == ["cluster_06", "cluster_07"]
+    assert set(ds.groups) == {f"cluster_{c:02d}" for c in range(8)}
+
+
 def test_ood_mode_isolates_held_out_clusters():
-    ds = gen_clustered_shift(1000, 2, n_clusters=8, held_out_clusters=(6, 7),
-                             seed=0, mode="ood")
+    ds = gen_clustered_shift(1000, 2, n_clusters=8, held_out_clusters=(6, 7), seed=0)
+    ds = split_dataset(ds, test_groups=ds.meta["held_out_groups"])
     held = {"cluster_06", "cluster_07"}
     test_groups = set(ds.groups[ds.split == "test"])
     rest_groups = set(ds.groups[ds.split != "test"])
     assert test_groups == held
     assert rest_groups.isdisjoint(held)
+    assert ds.meta["split"]["test_groups"] == sorted(held)
     # remaining rows split at the renormalized train/val/cal proportions
     n_rest = np.sum(ds.split != "test")
     for tag, frac in (("train", 0.75), ("val", 0.125), ("cal", 0.125)):
@@ -93,28 +103,27 @@ def test_ood_mode_isolates_held_out_clusters():
 
 def test_ood_test_clusters_sit_far_away():
     ds = gen_clustered_shift(1000, 3, n_clusters=6, held_out_clusters=(5,),
-                             seed=1, mode="ood", center_radius=2.0, ood_radius=8.0)
-    r_test = np.linalg.norm(ds.X[ds.split == "test"], axis=1)
-    r_rest = np.linalg.norm(ds.X[ds.split != "test"], axis=1)
+                             seed=1, center_radius=2.0, ood_radius=8.0)
+    held = ds.groups == "cluster_05"
+    r_test = np.linalg.norm(ds.X[held], axis=1)
+    r_rest = np.linalg.norm(ds.X[~held], axis=1)
     assert r_test.mean() > r_rest.mean() + 2.0
 
 
 def test_iid_mode_splits_by_fraction():
     n = 1000
-    ds = gen_clustered_shift(n, 2, n_clusters=8, held_out_clusters=(6, 7),
-                             seed=2, mode="iid")
+    ds = split_dataset(gen_clustered_shift(n, 2, n_clusters=8, held_out_clusters=(6, 7),
+                                           seed=2), seed=2)
     for tag, frac in (("train", 0.6), ("test", 0.2), ("val", 0.1), ("cal", 0.1)):
         assert abs(np.sum(ds.split == tag) - frac * n) <= 1.0
-    # held-out labels appear across splits in iid mode
+    # held-out labels appear across splits without test_groups
     assert "cluster_06" in set(ds.groups[ds.split != "test"])
 
 
 def test_clustered_validation():
-    with pytest.raises(ConfigError):
-        gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=(), mode="ood")
-    with pytest.raises(ConfigError):
-        gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=(0, 1, 2, 3),
-                            mode="ood")
+    # ood's "nonempty strict subset" rule belongs to the config, not the generator
+    assert gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=()).meta[
+        "held_out_groups"] == []
     with pytest.raises(ConfigError):
         gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=(9,))
     with pytest.raises(DimensionError):
@@ -125,7 +134,7 @@ def test_clustered_determinism():
     a = gen_clustered_shift(300, 2, seed=5)
     b = gen_clustered_shift(300, 2, seed=5)
     assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.split, b.split)
+    assert np.array_equal(a.groups, b.groups)
 
 
 # ----------------------------------------------------------------- split
@@ -157,10 +166,18 @@ def test_split_fraction_validation():
         split_dataset(ds, mode="stratified")
     with pytest.raises(ConfigError, match="nonnegative and sum to 1"):
         split_dataset(ds, fractions=(0.6, 0.2, float("nan"), 0.2))
-    # ood mode splits the kept clusters by the same fractions without split_dataset
     for fractions in ((0.5, 0.5), (0.7, 0.2, 0.1, 0.1)):
         with pytest.raises(ConfigError, match="fractions"):
-            gen_clustered_shift(400, 2, mode="ood", fractions=fractions)
+            split_dataset(gen_clustered_shift(400, 2), fractions=fractions,
+                          test_groups=["cluster_06"])
+
+
+def test_test_groups_validation():
+    clustered = gen_clustered_shift(400, 2)
+    with pytest.raises(ConfigError, match="require group labels"):
+        split_dataset(gen_heteroscedastic(50, 2, "constant", seed=0), test_groups=["a"])
+    with pytest.raises(ConfigError, match="no share outside test_groups"):
+        split_dataset(clustered, fractions=(0.0, 1.0, 0.0, 0.0), test_groups=["cluster_06"])
 
 
 def test_by_group_split_keeps_groups_whole():
@@ -196,6 +213,56 @@ def test_by_group_requires_groups():
         split_dataset(ds, mode="by_group")
 
 
+@st.composite
+def split_cases(draw):
+    """A dataset with a random group layout, plus split_dataset arguments."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    names = [f"g{i}" for i in range(len(sizes))]
+    groups = np.repeat(names, sizes)[draw(st.permutations(range(sum(sizes))))]
+    ds = Dataset(X=np.arange(groups.size, dtype=np.float64)[:, None],
+                 y=np.zeros(groups.size), groups=groups)
+    weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
+    test_groups = draw(st.none() | st.sets(st.sampled_from(names)))
+    return ds, {"fractions": tuple(np.array(weights) / sum(weights)),
+                "mode": draw(st.sampled_from(datagen.SPLIT_MODES)),
+                "seed": draw(st.integers(0, 2**32 - 1)), "test_groups": test_groups}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_cases())
+def test_split_dataset_properties(case):
+    ds, kwargs = case
+    shares = np.array(kwargs["fractions"])
+    held = np.zeros(ds.n, dtype=bool)
+    if kwargs["test_groups"] is not None:
+        held = np.isin(ds.groups, sorted(kwargs["test_groups"]))
+        shares[SPLIT_TAGS.index("test")] = 0.0
+        if shares.sum() == 0.0:
+            with pytest.raises(ConfigError, match="no share outside test_groups"):
+                split_dataset(ds, **kwargs)
+            return
+        shares /= shares.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # by_group overshooting a target
+        out = split_dataset(ds, **kwargs)
+    assert np.array_equal(out.X, ds.X) and np.array_equal(out.groups, ds.groups)
+    # one tag per row, and test holds exactly the test_groups rows
+    assert out.split.shape == (ds.n,) and set(out.split) <= set(SPLIT_TAGS)
+    if kwargs["test_groups"] is not None:
+        assert np.array_equal(out.split == "test", held)
+    rest = out.split[~held]
+    m = rest.size
+    if kwargs["mode"] == "by_group":
+        for g in np.unique(ds.groups):
+            assert np.unique(out.split[ds.groups == g]).size == 1, g
+        for tag, share in zip(SPLIT_TAGS, shares):
+            if share == 0.0:
+                assert not np.any(rest == tag), tag
+    else:
+        for tag, share in zip(SPLIT_TAGS, shares):
+            assert abs(np.sum(rest == tag) - share * m) <= 1.0 + 1e-9, tag
+
+
 def test_part_selects_split_rows():
     ds = split_dataset(gen_heteroscedastic(100, 2, "constant", seed=0), seed=0)
     test = ds.part("test")
@@ -208,7 +275,7 @@ def test_part_selects_split_rows():
 # ------------------------------------------------------------------- csv
 
 def test_csv_round_trip_lossless(tmp_path):
-    ds = split_dataset(gen_clustered_shift(200, 3, seed=9, mode="iid"), seed=1)
+    ds = split_dataset(gen_clustered_shift(200, 3, seed=9), seed=1)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -309,9 +376,9 @@ def test_exact_float_round_trip(tmp_path):
 
 def test_csv_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "data.csv"
-    save_csv(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=0, mode="iid"), path)
+    save_csv(split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=0), seed=0), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    ds = gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=1, mode="iid")
+    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=1), seed=1)
     ds.split = ds.split.astype(object)
     ds.split[CSV_BLOCK_ROWS + 5] = 7  # fails to format after the first block is written
     with pytest.raises(TypeError):
@@ -473,7 +540,7 @@ def test_csv_saved_cache_entry_equals_cold_parse(tmp_path_factory, ds, meta, wid
 
 
 def test_csv_load_after_save_does_not_parse(tmp_path, parses):
-    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=3, mode="iid"))
+    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=3))
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     for _ in range(3):
@@ -509,7 +576,7 @@ def test_csv_one_byte_edit_of_either_file_misses(tmp_path, parses):
 
 
 def test_csv_loaded_arrays_are_read_only(tmp_path):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3, mode="iid"))
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3))
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     for cold in (False, True):
@@ -524,7 +591,7 @@ def test_csv_loaded_arrays_are_read_only(tmp_path):
 
 
 def test_csv_cache_is_not_changed_through_results_or_the_saved_dataset(tmp_path):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3, mode="iid"), seed=2)
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=2)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     want = json.loads(json.dumps(ds.meta))
@@ -604,7 +671,7 @@ def test_csv_sidecar_without_data_sha256_still_loads(tmp_path):
 
 
 def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
-    ds = gen_clustered_shift(40, 2, seed=3, mode="iid")
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3)
     ds.split = np.where(ds.split == "val", "holdout", ds.split)  # bypasses validation
     path = tmp_path / "data.csv"
     save_csv(ds, path)
@@ -614,7 +681,7 @@ def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
 
 @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\nb"])
 def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
-    ds = gen_clustered_shift(40, 2, seed=3, mode="iid")
+    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3)
     ds.groups = ds.groups.astype(object)
     ds.groups[7] = label
     with pytest.raises(CsvFormatError, match="commas or line breaks"):
@@ -626,10 +693,10 @@ def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
                                            ("groups", "group"), ("split", "split")])
 def test_csv_save_refuses_a_column_with_the_wrong_row_count(tmp_path, field, column):
     path = tmp_path / "data.csv"
-    save_csv(gen_clustered_shift(40, 2, seed=3, mode="iid"), path)
+    save_csv(split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert set(before) == {"data.csv", "data.csv.meta.json"}
-    ds = gen_clustered_shift(50, 2, seed=1, mode="iid")
+    ds = split_dataset(gen_clustered_shift(50, 2, seed=1), seed=1)
     setattr(ds, field, getattr(ds, field)[:10])  # bypasses validation
     with pytest.raises(CsvFormatError,
                        match=rf"data.csv: column '{column}' has shape \(10,\), not \(50,\)"):

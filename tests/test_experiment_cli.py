@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,83 @@ def test_stage_without_upstream_artifact_writes_failed_manifest(tmp_path):
     assert manifest["error"] == {"type": "ConfigError", "message": str(raised.value)}
 
 
+def test_failed_stage_stays_failed_until_it_succeeds(tmp_path, capsys):
+    # a diverging train leaves the good run's moe_model.json behind; calibrate
+    # must not vouch for it, and only a good train clears the record
+    good = write_config(tmp_path, small_config())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(small_config(train={"lr": 1e300})))
+    out = tmp_path / "run"
+
+    def tessera(cmd, cfg):
+        return main([cmd, "--config", str(cfg), "--out", str(out)])
+
+    def manifest():
+        return serialize.load(out / "manifest.json")
+
+    assert tessera("gen-data", good) == 0 and tessera("train", good) == 0
+    assert tessera("train", bad) == 1
+    for _ in range(2):
+        assert tessera("calibrate", bad) == 1
+        assert "moe_model.json is stale: `tessera train` failed" in capsys.readouterr().err
+        assert manifest()["status"] == "failed"
+        assert manifest()["stages"] == {"gen-data": "ok", "train": "failed",
+                                        "calibrate": "failed", "evaluate": "missing"}
+    assert tessera("gen-data", good) == 0  # another stage's success keeps the record
+    assert manifest()["stages"]["train"] == "failed"
+    assert tessera("train", good) == 0
+    assert manifest()["stages"]["train"] == "ok"
+    assert manifest()["stages"]["calibrate"] == "failed"
+    assert tessera("calibrate", good) == 0 and tessera("evaluate", good) == 0
+    assert manifest()["status"] == "ok"
+    assert set(manifest()["stages"].values()) == {"ok"}
+
+
+def test_cli_evaluate_refuses_a_calibration_at_another_alpha(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "alpha_mix"
+    for cmd in ("gen-data", "train", "calibrate"):
+        assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                 "--alpha", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert "calibration_epistemic.json was calibrated at alpha=0.1, epsilon=1e-08" in err
+    assert "the config asks for alpha=0.3, epsilon=1e-08" in err
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["status"] == "failed" and manifest["stages"]["evaluate"] == "failed"
+    assert not (out / "metrics_tessera_e.json").exists()
+    # the MoE and dropout intervals read no calibration
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                 "--alpha", "0.3", "--method", "moe_a"]) == 0
+
+
+def _clustered_split(tmp_path, mode, split_mode):
+    config = ExperimentConfig.from_dict(small_config(
+        data={"kind": "clustered_shift", "n": 2000, "dim": 2, "mode": mode},
+        split={"mode": split_mode}))
+    return stage_gen_data(config, tmp_path / f"{mode}_{split_mode}")
+
+
+def test_by_group_split_mode_keeps_clusters_whole_on_clustered_data(tmp_path):
+    with pytest.warns(UserWarning, match="exceeds"):  # 250-row clusters, 200-row targets
+        ds = _clustered_split(tmp_path, "iid", "by_group")
+    for g in set(ds.groups):
+        assert len(set(ds.split[ds.groups == g])) == 1, g
+    assert set(ds.split) == set(datagen.SPLIT_TAGS)
+    assert ds.meta["split"]["mode"] == "by_group"
+
+
+@pytest.mark.parametrize("split_mode", ["random", "by_group"])
+def test_ood_test_split_is_exactly_the_held_out_clusters(tmp_path, split_mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # by_group overshoots val and cal
+        ds = _clustered_split(tmp_path, "ood", split_mode)
+    held = np.isin(ds.groups, ["cluster_06", "cluster_07"])
+    assert np.array_equal(ds.split == "test", held)
+    assert set(ds.split[~held]) == {"train", "val", "cal"}
+    assert ds.meta["split"]["test_groups"] == ["cluster_06", "cluster_07"]
+
+
 def test_alpha_is_respected(tmp_path):
     cfg = small_config(calibration={"alpha": 0.5})
     out = tmp_path / "wide_alpha"
@@ -315,7 +393,6 @@ def test_cli_missing_artifact_fails_nonzero(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_cli_failed_stage_writes_failed_manifest(tmp_path, capsys):
     # a single-stage command records its failure as `tessera run` does
     cfg_path = write_config(tmp_path, small_config(train={"lr": 1e300}))

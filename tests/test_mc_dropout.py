@@ -199,7 +199,6 @@ def test_training_reduces_mse():
     assert len(history) == 20
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_reports_epoch():
     ds = gen_heteroscedastic(200, 2, "constant", seed=6)
     model = DropoutMlp.init(2, hidden=8, dropout=0.5, rng=make_rng(3))

@@ -305,7 +305,6 @@ def test_train_nll_weights_each_minibatch_loss_by_its_rows(small_data):
         assert abs(np.mean(losses) - want) > 1e-9 * abs(want)  # the weighting shows
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_training_divergence_reports_epoch(small_data):
     X, y, Xv, yv = small_data
     model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
