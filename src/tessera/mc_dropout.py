@@ -15,12 +15,8 @@ import numpy as np
 from . import serialize
 from .conformal import PredictionIntervals
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, activate, adam_step, as_rng, check_adam_schedule, \
-    make_rng, ndtri
-
-# Rows per block of a masked layer in mc_predict: small enough that a
-# block's uniforms, mask and output stay in cache (512-2048 time alike)
-_BLOCK_ROWS = 1024
+from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, as_rng, \
+    check_adam_schedule, make_rng, ndtri, row_blocks
 
 
 class DropoutMlp:
@@ -55,6 +51,8 @@ class DropoutMlp:
                 for w in self.net.weights[:-1]]
 
     def deterministic_forward(self, x: Array) -> Array:
+        """The net's output with dropout off, from the row-blocked
+        ``Mlp.forward``."""
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self.net.forward(X)[:, 0]
 
@@ -135,14 +133,16 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
     No mask touches the first layer's activation, so it is computed once.
-    Each pass runs every later layer in blocks of ``_BLOCK_ROWS`` rows:
+    Each pass runs every later layer in the row blocks of ``row_blocks``:
     draw the block's uniforms into one buffer, threshold them in place into
     the inverted-dropout mask, multiply in the block of the layer input and
     matmul into that block of the layer output, so the working set stays
     in cache. The uniforms are drawn layer by layer and row-major within a
     layer, and consecutive ``rng.random`` calls continue one stream, so
     the masks, and every output bit, are those of ``sample_masks`` over
-    all rows at once.
+    all rows at once. The variance is finished in place over the
+    (passes, n) draws, in the float order of ``np.var(ddof=1)``: mean,
+    subtract, square, sum, divide by passes - 1.
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
@@ -158,31 +158,35 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
         activate(first, net.activations[0])
     keep = 1.0 - model.dropout
     draws = np.empty((passes, n))
-    # row blocks; a lone last row joins the block before it, since numpy
-    # runs a one-row matmul through another BLAS kernel (dot or gemv)
-    edges = [*range(0, max(n - 1, 1), _BLOCK_ROWS), n]
+    blocks = row_blocks(n)
     # each masked layer's input, and its block buffer for uniforms and mask
     inputs = [first] + [np.empty((n, w.shape[0])) for w in net.weights[2:]]
-    blocks = [np.empty((min(n, _BLOCK_ROWS + 1), w.shape[0])) for w in net.weights[1:]]
+    bufs = [np.empty((min(n, BLOCK_ROWS + 1), w.shape[0])) for w in net.weights[1:]]
     if net.n_layers == 1:
         draws[:] = first[:, 0]
     for t in range(passes):
         for layer in range(1, net.n_layers):
-            h, buf = inputs[layer - 1], blocks[layer - 1]
+            h, buf = inputs[layer - 1], bufs[layer - 1]
             last = layer == net.n_layers - 1
             dest = draws[t, :, None] if last else inputs[layer]
-            for start, stop in zip(edges, edges[1:]):
-                mask = buf[:stop - start]
+            for rows in blocks:
+                mask = buf[:rows.stop - rows.start]
                 rng.random(out=mask)
                 np.less(mask, keep, out=mask)
                 mask *= 1.0 / keep  # k / keep == k * (1 / keep) for k in {0, 1}
-                mask *= h[start:stop]
-                out = dest[start:stop]
+                mask *= h[rows]
+                out = dest[rows]
                 np.matmul(mask, net.weights[layer], out=out)
                 out += net.biases[layer]
                 if not last:
                     activate(out, net.activations[layer])
-    return draws.mean(axis=0), draws.var(axis=0, ddof=1)
+    mean = draws.sum(axis=0)
+    mean /= passes
+    draws -= mean
+    np.square(draws, out=draws)
+    var = draws.sum(axis=0)
+    var /= passes - 1
+    return mean, var
 
 
 def mc_intervals(mean: Array, variance: Array, alpha: float = 0.10) -> PredictionIntervals:

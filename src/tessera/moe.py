@@ -76,15 +76,14 @@ class MixturePrediction:
         return np.sqrt(np.mean(dev * dev, axis=1))
 
 
-class _ForwardParts(NamedTuple):
-    X: Array
+class _Heads(NamedTuple):
+    """A batch's (n, K) mixture heads, each on K-major storage."""
+
     log_w: Array
     w: Array
     mu: Array
     raw_var: Array
     sigma2: Array
-    gate_cache: dict
-    expert_cache: dict
 
 
 class MoeModel:
@@ -148,12 +147,15 @@ class MoeModel:
             raise DimensionError(f"need a vector of {self.params.size} parameters")
         self.params[...] = params
 
-    def _forward_parts(self, x: Array, check_finite: bool = False) -> _ForwardParts:
+    def _check_input(self, x: Array) -> Array:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if X.shape[1] != self.input_dim:
             raise DimensionError(f"input must be (n, {self.input_dim})")
-        logits, gate_cache = self.gate.forward_cache(X, check_finite=check_finite)
-        out, expert_cache = self.experts.forward_cache(X, check_finite=check_finite)
+        return X
+
+    def _heads(self, logits: Array, out: Array) -> _Heads:
+        """Mixture heads from the gate's (n, K) logits and the experts'
+        (K, n, 2) outputs."""
         # (n, K) arrays on K-major storage, the layout softmax_lse reduces
         # over without a copy; every (n, K) result below inherits it
         logits = np.asfortranarray(logits)
@@ -161,12 +163,32 @@ class MoeModel:
         mu = np.asfortranarray(out[..., 0].T)
         raw = np.asfortranarray(out[..., 1].T)
         sigma2 = softplus(raw) + self.var_floor
-        return _ForwardParts(X, logits - lse[:, None], w, mu, raw, sigma2, gate_cache,
-                             expert_cache)
+        return _Heads(logits - lse[:, None], w, mu, raw, sigma2)
+
+    def _forward_parts(self, x: Array) -> tuple[_Heads, dict, dict]:
+        """Heads of a training batch plus the gate's and the experts'
+        caches, which the gradient needs."""
+        X = self._check_input(x)
+        logits, gate_cache = self.gate.forward_cache(X)
+        out, expert_cache = self.experts.forward_cache(X)
+        return self._heads(logits, out), gate_cache, expert_cache
+
+    def _forward_heads(self, x: Array, check_finite: bool = False) -> _Heads:
+        """Heads from the row-blocked ``Mlp.forward`` of the gate and the
+        experts, keeping no cache."""
+        X = self._check_input(x)
+        return self._heads(self.gate.forward(X, check_finite=check_finite),
+                           self.experts.forward(X, check_finite=check_finite))
 
     def forward(self, x: Array, check_finite: bool = True) -> MixturePrediction:
-        parts = self._forward_parts(x, check_finite=check_finite)
-        return MixturePrediction(parts.w, parts.mu, parts.sigma2)
+        """Mixture prediction for the rows of ``x``.
+
+        The gate and the experts run in the row blocks of ``Mlp.forward``,
+        so memory grows with n * K, not with n * K * expert_hidden; a
+        non-finite layer value raises ``ModelError`` when ``check_finite``.
+        """
+        heads = self._forward_heads(x, check_finite=check_finite)
+        return MixturePrediction(heads.w, heads.mu, heads.sigma2)
 
     def save(self, path) -> None:
         serialize.save_checkpoint(path, "moe", {
@@ -207,38 +229,39 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
     return float(out[0]) if scalar_in else out
 
 
-def _nll_core(model: MoeModel, x: Array, y):
-    """Mean NLL of a batch plus the pieces its gradient needs: the forward
-    parts, the targets, the per-row component responsibilities, and the
+def _nll_core(heads: _Heads, y):
+    """Mean NLL of a batch from its heads, plus the pieces its gradient
+    needs: the targets, the per-row component responsibilities, and the
     residuals y - mu with their squares. Raises if the loss is not
     finite."""
-    parts = model._forward_parts(x)
     yv = np.asarray(y, dtype=np.float64).ravel()
-    if yv.shape[0] != parts.X.shape[0]:
+    if yv.shape[0] != heads.w.shape[0]:
         raise DimensionError("y must have one target per row of x")
     if yv.shape[0] == 0:
         raise DimensionError("empty batch")
-    comp, resid, sq = _log_components(parts.log_w, parts.mu, parts.sigma2, yv)
+    comp, resid, sq = _log_components(heads.log_w, heads.mu, heads.sigma2, yv)
     log_mix, resp = softmax_lse(comp)
     loss = float(-log_mix.mean())
     if not np.isfinite(loss):
         raise TrainingError("non-finite mixture NLL")
-    return loss, parts, yv, resp, resid, sq
+    return loss, yv, resp, resid, sq
 
 
 def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
-    """Mean mixture negative log likelihood of a batch."""
-    return _nll_core(model, x, y)[0]
+    """Mean mixture negative log likelihood of a batch, from the
+    row-blocked forward pass of ``MoeModel.forward``."""
+    return _nll_core(model._forward_heads(x), y)[0]
 
 
 def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     """Mean mixture NLL with its exact gradient in the ``model.params``
     layout. Raises if the loss is not finite.
     """
-    loss, parts, yv, resp, resid, sq = _nll_core(model, x, y)
+    heads, gate_cache, expert_cache = model._forward_parts(x)
+    loss, yv, resp, resid, sq = _nll_core(heads, y)
     n = yv.shape[0]
-    s2 = parts.sigma2
-    d_logits = (parts.w - resp) / n
+    s2 = heads.sigma2
+    d_logits = (heads.w - resp) / n
     # (K, n, 2), slice k for expert k. Each formula runs on K-major (n, K)
     # arrays, so its transpose is contiguous and is copied in at once: ufuncs
     # writing through the strided views run slower. softplus'(r) = sigmoid(r)
@@ -246,11 +269,11 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     upstream = np.empty((s2.shape[1], n, 2))
     upstream[..., 0] = (-(resp * resid / s2) / n).T
     upstream[..., 1] = (-(resp * 0.5 * (sq / (s2 * s2) - 1.0 / s2)) / n
-                        * sigmoid(parts.raw_var)).T
+                        * sigmoid(heads.raw_var)).T
     grad = np.empty_like(model.params)
     n_gate = model.gate.n_params
-    model.gate.backward(parts.gate_cache, d_logits, out=grad[:n_gate])
-    model.experts.backward(parts.expert_cache, upstream, out=grad[n_gate:])
+    model.gate.backward(gate_cache, d_logits, out=grad[:n_gate])
+    model.experts.backward(expert_cache, upstream, out=grad[n_gate:])
     return loss, grad
 
 

@@ -1,7 +1,8 @@
 """Numeric kernels: seeded RNG streams, the row softmax with its
 log-sum-exp, the sigmoid and the standard normal quantile, a small fully
 connected net (one net or a stack of K) over one parameter vector with
-hand-written reverse-mode gradients, and Adam.
+hand-written reverse-mode gradients and a row-blocked inference pass, and
+Adam.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -18,6 +19,13 @@ from .errors import ConfigError, DimensionError, ModelError, TrainingError
 Array = np.ndarray
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+
+# Rows per block of an inference pass: small enough that a block's hidden
+# activations (and a dropout block's uniforms and mask) stay in cache
+# (512-2048 time alike), and that a block's matmul stays on the BLAS kernel
+# OpenBLAS leaves for another once a (n, 64) @ (64, 2) product passes 7000-8000
+# rows (OpenBLAS 0.3.31), so a row's output bits do not depend on n
+BLOCK_ROWS = 1024
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -152,6 +160,18 @@ def softmax_lse(a: Array) -> tuple[Array, Array]:
     return lse, e.T
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of at most ``BLOCK_ROWS`` rows covering
+    ``range(n)``; n = 0 gives one empty slice.
+
+    A lone last row joins the block before it (which then holds
+    ``BLOCK_ROWS + 1`` rows), since numpy runs a one-row matmul through
+    another BLAS kernel (dot or gemv), whose float order differs.
+    """
+    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
 def activate(z: Array, tag: str) -> Array:
     """The activation, computed in place."""
     if tag == "tanh":
@@ -280,6 +300,12 @@ class Mlp:
     def n_params(self) -> int:
         return self.params.size
 
+    def _check_input(self, x: Array) -> Array:
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise DimensionError(f"input must be (n, {self.input_dim})")
+        return X
+
     def _check_masks(self, X: Array, hidden_masks) -> list[Array] | None:
         if hidden_masks is None:
             return None
@@ -299,9 +325,7 @@ class Mlp:
         leading K axis for a stack. The cache keys intermediate arrays by
         layer.
         """
-        X = np.asarray(x, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimensionError(f"input must be (n, {self.input_dim})")
+        X = self._check_input(x)
         masks = self._check_masks(X, hidden_masks)
         inputs = [X]          # what each layer consumed
         hidden = []           # post-activation, pre-mask, per hidden layer
@@ -322,10 +346,22 @@ class Mlp:
         return h, cache
 
     def forward(self, x: Array, hidden_masks=None, check_finite: bool = False) -> Array:
-        """Batched forward pass; accepts a single sample as a 1-d vector."""
+        """Batched forward pass keeping no cache; accepts a single sample as
+        a 1-d vector.
+
+        The rows run in the blocks of ``row_blocks``, each through
+        ``forward_cache`` (with its slice of each mask), into one
+        preallocated output. So the hidden activations held at once are a
+        block's, not n rows' (for a stack, K of them), and every output
+        row is bit for bit what ``forward_cache`` gives on its block.
+        """
         single = np.asarray(x).ndim == 1
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out, _ = self.forward_cache(X, hidden_masks, check_finite)
+        X = self._check_input(np.atleast_2d(x))
+        masks = self._check_masks(X, hidden_masks)
+        out = np.empty(self.weights[0].shape[:-2] + (X.shape[0], self.output_dim))
+        for rows in row_blocks(X.shape[0]):
+            block_masks = None if masks is None else [m[..., rows, :] for m in masks]
+            out[..., rows, :] = self.forward_cache(X[rows], block_masks, check_finite)[0]
         return out[..., 0, :] if single else out
 
     def backward(self, cache, upstream: Array, out: Array | None = None) -> Array:

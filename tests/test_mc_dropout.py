@@ -6,14 +6,13 @@ from scipy.stats import norm
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import (
-    _BLOCK_ROWS,
     DropoutMlp,
     McDropoutSpec,
     mc_intervals,
     mc_predict,
     train_dropout,
 )
-from tessera.nn import ACTIVATIONS, Mlp, make_rng, ndtri
+from tessera.nn import ACTIVATIONS, BLOCK_ROWS, Mlp, make_rng, ndtri
 
 
 def hand_identity_net(d=2, hidden=16):
@@ -93,10 +92,10 @@ def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, 
     assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, 37)
 
 
-# mc_predict runs its masked layers in blocks of _BLOCK_ROWS rows; 1/keep is a
+# mc_predict runs its masked layers in blocks of BLOCK_ROWS rows; 1/keep is a
 # power of two at dropout 0.5 but not at 0.3
-@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                  2 * _BLOCK_ROWS + 7])
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 7])
 @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("widths", [(3, 16, 1), (3, 16, 8, 1)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)

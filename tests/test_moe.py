@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from gradcheck import finite_difference_gradients
 from tessera import serialize
 from tessera.datagen import gen_heteroscedastic
 from tessera.errors import DimensionError, TrainingError
-from tessera.mc_dropout import DropoutMlp
+from tessera.mc_dropout import DropoutMlp, mc_predict
 from tessera.moe import (
+    LOG_2PI,
     MixturePrediction,
     MoeModel,
     TrainSpec,
@@ -21,7 +23,8 @@ from tessera.moe import (
     mixture_nll_loss,
     train_moe,
 )
-from tessera.nn import AdamState, Mlp, adam_step, make_rng, softmax_lse, softplus
+from tessera.nn import BLOCK_ROWS, AdamState, Mlp, adam_step, make_rng, row_blocks, \
+    softmax_lse, softplus
 
 
 def two_component():
@@ -162,6 +165,64 @@ def test_forward_matches_experts_one_by_one_bitwise():
     pred = model.forward(X)
     for name in ("mean", "aleatoric", "epistemic"):
         assert np.array_equal(getattr(pred, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("rows", [BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 7])
+def test_forward_and_val_loss_match_a_per_block_reference_bitwise(rows):
+    model = MoeModel.init(3, n_experts=4, expert_hidden=16, gate_kind="mlp", gate_hidden=8,
+                          rng=make_rng(31))
+    rng = make_rng(32)
+    X = rng.standard_normal((rows, 3))
+    y = rng.standard_normal(rows)
+    blocks = row_blocks(rows)
+    logits = np.concatenate([model.gate.forward_cache(X[b])[0] for b in blocks])
+    out = np.concatenate([model.experts.forward_cache(X[b])[0] for b in blocks], axis=1)
+    lse, w = softmax_lse(logits)
+    mu, s2 = out[..., 0].T, softplus(out[..., 1].T) + model.var_floor
+    pred = model.forward(X)
+    for got, want in ((pred.w, w), (pred.mu, mu), (pred.sigma2, s2)):
+        assert np.array_equal(got, want)
+    resid = y[:, None] - mu
+    comp = (logits - lse[:, None]) + -0.5 * (LOG_2PI + np.log(s2) + resid * resid / s2)
+    assert mixture_nll_loss(model, X, y) == float(-softmax_lse(comp)[0].mean())
+
+
+def test_zero_rows_raise_the_softmax_dimension_error():
+    model = MoeModel.init(2, n_experts=2, expert_hidden=4, rng=make_rng(0))
+    with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
+        model.forward(np.zeros((0, 2)))
+    with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
+        mixture_nll_loss(model, np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("hidden", [16, 128])
+@pytest.mark.parametrize("call", ["forward", "nll_loss", "deterministic_forward",
+                                  "mc_predict"])
+def test_inference_at_large_n_allocates_linear_memory(call, hidden):
+    # bounds in float64 n-vectors, none growing with the hidden width but
+    # mc_predict's: it keeps the first layer's (n, hidden) activation across
+    # its passes, besides its (passes, n) draws. A pass holding every row's
+    # hidden activations at once would need K * hidden vectors.
+    n, k, passes = 20_000, 4, 50
+    rng = make_rng(33)
+    X = rng.standard_normal((n, 3))
+    y = rng.standard_normal(n)
+    moe = MoeModel.init(3, n_experts=k, expert_hidden=hidden, rng=make_rng(34))
+    dropout = DropoutMlp.init(3, hidden=hidden, rng=make_rng(35))
+    run, vectors = {
+        "forward": (lambda: moe.forward(X), 12 * k),
+        "nll_loss": (lambda: mixture_nll_loss(moe, X, y), 12 * k),
+        "deterministic_forward": (lambda: dropout.deterministic_forward(X), 12),
+        "mc_predict": (lambda: mc_predict(dropout, X, passes, make_rng(36)),
+                       passes + hidden + 16),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors * 8 * n
 
 
 def test_gate_kinds():

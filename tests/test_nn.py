@@ -14,12 +14,14 @@ from gradcheck import finite_difference_gradients
 from tessera.errors import DimensionError, TrainingError
 from tessera.nn import (
     ACTIVATIONS,
+    BLOCK_ROWS,
     AdamState,
     Mlp,
     activate,
     adam_step,
     make_rng,
     ndtri,
+    row_blocks,
     sigmoid,
     softmax_lse,
     softplus,
@@ -378,6 +380,40 @@ def test_unstack_inverts_stack():
         assert a.activations == b.activations
     with pytest.raises(DimensionError):
         Mlp.stack([])
+
+
+@pytest.mark.parametrize("n,edges", [
+    (0, [0, 0]),
+    (1, [0, 1]),
+    (BLOCK_ROWS, [0, BLOCK_ROWS]),
+    (BLOCK_ROWS + 1, [0, BLOCK_ROWS + 1]),  # a lone last row joins the block before it
+    (2 * BLOCK_ROWS, [0, BLOCK_ROWS, 2 * BLOCK_ROWS]),
+    (2 * BLOCK_ROWS + 1, [0, BLOCK_ROWS, 2 * BLOCK_ROWS + 1]),
+])
+def test_row_blocks_edges(n, edges):
+    assert [(b.start, b.stop) for b in row_blocks(n)] == list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("k", [None, 3], ids=["net", "stack"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_forward_is_forward_cache_per_row_block_bitwise(activation, k, rows, masked):
+    rng = make_rng(rows + ACTIVATIONS.index(activation))
+    nets = [Mlp.init((3, 16, 8, 2), activation, rng=rng) for _ in range(k or 1)]
+    net = nets[0] if k is None else Mlp.stack(nets)
+    net.params += 0.1 * rng.standard_normal(net.n_params)  # nonzero biases
+    x = rng.standard_normal((rows, 3))
+    lead = () if k is None else (k,)
+    masks = [2.0 * (rng.random(lead + (rows, w.shape[-1])) < 0.5)
+             for w in net.weights[:-1]] if masked else None
+    got = net.forward(x, hidden_masks=masks)
+    want = np.concatenate([
+        net.forward_cache(x[b], None if masks is None else [m[..., b, :] for m in masks])[0]
+        for b in row_blocks(rows)], axis=-2)
+    assert got.shape == lead + (rows, 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_xavier_init_bounds_and_zero_bias():
