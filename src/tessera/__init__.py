@@ -12,6 +12,6 @@ README's Python API example uses.
 from .conformal import build_intervals, calibrate
 from .datagen import gen_heteroscedastic, split_dataset
 from .metrics import picp
-from .moe import MoeModel, TrainSpec, train_moe
+from .moe import ModelSpec, MoeModel, TrainSpec, train_moe
 
 __version__ = "0.1.0"

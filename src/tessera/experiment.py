@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,11 +24,11 @@ from .datagen import DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, check_clustered, \
     load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
-from .metrics import CwcConfig, MetricsReport, check_grid, check_group_min_n, \
+from .metrics import MetricsReport, check_cwc, check_grid, check_group_min_n, \
     check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, picp, \
     point_metrics, report_nll, sparsification, ssc_detail
-from .moe import MixturePrediction, MoeModel, TrainSpec, train_moe
-from .nn import ACTIVATIONS, derived_seed, make_rng
+from .moe import MixturePrediction, ModelSpec, MoeModel, TrainSpec, train_moe
+from .nn import derived_seed, make_rng
 
 METHODS = ("tessera_e", "tessera_a", "classical_cp", "moe_e", "moe_a", "mc_dropout")
 SCHEMA_VERSION = 1
@@ -140,27 +139,6 @@ class SplitSpec:
 
 
 @dataclass
-class ModelSpec:
-    n_experts: int = 4
-    expert_hidden: int = 64
-    gate: str = "linear"
-    gate_hidden: int = 32
-    activation: str = "tanh"
-    var_floor: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("n_experts", "expert_hidden", "gate_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.gate not in ("linear", "mlp"):
-            raise ConfigError(f"gate {self.gate!r} is not 'linear' or 'mlp'")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation {self.activation!r} is not one of {ACTIVATIONS}")
-        if not (0.0 < self.var_floor < math.inf):
-            raise ConfigError("var_floor must be positive and finite")
-
-
-@dataclass
 class CalibrationSpec:
     alpha: float = ALPHA_DEFAULT
     epsilon: float = EPSILON_DEFAULT
@@ -186,9 +164,10 @@ class MetricsSpec:
         if self.sparsification_grid is not None:
             self.sparsification_grid = tuple(float(f) for f in self.sparsification_grid)
         # the rules the metrics apply at evaluate, checked at load instead
+        # cwc_mu first, so that each cwc_eta check sees a valid mu
         checks = {
-            "cwc_eta": lambda: [CwcConfig(eta=eta) for eta in self.cwc_eta],
-            "cwc_mu": lambda: CwcConfig(mu=self.cwc_mu),
+            "cwc_mu": lambda: check_cwc(1.0, self.cwc_mu),
+            "cwc_eta": lambda: [check_cwc(eta, self.cwc_mu) for eta in self.cwc_eta],
             "ssc_bins": lambda: [check_ssc_bins(j) for j in self.ssc_bins],
             "sparsification_grid": lambda: self.sparsification_grid is None
             or check_grid(self.sparsification_grid),
@@ -343,20 +322,14 @@ def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutM
     """Train the mixture model and the dropout baseline on the train split."""
     ds = load_csv(_artifact(out, "data.csv"))
     train, val = ds.part("train"), ds.part("val")
-    model = MoeModel.init(ds.dim, n_experts=config.model.n_experts,
-                          expert_hidden=config.model.expert_hidden,
-                          gate_kind=config.model.gate,
-                          gate_hidden=config.model.gate_hidden,
-                          activation=config.model.activation,
-                          var_floor=config.model.var_floor,
-                          rng=make_rng(derived_seed(config.seed, _ROLE_MOE_INIT)))
+    model = MoeModel.init(ds.dim, config.model,
+                          make_rng(derived_seed(config.seed, _ROLE_MOE_INIT)))
     history = train_moe(model, train.X, train.y, val.X, val.y, config.train,
                         derived_seed(config.seed, _ROLE_MOE_TRAIN))
     model.save(out / "moe_model.json")
     serialize.dump(history.to_dict(), out / "moe_history.json")
-    dropout = DropoutMlp.init(ds.dim, hidden=config.mc_dropout.hidden,
-                              dropout=config.mc_dropout.dropout,
-                              rng=make_rng(derived_seed(config.seed, _ROLE_DROPOUT_INIT)))
+    dropout = DropoutMlp.init(ds.dim, config.mc_dropout,
+                              make_rng(derived_seed(config.seed, _ROLE_DROPOUT_INIT)))
     mse = train_dropout(dropout, train.X, train.y, config.mc_dropout,
                         derived_seed(config.seed, _ROLE_DROPOUT_TRAIN))
     dropout.save(out / "mc_dropout_model.json")
@@ -428,7 +401,7 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
     cwc_map = {}
     for eta in mspec.cwc_eta:
         key = str(int(eta)) if float(eta).is_integer() else repr(float(eta))
-        cwc_map[key] = cwc(cov, nmpiw, CwcConfig(eta=eta, mu=mspec.cwc_mu))
+        cwc_map[key] = cwc(cov, nmpiw, eta, mspec.cwc_mu)
     curve = sparsification(intervals.width / 2.0, test.y - mu,
                            grid=mspec.sparsification_grid)
     ssc_map: dict[str, list[float]] | None = {}

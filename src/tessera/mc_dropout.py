@@ -23,7 +23,7 @@ class DropoutMlp:
     """MLP regressor whose hidden units are dropped out both in training
     and at prediction time."""
 
-    def __init__(self, net: Mlp, dropout: float = 0.5):
+    def __init__(self, net: Mlp, dropout: float):
         if net.output_dim != 1:
             raise DimensionError("dropout regressor must emit a single output")
         if not (0.0 <= dropout < 1.0):
@@ -32,11 +32,12 @@ class DropoutMlp:
         self.dropout = float(dropout)
 
     @classmethod
-    def init(cls, input_dim: int, hidden: int = 64, dropout: float = 0.5,
-             activation: str = "relu",
-             rng: int | np.random.Generator | None = None) -> "DropoutMlp":
-        net = Mlp.init((input_dim, hidden, 1), activation, as_rng(0 if rng is None else rng))
-        return cls(net, dropout)
+    def init(cls, input_dim: int, spec: McDropoutSpec, rng: int | np.random.Generator,
+             activation: str = "relu") -> "DropoutMlp":
+        """Fresh net of ``spec``'s hidden width and dropout rate, with
+        Xavier-initialized weights."""
+        net = Mlp.init((input_dim, spec.hidden, 1), activation, as_rng(rng))
+        return cls(net, spec.dropout)
 
     @property
     def input_dim(self) -> int:
@@ -128,8 +129,8 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
     return history
 
 
-def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
-               rng: int | np.random.Generator | None = None) -> tuple[Array, Array]:
+def mc_predict(model: DropoutMlp, x: Array, passes: int,
+               rng: int | np.random.Generator) -> tuple[Array, Array]:
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
     No mask touches the first layer's activation, so it is computed once.
@@ -146,7 +147,7 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
-    rng = as_rng(0 if rng is None else rng)
+    rng = as_rng(rng)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -189,7 +190,7 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int = 50,
     return mean, var
 
 
-def mc_intervals(mean: Array, variance: Array, alpha: float = 0.10) -> PredictionIntervals:
+def mc_intervals(mean: Array, variance: Array, alpha: float) -> PredictionIntervals:
     """Symmetric Gaussian intervals mean +/- z_{1-alpha/2} * sqrt(variance)."""
     m = np.asarray(mean, dtype=np.float64).ravel()
     v = np.asarray(variance, dtype=np.float64).ravel()

@@ -64,31 +64,27 @@ def mpiw_nmpiw(intervals: PredictionIntervals, y) -> tuple[float, float]:
     return mpiw, mpiw / (hi - lo)
 
 
-@dataclass(frozen=True)
-class CwcConfig:
-    eta: float = 50.0
-    mu: float = 0.9
-
-    def __post_init__(self):
-        if not (self.eta > 0):
-            raise MetricError("eta must be positive")
-        if not (0.0 < self.mu < 1.0):
-            raise MetricError("mu must lie strictly between 0 and 1")
+def check_cwc(eta: float, mu: float) -> None:
+    """The ranges :func:`cwc` accepts: eta > 0 and 0 < mu < 1."""
+    if not (eta > 0):
+        raise MetricError("eta must be positive")
+    if not (0.0 < mu < 1.0):
+        raise MetricError("mu must lie strictly between 0 and 1")
 
 
-def cwc(picp_value: float, nmpiw_value: float, config: CwcConfig | None = None) -> float:
+def cwc(picp_value: float, nmpiw_value: float, eta: float, mu: float) -> float:
     """Coverage-width criterion: width scaled up when coverage misses mu.
 
     The penalty gate closes exactly at picp >= mu; an infinite width passes
     through as +inf.
     """
-    config = config or CwcConfig()
+    check_cwc(eta, mu)
     if not (0.0 <= picp_value <= 1.0):
         raise MetricError("picp must lie in [0, 1]")
     if np.isnan(nmpiw_value) or nmpiw_value < 0:
         raise MetricError("nmpiw must be nonnegative")
-    gamma = 0.0 if picp_value >= config.mu else 1.0
-    return float(nmpiw_value * (1.0 + gamma * np.exp(-config.eta * (picp_value - config.mu))))
+    gamma = 0.0 if picp_value >= mu else 1.0
+    return float(nmpiw_value * (1.0 + gamma * np.exp(-eta * (picp_value - mu))))
 
 
 @dataclass
@@ -206,7 +202,7 @@ def check_group_min_n(min_n: int) -> None:
 
 
 def groupwise_picp(intervals: PredictionIntervals, y, groups,
-                   min_n: int = 10) -> list[GroupCoverageEntry]:
+                   min_n: int) -> list[GroupCoverageEntry]:
     """Coverage per group label, skipping groups with fewer than min_n
     samples. Entries are ordered by descending size, ties by name."""
     yv = _paired(intervals, y)

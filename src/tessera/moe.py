@@ -10,18 +10,43 @@ the scale of disagreement between expert means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import serialize
-from .errors import DimensionError, TrainingError
-from .nn import AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, make_rng, \
-    sigmoid, softmax_lse, softplus
+from .errors import ConfigError, DimensionError, TrainingError
+from .nn import ACTIVATIONS, AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, \
+    make_rng, sigmoid, softmax_lse, softplus
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-VAR_FLOOR_DEFAULT = 1e-6
+
+
+@dataclass
+class ModelSpec:
+    """Shape of the mixture model: K experts of one hidden layer, a linear
+    gate or a one hidden layer MLP gate, their activation, and the floor
+    added to every component variance."""
+
+    n_experts: int = 4
+    expert_hidden: int = 64
+    gate: str = "linear"
+    gate_hidden: int = 32
+    activation: str = "tanh"
+    var_floor: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("n_experts", "expert_hidden", "gate_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.gate not in ("linear", "mlp"):
+            raise ConfigError(f"gate {self.gate!r} is not 'linear' or 'mlp'")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation {self.activation!r} is not one of {ACTIVATIONS}")
+        if not (0.0 < self.var_floor < math.inf):
+            raise ConfigError("var_floor must be positive and finite")
 
 
 @dataclass
@@ -93,7 +118,7 @@ class MoeModel:
     parameters followed by the stack's, and both nets view into it.
     """
 
-    def __init__(self, gate: Mlp, experts: Sequence[Mlp], var_floor: float = VAR_FLOOR_DEFAULT):
+    def __init__(self, gate: Mlp, experts: Sequence[Mlp], var_floor: float):
         stack = Mlp.stack(experts)
         if gate.output_dim != stack.weights[0].shape[0]:
             raise DimensionError("gate must emit one logit per expert")
@@ -111,27 +136,15 @@ class MoeModel:
         self.var_floor = float(var_floor)
 
     @classmethod
-    def init(cls, input_dim: int, n_experts: int = 4, expert_hidden: int = 64,
-             gate_kind: str = "linear", gate_hidden: int = 32,
-             activation: str = "tanh", var_floor: float = VAR_FLOOR_DEFAULT,
-             rng: int | np.random.Generator | None = None) -> "MoeModel":
-        """Fresh model with Xavier-initialized parts.
-
-        ``gate_kind`` selects a linear softmax gate (default) or a one
-        hidden layer MLP gate of width ``gate_hidden``.
-        """
-        if n_experts < 1:
-            raise DimensionError("n_experts must be >= 1")
-        rng = as_rng(0 if rng is None else rng)
-        if gate_kind == "linear":
-            gate = Mlp.init((input_dim, n_experts), activation, rng)
-        elif gate_kind == "mlp":
-            gate = Mlp.init((input_dim, gate_hidden, n_experts), activation, rng)
-        else:
-            raise DimensionError(f"unknown gate_kind {gate_kind!r}")
-        experts = [Mlp.init((input_dim, expert_hidden, 2), activation, rng)
-                   for _ in range(n_experts)]
-        return cls(gate, experts, var_floor)
+    def init(cls, input_dim: int, spec: ModelSpec,
+             rng: int | np.random.Generator) -> "MoeModel":
+        """Fresh model of shape ``spec`` with Xavier-initialized parts."""
+        rng = as_rng(rng)
+        hidden = () if spec.gate == "linear" else (spec.gate_hidden,)
+        gate = Mlp.init((input_dim, *hidden, spec.n_experts), spec.activation, rng)
+        experts = [Mlp.init((input_dim, spec.expert_hidden, 2), spec.activation, rng)
+                   for _ in range(spec.n_experts)]
+        return cls(gate, experts, spec.var_floor)
 
     @property
     def n_experts(self) -> int:

@@ -419,7 +419,7 @@ class Mlp:
 class AdamState:
     """First/second moment accumulators for one parameter vector."""
 
-    def __init__(self, params: Array, lr: float = 1e-4,
+    def __init__(self, params: Array, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         params = np.asarray(params, dtype=np.float64)
         if params.size == 0:

@@ -32,8 +32,8 @@ from tessera.datagen import gen_clustered_shift, gen_heteroscedastic, split_data
 from tessera.errors import MetricError
 from tessera.experiment import ExperimentConfig, run_experiment
 from tessera.mc_dropout import mc_intervals
-from tessera.metrics import CwcConfig, cwc, disentangle_stats, sparsification
-from tessera.moe import MoeModel, TrainSpec, mixture_nll, mixture_nll_loss, train_moe
+from tessera.metrics import cwc, disentangle_stats, sparsification
+from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, mixture_nll_loss, train_moe
 from tessera.nn import derived_seed, make_rng
 
 ALPHA = 0.10
@@ -65,8 +65,8 @@ def _record(num: int, label: str, verdict: str) -> None:
 
 def _fit_moe(ds, seed, n_experts=4, hidden=32, epochs=200, batch=128, lr=5e-3):
     tr, va = ds.part("train"), ds.part("val")
-    model = MoeModel.init(ds.dim, n_experts=n_experts, expert_hidden=hidden,
-                          rng=make_rng(derived_seed(seed, 1)))
+    model = MoeModel.init(ds.dim, ModelSpec(n_experts=n_experts, expert_hidden=hidden),
+                          make_rng(derived_seed(seed, 1)))
     train_moe(model, tr.X, tr.y, va.X, va.y,
               TrainSpec(epochs=epochs, batch_size=batch, lr=lr), derived_seed(seed, 2))
     return model
@@ -106,11 +106,10 @@ def test_coverage_validity_across_seeds():
 @criterion(2, "penalty metric equals plain width at or above target coverage")
 def test_cwc_collapses_to_nmpiw():
     for eta in (10.0, 50.0, 100.0):
-        config = CwcConfig(eta=eta, mu=0.9)
         for coverage in (0.9, 0.91, 0.95, 1.0):  # boundary included
             for width in (0.17, 0.5, 1.3):
-                assert cwc(coverage, width, config) == width
-        assert cwc(0.899, 0.17, config) > 0.17
+                assert cwc(coverage, width, eta, 0.9) == width
+        assert cwc(0.899, 0.17, eta, 0.9) > 0.17
 
 
 # --------------------------------------------------------------- 3
@@ -123,10 +122,9 @@ def test_gradients_match_finite_differences():
         d = int(rng.integers(1, 9))
         k = int(rng.integers(1, 5))
         gate = "mlp" if i % 3 == 0 else "linear"
-        model = MoeModel.init(d, n_experts=k,
-                              expert_hidden=int(rng.integers(2, 7)),
-                              gate_kind=gate, gate_hidden=3,
-                              rng=make_rng(10_000 + i))
+        spec = ModelSpec(n_experts=k, expert_hidden=int(rng.integers(2, 7)), gate=gate,
+                         gate_hidden=3)
+        model = MoeModel.init(d, spec, make_rng(10_000 + i))
         # nonzero biases, decorrelated weights; tensor by tensor, gate first,
         # then expert by expert, so every model draws the same perturbation
         tensors = [t for pair in zip(model.gate.weights, model.gate.biases) for t in pair]

@@ -55,7 +55,7 @@ def test_zero_dropout_rate_collapses_variance():
 
 
 def test_mc_predict_deterministic_given_seed():
-    model = DropoutMlp.init(3, hidden=8, dropout=0.5, rng=make_rng(0))
+    model = DropoutMlp.init(3, McDropoutSpec(hidden=8, dropout=0.5), make_rng(0))
     x = make_rng(1).standard_normal((4, 3))
     m1, v1 = mc_predict(model, x, passes=20, rng=make_rng(9))
     m2, v2 = mc_predict(model, x, passes=20, rng=make_rng(9))
@@ -105,15 +105,15 @@ def test_mc_predict_matches_a_full_forward_per_pass_across_blocks(activation, wi
 
 
 def test_mc_predict_rejects_wrong_input_width():
-    model = DropoutMlp.init(3, hidden=8, rng=make_rng(0))
+    model = DropoutMlp.init(3, McDropoutSpec(hidden=8), make_rng(0))
     with pytest.raises(DimensionError):
-        mc_predict(model, np.zeros((4, 2)))
+        mc_predict(model, np.zeros((4, 2)), passes=10, rng=make_rng(0))
 
 
 def test_mc_predict_rejects_single_pass():
-    model = DropoutMlp.init(2, hidden=4, rng=make_rng(0))
+    model = DropoutMlp.init(2, McDropoutSpec(hidden=4), make_rng(0))
     with pytest.raises(ConfigError):
-        mc_predict(model, np.zeros((1, 2)), passes=1)
+        mc_predict(model, np.zeros((1, 2)), passes=1, rng=make_rng(0))
 
 
 def test_dropout_rate_validation():
@@ -123,7 +123,7 @@ def test_dropout_rate_validation():
     with pytest.raises(ConfigError):
         DropoutMlp(net, dropout=-0.1)
     with pytest.raises(DimensionError):
-        DropoutMlp(Mlp.init((2, 4, 2), rng=make_rng(0)))
+        DropoutMlp(Mlp.init((2, 4, 2), rng=make_rng(0)), dropout=0.5)
 
 
 # ------------------------------------------------------------ intervals
@@ -188,7 +188,7 @@ def test_intervals_reject_bad_inputs():
 
 def test_training_reduces_mse():
     ds = gen_heteroscedastic(500, 2, "constant", seed=5, noise_level=0.1)
-    model = DropoutMlp.init(2, hidden=16, dropout=0.2, rng=make_rng(0))
+    model = DropoutMlp.init(2, McDropoutSpec(hidden=16, dropout=0.2), make_rng(0))
     before = float(np.mean((model.deterministic_forward(ds.X) - ds.y) ** 2))
     history = train_dropout(model, ds.X, ds.y,
                             McDropoutSpec(epochs=20, batch_size=64, lr=5e-3),
@@ -200,7 +200,7 @@ def test_training_reduces_mse():
 
 def test_training_divergence_reports_epoch():
     ds = gen_heteroscedastic(200, 2, "constant", seed=6)
-    model = DropoutMlp.init(2, hidden=8, dropout=0.5, rng=make_rng(3))
+    model = DropoutMlp.init(2, McDropoutSpec(hidden=8, dropout=0.5), make_rng(3))
     # the first step throws the weights so far that the second gradient is inf
     with pytest.raises(TrainingError, match=r"optimizer step \d+ \(epoch 0\)"):
         train_dropout(model, ds.X, ds.y, McDropoutSpec(epochs=3, batch_size=32, lr=1e300),
@@ -211,7 +211,7 @@ def test_training_deterministic_given_seed():
     ds = gen_heteroscedastic(200, 2, "constant", seed=6)
 
     def run():
-        model = DropoutMlp.init(2, hidden=8, dropout=0.5, rng=make_rng(3))
+        model = DropoutMlp.init(2, McDropoutSpec(hidden=8, dropout=0.5), make_rng(3))
         return train_dropout(model, ds.X, ds.y,
                              McDropoutSpec(epochs=3, batch_size=32, lr=1e-3),
                              seed=11)
@@ -220,7 +220,7 @@ def test_training_deterministic_given_seed():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model = DropoutMlp.init(3, hidden=8, dropout=0.35, rng=make_rng(1))
+    model = DropoutMlp.init(3, McDropoutSpec(hidden=8, dropout=0.35), make_rng(1))
     path = tmp_path / "dropout.json"
     model.save(path)
     clone = DropoutMlp.load(path)

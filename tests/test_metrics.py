@@ -13,7 +13,6 @@ from conftest import ssc
 from tessera.conformal import PredictionIntervals
 from tessera.errors import MetricError
 from tessera.metrics import (
-    CwcConfig,
     MetricsReport,
     cwc,
     disentangle_stats,
@@ -87,31 +86,28 @@ def test_mpiw_infinite_width_propagates():
 # ------------------------------------------------------------------ cwc
 
 def test_cwc_gate_closes_at_target_coverage():
-    cfg = CwcConfig(eta=50.0, mu=0.9)
-    assert cwc(0.90, 0.25, cfg) == 0.25
-    assert cwc(0.95, 0.25, cfg) == 0.25
+    assert cwc(0.90, 0.25, 50.0, 0.9) == 0.25
+    assert cwc(0.95, 0.25, 50.0, 0.9) == 0.25
 
 
 def test_cwc_penalty_hand_value():
-    cfg = CwcConfig(eta=50.0, mu=0.9)
     want = 0.25 * (1.0 + np.exp(-50.0 * (0.85 - 0.9)))
-    assert cwc(0.85, 0.25, cfg) == pytest.approx(want, rel=1e-12)
+    assert cwc(0.85, 0.25, 50.0, 0.9) == pytest.approx(want, rel=1e-12)
 
 
 def test_cwc_monotone_in_coverage_below_target():
-    cfg = CwcConfig(eta=10.0, mu=0.9)
-    vals = [cwc(p, 0.2, cfg) for p in (0.5, 0.7, 0.85, 0.89)]
+    vals = [cwc(p, 0.2, 10.0, 0.9) for p in (0.5, 0.7, 0.85, 0.89)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_cwc_eta_variants():
     for eta in (10.0, 50.0, 100.0):
-        got = cwc(0.8, 0.3, CwcConfig(eta=eta, mu=0.9))
+        got = cwc(0.8, 0.3, eta, 0.9)
         assert got == pytest.approx(0.3 * (1 + np.exp(eta * 0.1)), rel=1e-12)
 
 
 def test_cwc_passes_through_infinite_width():
-    assert cwc(0.95, np.inf) == np.inf
+    assert cwc(0.95, np.inf, 50.0, 0.9) == np.inf
 
 
 # -------------------------------------------------------- sparsification

@@ -11,11 +11,12 @@ from scipy.stats import norm
 from gradcheck import finite_difference_gradients
 from tessera import serialize
 from tessera.datagen import gen_heteroscedastic
-from tessera.errors import DimensionError, TrainingError
-from tessera.mc_dropout import DropoutMlp, mc_predict
+from tessera.errors import ConfigError, DimensionError, TrainingError
+from tessera.mc_dropout import DropoutMlp, McDropoutSpec, mc_predict
 from tessera.moe import (
     LOG_2PI,
     MixturePrediction,
+    ModelSpec,
     MoeModel,
     TrainSpec,
     mixture_log_pdf,
@@ -122,8 +123,7 @@ def test_log_pdf_survives_tiny_gate_weight():
 # ------------------------------------------------------------- forward
 
 def test_forward_shapes_and_floor():
-    model = MoeModel.init(3, n_experts=4, expert_hidden=8, rng=make_rng(0),
-                          var_floor=1e-6)
+    model = MoeModel.init(3, ModelSpec(n_experts=4, expert_hidden=8, var_floor=1e-6), make_rng(0))
     X = make_rng(1).standard_normal((10, 3))
     pred = model.forward(X)
     assert pred.w.shape == (10, 4)
@@ -132,8 +132,7 @@ def test_forward_shapes_and_floor():
 
 
 def test_variance_floor_under_extreme_negative_raw_head():
-    model = MoeModel.init(2, n_experts=2, expert_hidden=4, rng=make_rng(0),
-                          var_floor=1e-6)
+    model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=4, var_floor=1e-6), make_rng(0))
     # force every expert's raw-variance head output to a huge negative value
     model.experts.weights[-1][..., 1] = 0.0
     model.experts.biases[-1][:, 1] = -1e4
@@ -142,7 +141,7 @@ def test_variance_floor_under_extreme_negative_raw_head():
 
 
 def test_forward_matches_hand_computation_single_expert():
-    model = MoeModel.init(2, n_experts=1, expert_hidden=4, rng=make_rng(5))
+    model = MoeModel.init(2, ModelSpec(n_experts=1, expert_hidden=4), make_rng(5))
     x = np.array([[0.3, -0.7]])
     out = model.experts.forward(x)[0]
     pred = model.forward(x)
@@ -155,7 +154,7 @@ def test_forward_matches_hand_computation_single_expert():
 def test_forward_matches_experts_one_by_one_bitwise():
     # K >= 8 engages numpy's pairwise row sums, whose order depends on layout
     k, n = 10, 500
-    model = MoeModel.init(3, n_experts=k, expert_hidden=5, rng=make_rng(29))
+    model = MoeModel.init(3, ModelSpec(n_experts=k, expert_hidden=5), make_rng(29))
     X = make_rng(30).standard_normal((n, 3))
     mu, raw = np.empty((n, k)), np.empty((n, k))
     for j, expert in enumerate(model.experts.unstack()):
@@ -169,8 +168,8 @@ def test_forward_matches_experts_one_by_one_bitwise():
 
 @pytest.mark.parametrize("rows", [BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 7])
 def test_forward_and_val_loss_match_a_per_block_reference_bitwise(rows):
-    model = MoeModel.init(3, n_experts=4, expert_hidden=16, gate_kind="mlp", gate_hidden=8,
-                          rng=make_rng(31))
+    model = MoeModel.init(3, ModelSpec(n_experts=4, expert_hidden=16, gate="mlp", gate_hidden=8),
+                          make_rng(31))
     rng = make_rng(32)
     X = rng.standard_normal((rows, 3))
     y = rng.standard_normal(rows)
@@ -188,7 +187,7 @@ def test_forward_and_val_loss_match_a_per_block_reference_bitwise(rows):
 
 
 def test_zero_rows_raise_the_softmax_dimension_error():
-    model = MoeModel.init(2, n_experts=2, expert_hidden=4, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=4), make_rng(0))
     with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
         model.forward(np.zeros((0, 2)))
     with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
@@ -207,8 +206,8 @@ def test_inference_at_large_n_allocates_linear_memory(call, hidden):
     rng = make_rng(33)
     X = rng.standard_normal((n, 3))
     y = rng.standard_normal(n)
-    moe = MoeModel.init(3, n_experts=k, expert_hidden=hidden, rng=make_rng(34))
-    dropout = DropoutMlp.init(3, hidden=hidden, rng=make_rng(35))
+    moe = MoeModel.init(3, ModelSpec(n_experts=k, expert_hidden=hidden), make_rng(34))
+    dropout = DropoutMlp.init(3, McDropoutSpec(hidden=hidden), make_rng(35))
     run, vectors = {
         "forward": (lambda: moe.forward(X), 12 * k),
         "nll_loss": (lambda: mixture_nll_loss(moe, X, y), 12 * k),
@@ -226,13 +225,13 @@ def test_inference_at_large_n_allocates_linear_memory(call, hidden):
 
 
 def test_gate_kinds():
-    linear = MoeModel.init(3, n_experts=2, gate_kind="linear", rng=make_rng(0))
+    linear = MoeModel.init(3, ModelSpec(n_experts=2, gate="linear"), make_rng(0))
     assert linear.gate.n_layers == 1
-    mlp = MoeModel.init(3, n_experts=2, gate_kind="mlp", gate_hidden=6, rng=make_rng(0))
+    mlp = MoeModel.init(3, ModelSpec(n_experts=2, gate="mlp", gate_hidden=6), make_rng(0))
     assert mlp.gate.n_layers == 2
     assert mlp.gate.widths[1] == 6
-    with pytest.raises(DimensionError):
-        MoeModel.init(3, gate_kind="softmax-tree")
+    with pytest.raises(ConfigError, match="gate 'softmax-tree'"):
+        ModelSpec(gate="softmax-tree")
 
 
 # ----------------------------------------------------------------- nll
@@ -250,7 +249,7 @@ def brute_force_nll(model, X, y):
 
 
 def test_nll_matches_brute_force():
-    model = MoeModel.init(3, n_experts=3, expert_hidden=6, rng=make_rng(2))
+    model = MoeModel.init(3, ModelSpec(n_experts=3, expert_hidden=6), make_rng(2))
     rng = make_rng(3)
     X = rng.standard_normal((12, 3))
     y = rng.standard_normal(12)
@@ -262,8 +261,8 @@ def test_nll_matches_brute_force():
 @pytest.mark.parametrize("gate_kind,n_experts", [("linear", 2), ("mlp", 3), ("linear", 1),
                                                  ("mlp", 10)])
 def test_nll_gradients_match_finite_differences(gate_kind, n_experts):
-    model = MoeModel.init(2, n_experts=n_experts, expert_hidden=5,
-                          gate_kind=gate_kind, gate_hidden=4, rng=make_rng(7))
+    spec = ModelSpec(n_experts=n_experts, expert_hidden=5, gate=gate_kind, gate_hidden=4)
+    model = MoeModel.init(2, spec, make_rng(7))
     rng = make_rng(8)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
@@ -279,7 +278,7 @@ def test_nll_gradients_match_finite_differences(gate_kind, n_experts):
 
 def test_nll_gate_gradient_sums_to_zero_per_row():
     # softmax invariance: shifting all logits of a row leaves the loss alone
-    model = MoeModel.init(2, n_experts=4, expert_hidden=5, rng=make_rng(9))
+    model = MoeModel.init(2, ModelSpec(n_experts=4, expert_hidden=5), make_rng(9))
     rng = make_rng(10)
     X = rng.standard_normal((8, 2))
     y = rng.standard_normal(8)
@@ -290,7 +289,7 @@ def test_nll_gate_gradient_sums_to_zero_per_row():
 
 
 def test_nll_rejects_mismatched_targets():
-    model = MoeModel.init(2, n_experts=2, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2), make_rng(0))
     with pytest.raises(DimensionError):
         mixture_nll(model, np.zeros((3, 2)), np.zeros(4))
 
@@ -305,7 +304,7 @@ def small_data():
 
 def test_training_reduces_validation_nll(small_data):
     X, y, Xv, yv = small_data
-    model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(0))
     before = mixture_nll_loss(model, Xv, yv)
     hist = train_moe(model, X, y, Xv, yv,
                      TrainSpec(epochs=15, batch_size=64, lr=5e-3), seed=0)
@@ -321,7 +320,7 @@ def test_training_is_seed_deterministic(small_data):
     X, y, Xv, yv = small_data
 
     def run():
-        model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(4))
+        model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(4))
         hist = train_moe(model, X, y, Xv, yv,
                          TrainSpec(epochs=3, batch_size=64, lr=1e-3), seed=5)
         return hist, model.forward(Xv[:5])
@@ -336,7 +335,7 @@ def test_training_is_seed_deterministic(small_data):
 @pytest.mark.parametrize("batch_size", [400, 1000])
 def test_train_nll_of_one_full_batch_is_the_loss_before_its_step(small_data, batch_size):
     X, y, Xv, yv = small_data
-    model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(0))
     order = make_rng(7).permutation(len(y))  # train_moe's first shuffle under seed 7
     untrained = mixture_nll_loss(model, X[order], y[order])
     hist = train_moe(model, X, y, Xv, yv,
@@ -347,9 +346,9 @@ def test_train_nll_of_one_full_batch_is_the_loss_before_its_step(small_data, bat
 def test_train_nll_weights_each_minibatch_loss_by_its_rows(small_data):
     X, y, Xv, yv = small_data
     spec = TrainSpec(epochs=2, batch_size=64, lr=5e-3)  # 400 rows: 6 batches of 64, 1 of 16
-    hist = train_moe(MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(1)),
+    hist = train_moe(MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(1)),
                      X, y, Xv, yv, spec, seed=3)
-    replay = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(1))
+    replay = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(1))
     rng, state = make_rng(3), AdamState(replay.params, lr=spec.lr)
     for epoch in range(spec.epochs):
         order = rng.permutation(len(y))
@@ -368,7 +367,7 @@ def test_train_nll_weights_each_minibatch_loss_by_its_rows(small_data):
 
 def test_training_divergence_reports_epoch(small_data):
     X, y, Xv, yv = small_data
-    model = MoeModel.init(2, n_experts=2, expert_hidden=8, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2, expert_hidden=8), make_rng(0))
     with pytest.raises(TrainingError, match=r"epoch \d"):
         # squared residuals overflow, so the very first batch loss is inf
         train_moe(model, X, y * 1e200, Xv, yv * 1e200,
@@ -377,7 +376,7 @@ def test_training_divergence_reports_epoch(small_data):
 
 def test_empty_sets_rejected(small_data):
     X, y, Xv, yv = small_data
-    model = MoeModel.init(2, n_experts=2, rng=make_rng(0))
+    model = MoeModel.init(2, ModelSpec(n_experts=2), make_rng(0))
     with pytest.raises(DimensionError):
         train_moe(model, X[:0], y[:0], Xv, yv, TrainSpec(epochs=1), seed=0)
 
@@ -385,7 +384,7 @@ def test_empty_sets_rejected(small_data):
 # ---------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    model = MoeModel.init(3, n_experts=4, expert_hidden=8, rng=make_rng(21))
+    model = MoeModel.init(3, ModelSpec(n_experts=4, expert_hidden=8), make_rng(21))
     path = tmp_path / "model.json"
     model.save(path)
     clone = MoeModel.load(path)
@@ -399,8 +398,11 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 @pytest.mark.parametrize("cls", [MoeModel, DropoutMlp], ids=["moe", "mc_dropout"])
 def test_checkpoint_rejects_wrong_kind(tmp_path, cls):
+    def fresh(cls):
+        return cls.init(2, {MoeModel: ModelSpec, DropoutMlp: McDropoutSpec}[cls](), make_rng(0))
+
     path = tmp_path / "model.json"
-    cls.init(2, rng=make_rng(0)).save(path)
+    fresh(cls).save(path)
     saved = json.loads(path.read_text())
     for key, value, message in (("kind", "linear_regression", "kind"),
                                 ("format_version", 99, "version")):
@@ -408,7 +410,7 @@ def test_checkpoint_rejects_wrong_kind(tmp_path, cls):
         with pytest.raises(DimensionError, match=message):
             cls.load(path)
     other = DropoutMlp if cls is MoeModel else MoeModel
-    other.init(2, rng=make_rng(0)).save(path)
+    fresh(other).save(path)
     with pytest.raises(DimensionError, match="kind"):
         cls.load(path)
 
@@ -433,14 +435,14 @@ def test_experts_must_share_one_shape():
     rng = make_rng(26)
     gate = Mlp.init((3, 2), rng=rng)
     with pytest.raises(DimensionError, match="differs in shape"):
-        MoeModel(gate, [Mlp.init((3, 6, 2), rng=rng), Mlp.init((3, 5, 2), rng=rng)])
+        MoeModel(gate, [Mlp.init((3, 6, 2), rng=rng), Mlp.init((3, 5, 2), rng=rng)], 1e-6)
     with pytest.raises(DimensionError, match="differs in shape"):
         MoeModel(gate, [Mlp.init((3, 6, 2), "tanh", rng=rng),
-                        Mlp.init((3, 6, 2), "relu", rng=rng)])
+                        Mlp.init((3, 6, 2), "relu", rng=rng)], 1e-6)
 
 
 def test_set_parameters_restores_a_snapshot():
-    model = MoeModel.init(2, n_experts=3, expert_hidden=4, rng=make_rng(27))
+    model = MoeModel.init(2, ModelSpec(n_experts=3, expert_hidden=4), make_rng(27))
     X = make_rng(28).standard_normal((5, 2))
     snapshot, before = model.params.copy(), model.forward(X)
     model.params += 1.0
@@ -453,7 +455,7 @@ def test_set_parameters_restores_a_snapshot():
 
 def test_checkpoint_compact_format_still_loads(tmp_path):
     # checkpoints were once written as one compact line; they must still load
-    model = MoeModel.init(3, n_experts=3, expert_hidden=6, rng=make_rng(23))
+    model = MoeModel.init(3, ModelSpec(n_experts=3, expert_hidden=6), make_rng(23))
     path = tmp_path / "model.json"
     model.save(path)
     compact = tmp_path / "compact.json"
@@ -474,7 +476,7 @@ def test_checkpoint_compact_format_still_loads(tmp_path):
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_decomposition_invariants_random_models(k, seed):
     rng = make_rng(seed)
-    model = MoeModel.init(2, n_experts=k, expert_hidden=3, rng=rng)
+    model = MoeModel.init(2, ModelSpec(n_experts=k, expert_hidden=3), rng)
     X = rng.standard_normal((4, 2))
     pred = model.forward(X)
     assert np.all(pred.sigma2 >= model.var_floor)

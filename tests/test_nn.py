@@ -493,7 +493,7 @@ def test_adam_rejects_nonfinite_gradient():
 
 def test_adam_shape_mismatch():
     p = np.zeros(2)
-    state = AdamState(p)
+    state = AdamState(p, lr=1e-3)
     with pytest.raises(DimensionError):
         adam_step(state, p, np.zeros(3))
 

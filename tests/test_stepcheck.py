@@ -7,7 +7,7 @@ import pytest
 import stepcheck
 from tessera.datagen import gen_heteroscedastic
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, train_dropout
-from tessera.moe import MoeModel, TrainSpec, mixture_nll, train_moe
+from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, train_moe
 from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, make_rng, softmax_lse
 
 # finite rows whose spread overflows a float64 difference, plus ties
@@ -27,8 +27,9 @@ def same_bits(a, b):
 
 
 def random_model(gate, activation, seed, k=4, dim=3, hidden=16):
-    model = MoeModel.init(dim, n_experts=k, expert_hidden=hidden, gate_kind=gate,
-                          gate_hidden=8, activation=activation, rng=make_rng(seed))
+    spec = ModelSpec(n_experts=k, expert_hidden=hidden, gate=gate, gate_hidden=8,
+                     activation=activation)
+    model = MoeModel.init(dim, spec, make_rng(seed))
     model.params += 0.3 * make_rng(seed + 1).standard_normal(model.params.size)
     return model
 
@@ -154,8 +155,8 @@ def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation):
     spec = McDropoutSpec(hidden=8, dropout=0.3, epochs=4, batch_size=8, lr=1e-2)
 
     def fresh():
-        return DropoutMlp.init(3, hidden=8, dropout=0.3, activation=activation,
-                               rng=make_rng(2))
+        return DropoutMlp.init(3, McDropoutSpec(hidden=8, dropout=0.3), make_rng(2),
+                               activation=activation)
 
     model, replay = fresh(), fresh()
     history = train_dropout(model, X, y, spec, seed=6)
