@@ -8,6 +8,7 @@ mean +/- z_{1-alpha/2} * std.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import serialize
 from .conformal import PredictionIntervals
 from .errors import ConfigError, DimensionError, TrainingError
 from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, as_rng, \
-    check_adam_schedule, make_rng, ndtri, row_blocks
+    check_adam_schedule, make_rng, row_blocks
 
 
 class DropoutMlp:
@@ -200,5 +201,8 @@ def mc_intervals(mean: Array, variance: Array, alpha: float) -> PredictionInterv
         raise DimensionError("variances must be nonnegative")
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha must lie strictly between 0 and 1")
-    z = ndtri(1.0 - alpha / 2.0)
+    from statistics import NormalDist  # here, so that importing the package skips it
+
+    p = 1.0 - alpha / 2.0
+    z = math.inf if p == 1.0 else NormalDist().inv_cdf(p)  # alpha <= 2**-53 rounds p to 1
     return PredictionIntervals(center=m, half=z * np.sqrt(v))

@@ -18,7 +18,7 @@ import numpy as np
 from .conformal import PredictionIntervals
 from .errors import MetricError
 from .moe import MixturePrediction, mixture_log_pdf
-from .nn import Array, _polevl
+from .nn import Array
 
 DEFAULT_SPARSIFICATION_GRID = tuple(np.arange(20) * 0.05)  # 0.00, 0.05, ..., 0.95
 
@@ -76,15 +76,18 @@ def cwc(picp_value: float, nmpiw_value: float, eta: float, mu: float) -> float:
     """Coverage-width criterion: width scaled up when coverage misses mu.
 
     The penalty gate closes exactly at picp >= mu; an infinite width passes
-    through as +inf.
+    through as +inf, and so does a positive width whose penalty factor
+    exp(eta (mu - picp)) passes the float range. A zero width stays 0.
     """
     check_cwc(eta, mu)
     if not (0.0 <= picp_value <= 1.0):
         raise MetricError("picp must lie in [0, 1]")
     if np.isnan(nmpiw_value) or nmpiw_value < 0:
         raise MetricError("nmpiw must be nonnegative")
-    gamma = 0.0 if picp_value >= mu else 1.0
-    return float(nmpiw_value * (1.0 + gamma * np.exp(-eta * (picp_value - mu))))
+    if picp_value >= mu or nmpiw_value == 0.0:
+        return float(nmpiw_value)
+    with np.errstate(over="ignore"):  # e^710 is inf, and so is the criterion
+        return float(nmpiw_value * (1.0 + np.exp(-eta * (picp_value - mu))))
 
 
 @dataclass
@@ -327,6 +330,14 @@ _STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 
 _STIRLING_MIN = 10.0
 _CF_EPS = 1e-16
 _CF_MAX_TERMS = 1000
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, coefficients highest degree first (Cephes' polevl)."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
 
 
 def _stirling_tail(z: float) -> float:

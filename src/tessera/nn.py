@@ -1,8 +1,7 @@
 """Numeric kernels: seeded RNG streams, the row softmax with its
-log-sum-exp, the sigmoid and the standard normal quantile, a small fully
-connected net (one net or a stack of K) over one parameter vector with
-hand-written reverse-mode gradients and a row-blocked inference pass, and
-Adam.
+log-sum-exp, the sigmoid, a small fully connected net (one net or a stack
+of K) over one parameter vector with hand-written reverse-mode gradients
+and a row-blocked inference pass, and Adam.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -61,72 +60,6 @@ def sigmoid(x: Array) -> Array:
         np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
-
-
-# Cephes ndtri's rational approximations, highest degree first; each Q
-# polynomial leads with 1.0, which Cephes' p1evl leaves implicit.
-# P0/Q0: |p - 0.5| <= 0.5 - exp(-2).
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-# P1/Q1: sqrt(-2 log p) in [2, 8), i.e. p down to exp(-32).
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# P2/Q2: sqrt(-2 log p) >= 8.
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242E0
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule, highest degree first, as Cephes' polevl and p1evl
-    run it: 0 * x + c and 1 * x are exact, so the float order is theirs."""
-    ans = 0.0
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(p: float) -> float:
-    """Standard normal quantile: the z with Phi(z) = p.
-
-    A port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` runs, in
-    the same float order, so z is bit-identical to scipy's. -inf at 0, inf
-    at 1, NaN outside [0, 1] and for NaN.
-    """
-    y = float(p)
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p_, q_ = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, p_) / _polevl(z, q_)
-    return x if upper else -x
 
 
 def softmax_lse(a: Array) -> tuple[Array, Array]:

@@ -25,6 +25,8 @@ from tessera.experiment import (
     stage_gen_data,
     stage_train,
 )
+from tessera.mc_dropout import DropoutMlp
+from tessera.moe import MoeModel
 
 
 def small_config(**overrides):
@@ -551,6 +553,34 @@ def test_cli_alpha_flag_out_of_range_fails_at_config_load(tmp_path, capsys):
 def test_report_requires_metrics(tmp_path):
     with pytest.raises(ConfigError, match="metrics"):
         build_report([tmp_path], tmp_path / "rep")
+
+
+def test_cli_import_loads_neither_scipy_nor_statistics():
+    # mc_intervals imports statistics when it runs, not when the package loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, tessera.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'statistics')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_train_builds_the_models_the_config_describes(tmp_path):
+    cfg = small_config(model={"n_experts": 3, "expert_hidden": 5, "gate": "mlp",
+                              "gate_hidden": 6, "activation": "relu", "var_floor": 1e-4},
+                       mc_dropout={"hidden": 7, "dropout": 0.3, "epochs": 1, "passes": 5})
+    config = ExperimentConfig.from_dict(cfg)
+    stage_gen_data(config, tmp_path)
+    moe, dropout = stage_train(config, tmp_path)
+    for model in (moe, MoeModel.load(tmp_path / "moe_model.json")):
+        assert model.gate.widths == (2, 6, 3) and model.gate.activations == ("relu",)
+        assert model.experts.widths == (2, 5, 2) and model.experts.activations == ("relu",)
+        assert model.n_experts == 3 and model.var_floor == 1e-4
+    for model in (dropout, DropoutMlp.load(tmp_path / "mc_dropout_model.json")):
+        assert model.net.widths == (2, 7, 1) and model.dropout == 0.3
 
 
 def test_cli_import_does_not_load_scipy_stats(tmp_path):

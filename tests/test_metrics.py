@@ -110,6 +110,15 @@ def test_cwc_passes_through_infinite_width():
     assert cwc(0.95, np.inf, 50.0, 0.9) == np.inf
 
 
+def test_cwc_past_the_float_range_is_inf_without_a_warning():
+    # eta (mu - picp) = 1200: the penalty factor is e^1200, past the float
+    # range; pyproject turns the overflow warning into a failure
+    assert cwc(0.3, 0.2, 2000.0, 0.9) == np.inf
+    assert cwc(0.3, np.inf, 2000.0, 0.9) == np.inf
+    assert cwc(0.3, 0.0, 2000.0, 0.9) == 0.0
+    assert cwc(0.3, 0.2, 1000.0, 0.9) == pytest.approx(0.2 * (1.0 + math.exp(600.0)), rel=1e-12)
+
+
 # -------------------------------------------------------- sparsification
 
 def naive_sparsification(u, err, grid):

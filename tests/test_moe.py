@@ -224,6 +224,30 @@ def test_inference_at_large_n_allocates_linear_memory(call, hidden):
     assert peak < vectors * 8 * n
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec(),
+    ModelSpec(n_experts=3, expert_hidden=5, gate="mlp", gate_hidden=7, activation="relu",
+              var_floor=1e-3),
+    ModelSpec(n_experts=1, expert_hidden=9, gate="linear", gate_hidden=2,
+              activation="identity", var_floor=0.25),
+], ids=["default", "mlp_gate", "linear_gate"])
+def test_init_builds_the_model_its_spec_describes(spec):
+    model = MoeModel.init(3, spec, make_rng(0))
+    k, act = spec.n_experts, spec.activation
+    gate_widths = (3, k) if spec.gate == "linear" else (3, spec.gate_hidden, k)
+    assert model.gate.widths == gate_widths
+    assert model.gate.activations == (act,) * (len(gate_widths) - 2)
+    assert model.experts.weights[0].shape[0] == model.n_experts == k
+    assert model.experts.widths == (3, spec.expert_hidden, 2)
+    assert model.experts.activations == (act,)
+    assert model.var_floor == spec.var_floor
+    # a raw variance far below zero leaves the floor alone: softplus(-1e3) is 0
+    for b in model.experts.biases[-1]:
+        b[1] = -1e3
+    model.experts.weights[-1][..., 1] = 0.0
+    assert np.all(model.forward(np.ones((4, 3))).sigma2 == spec.var_floor)
+
+
 def test_gate_kinds():
     linear = MoeModel.init(3, ModelSpec(n_experts=2, gate="linear"), make_rng(0))
     assert linear.gate.n_layers == 1

@@ -1,4 +1,3 @@
-import math
 import zlib
 
 import mpmath
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
-from scipy.special import ndtri as scipy_ndtri
 
 from gradcheck import finite_difference_gradients
 from tessera.errors import DimensionError, TrainingError
@@ -20,7 +18,6 @@ from tessera.nn import (
     activate,
     adam_step,
     make_rng,
-    ndtri,
     row_blocks,
     sigmoid,
     softmax_lse,
@@ -176,39 +173,6 @@ def test_sigmoid_edges():
     assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # input untouched
     grid = np.linspace(-745.0, 745.0, 200_001)
     assert _ulps(sigmoid(grid), expit(grid)).max() <= 4
-
-
-# ------------------------------------------------------------------ ndtri
-
-_EXP_M2, _EXP_M32 = math.exp(-2.0), math.exp(-32.0)
-# each branch point of the Cephes approximations, and its two neighbours
-_NDTRI_EDGES = tuple(float(v) for p in (_EXP_M2, 1.0 - _EXP_M2, _EXP_M32, 1.0 - _EXP_M32)
-                     for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)))
-
-
-def _same_float(a: float, b: float) -> bool:
-    return np.array_equal(np.float64(a).view(np.uint64), np.float64(b).view(np.uint64))
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                 st.floats(-745.0, -1e-300).map(math.exp),
-                 st.floats(-745.0, -1e-300).map(lambda t: 1.0 - math.exp(t))))
-def test_ndtri_matches_scipy_bitwise(p):
-    assert _same_float(ndtri(p), scipy_ndtri(p))
-
-
-@pytest.mark.parametrize("p", _NDTRI_EDGES + (5e-324, 2.5e-323, 1e-310, 0.5))
-def test_ndtri_branch_points_match_scipy_bitwise(p):
-    assert _same_float(ndtri(p), scipy_ndtri(p))
-    assert math.isfinite(ndtri(p))
-
-
-def test_ndtri_endpoints_and_domain():
-    assert ndtri(0.0) == -math.inf and ndtri(-0.0) == -math.inf and ndtri(1.0) == math.inf
-    for bad in (-1e-300, -1.0, 1.0 + 2.0 ** -52, 2.0, math.inf, -math.inf, math.nan):
-        assert math.isnan(ndtri(bad)) and math.isnan(scipy_ndtri(bad))
-    assert ndtri(0.5) == 0.0
 
 
 # ------------------------------------------------------------------- rng
