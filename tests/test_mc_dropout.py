@@ -1,3 +1,4 @@
+import math
 from statistics import NormalDist
 
 import mpmath
@@ -167,15 +168,36 @@ def test_interval_bounds_are_bitwise_mean_plus_minus_z_sd():
         assert np.array_equal(iv.width, 2.0 * (z * np.sqrt(var)))
 
 
-def test_interval_z_is_the_normal_quantile_within_3_eps():
+def assert_interval_z_within_3_eps(alpha):
     # oracle: the 40-digit quantile sqrt(2) erfinv(2p - 1) at the float p the
-    # code forms; statistics.NormalDist (Wichura's AS241) measured 2.4 eps
-    # relative at worst on this grid
+    # code forms
+    z = mc_intervals([0.0], [1.0], alpha=alpha).upper[0]  # 0 + z * sqrt(1)
+    with mpmath.workdps(40):
+        want = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(1.0 - alpha / 2.0) - 1)
+        assert z > 0 and abs(z - want) <= 3 * np.finfo(float).eps * want, alpha
+
+
+def test_interval_z_is_the_normal_quantile_within_3_eps():
+    # statistics.NormalDist (Wichura's AS241) measured 2.4 eps relative at
+    # worst on this grid
     for alpha in np.concatenate((np.linspace(0.001, 0.999, 999), [1e-12, 0.05, 0.1, 1 - 1e-12])):
-        z = mc_intervals([0.0], [1.0], alpha=alpha).upper[0]  # 0 + z * sqrt(1)
-        with mpmath.workdps(40):
-            want = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(1.0 - alpha / 2.0) - 1)
-            assert z > 0 and abs(z - want) <= 3 * np.finfo(float).eps * want, alpha
+        assert_interval_z_within_3_eps(alpha)
+
+
+# AS241 switches rational approximation where |p - 0.5| passes 0.425 and where
+# sqrt(-log(1 - p)) passes 5; each switch is checked at the float p on it and
+# at its two neighbours, beside the two extreme p that keep z finite and > 0
+_P_SWITCH = [0.925, 1.0 - math.exp(-25.0)]
+_Z_BRANCH_P = sorted(
+    [q for p in _P_SWITCH for q in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
+    + [math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("p", _Z_BRANCH_P, ids=repr)
+def test_interval_z_within_3_eps_at_the_quantile_branch_points(p):
+    alpha = 2.0 * (1.0 - p)  # exact for p in [0.5, 1), so 1 - alpha / 2 is p again
+    assert 1.0 - alpha / 2.0 == p
+    assert_interval_z_within_3_eps(alpha)
 
 
 def test_intervals_at_an_alpha_that_rounds_p_to_one_are_infinite():
