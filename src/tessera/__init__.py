@@ -10,7 +10,7 @@ README's Python API example uses.
 """
 
 from .conformal import build_intervals, calibrate
-from .datagen import gen_heteroscedastic, split_dataset
+from .datagen import DataSpec, SplitSpec, gen_heteroscedastic, split_dataset
 from .metrics import picp
 from .moe import ModelSpec, MoeModel, TrainSpec, train_moe
 

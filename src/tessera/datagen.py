@@ -1,5 +1,6 @@
 """Synthetic regression data with controlled noise structure, dataset
-splitting, and a lossless CSV round trip.
+splitting, and a lossless CSV round trip, with the specs (``DataSpec``,
+``SplitSpec``) that the generators and the splitter take.
 
 Generators record the true noise scale alongside each sample so adaptivity
 metrics can be checked against ground truth. Everything is a pure function
@@ -26,7 +27,6 @@ from .nn import Array, make_rng
 from . import serialize
 
 SPLIT_TAGS = ("train", "test", "val", "cal")
-DEFAULT_FRACTIONS = (0.6, 0.2, 0.1, 0.1)
 NOISE_PROFILES = ("constant", "linear", "step")
 SPLIT_MODES = ("random", "by_group")
 # Rows per block in the CSV codec. Each block's cells are held as Python
@@ -119,6 +119,89 @@ class Dataset:
         return self.select(mask)
 
 
+@dataclass
+class DataSpec:
+    """What data to evaluate on: a generator and its knobs, or a CSV path.
+
+    Only the rules of the named ``kind`` run: a heteroscedastic spec leaves
+    the cluster fields unchecked. Each message starts with the offending
+    field's name; a shape rule raises ``DimensionError``.
+    """
+
+    kind: str = "heteroscedastic"
+    n: int = 5000
+    dim: int = 4
+    noise_profile: str = "step"
+    noise_low: float = 0.2
+    noise_high: float = 1.0
+    noise_level: float = 0.5
+    n_clusters: int = 8
+    held_out_clusters: tuple[int, ...] = (6, 7)
+    mode: str = "ood"
+    cluster_std: float = 0.5
+    center_radius: float = 2.0
+    ood_radius: float = 6.0
+    noise: float = 0.3
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("heteroscedastic", "clustered_shift", "csv"):
+            raise ConfigError(f"kind {self.kind!r} is not a known data kind")
+        if self.mode not in ("ood", "iid"):
+            raise ConfigError(f"mode {self.mode!r} is not 'ood' or 'iid'")
+        self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
+        if self.kind == "heteroscedastic":
+            for name in ("n", "dim"):
+                if getattr(self, name) < 1:
+                    raise DimensionError(f"{name} must be >= 1")
+            if self.noise_profile not in NOISE_PROFILES:
+                raise ConfigError(f"noise_profile {self.noise_profile!r} is not one of "
+                                  f"{NOISE_PROFILES}")
+            for name in ("noise_low", "noise_high", "noise_level"):
+                if not 0 <= getattr(self, name) < math.inf:
+                    raise ConfigError(f"{name} must be nonnegative and finite")
+        elif self.kind == "clustered_shift":
+            if self.dim < 1:
+                raise DimensionError("dim must be >= 1")
+            if self.n_clusters < 2:
+                raise DimensionError("n_clusters must be >= 2")
+            if self.n < self.n_clusters:
+                raise DimensionError(f"n must be >= n_clusters ({self.n_clusters}): "
+                                     "one sample per cluster")
+            if any(c < 0 or c >= self.n_clusters for c in self.held_out_clusters):
+                raise ConfigError("held_out_clusters must be valid cluster indices in "
+                                  f"[0, {self.n_clusters})")
+            for name in ("cluster_std", "center_radius", "ood_radius"):
+                if not 0 < getattr(self, name) < math.inf:
+                    raise ConfigError(f"{name} must be positive and finite")
+            if not 0 <= self.noise < math.inf:
+                raise ConfigError("noise must be nonnegative and finite")
+            if self.mode == "ood" and not 0 < len(set(self.held_out_clusters)) < self.n_clusters:
+                raise ConfigError("held_out_clusters must be a nonempty strict subset of "
+                                  "the clusters in ood mode")
+        elif not self.path:
+            raise ConfigError("path is required when kind is 'csv'")
+
+
+@dataclass
+class SplitSpec:
+    """Train/test/val/cal fractions, which must be nonnegative and sum to 1,
+    and how rows are dealt to them: ``random`` or ``by_group``."""
+
+    fractions: tuple[float, ...] = (0.6, 0.2, 0.1, 0.1)
+    mode: str = "random"
+
+    def __post_init__(self):
+        fr = np.asarray(self.fractions, dtype=np.float64)
+        if fr.shape != (4,):
+            raise ConfigError("fractions must list four values (train, test, val, cal)")
+        if not (np.all(fr >= 0) and abs(float(fr.sum()) - 1.0) <= 1e-9):
+            raise ConfigError("fractions must be nonnegative and sum to 1")
+        self.fractions = tuple(float(f) for f in fr)
+        if self.mode not in SPLIT_MODES:
+            raise ConfigError(f"mode {self.mode!r} is not one of {SPLIT_MODES}")
+
+
 def _smooth_f(X: Array) -> Array:
     # fixed sum of sinusoids plus a mild affine trend; amplitude O(1) in d
     d = X.shape[1]
@@ -127,49 +210,48 @@ def _smooth_f(X: Array) -> Array:
         + 0.3 * X.sum(axis=1) / np.sqrt(d)
 
 
-def _noise_scale(X: Array, profile: str, noise_low: float, noise_high: float,
-                 noise_level: float) -> Array:
+def _check_kind(spec: DataSpec, kind: str) -> None:
+    """A spec of another kind never had this kind's rules applied."""
+    if spec.kind != kind:
+        raise ConfigError(f"kind {spec.kind!r} is not {kind!r}: the spec's {kind} "
+                          "fields were never checked")
+
+
+def _noise_scale(X: Array, spec: DataSpec) -> Array:
     n, d = X.shape
-    if profile == "constant":
-        return np.full(n, float(noise_level))
-    if profile == "linear":
+    if spec.noise_profile == "constant":
+        return np.full(n, float(spec.noise_level))
+    if spec.noise_profile == "linear":
         # scales linearly in |x| from noise_low at the origin to noise_high
         # at the corner of the sampling box
         r = np.linalg.norm(X, axis=1) / (2.0 * np.sqrt(d))
-        return noise_low + (noise_high - noise_low) * r
-    if profile == "step":
-        return np.where(X[:, 0] > 0.0, float(noise_high), float(noise_low))
-    raise ConfigError(f"unknown noise profile {profile!r}")
+        return spec.noise_low + (spec.noise_high - spec.noise_low) * r
+    return np.where(X[:, 0] > 0.0, float(spec.noise_high), float(spec.noise_low))  # step
 
 
-def gen_heteroscedastic(n: int, dim: int, noise_profile: str = "step", seed: int = 0,
-                        noise_low: float = 0.2, noise_high: float = 1.0,
-                        noise_level: float = 0.5) -> Dataset:
+def gen_heteroscedastic(spec: DataSpec, seed: int) -> Dataset:
     """Smooth signal plus input-dependent Gaussian noise.
 
     Features are uniform on [-2, 2]^dim. The noise scale follows the named
     profile: ``constant`` everywhere, ``linear`` in the distance from the
     origin, or a two-level ``step`` on the sign of the first feature.
     """
-    check_heteroscedastic(n, dim, noise_profile, noise_low, noise_high, noise_level)
+    _check_kind(spec, "heteroscedastic")
     rng = make_rng(seed)
-    X = rng.uniform(-2.0, 2.0, size=(n, dim))
-    sigma = _noise_scale(X, noise_profile, noise_low, noise_high, noise_level)
-    y = _smooth_f(X) + sigma * rng.standard_normal(n)
+    X = rng.uniform(-2.0, 2.0, size=(spec.n, spec.dim))
+    sigma = _noise_scale(X, spec)
+    y = _smooth_f(X) + sigma * rng.standard_normal(spec.n)
     meta = {
         "generator": "heteroscedastic",
-        "n": int(n), "dim": int(dim), "seed": int(seed),
-        "noise_profile": noise_profile,
-        "noise_low": float(noise_low), "noise_high": float(noise_high),
-        "noise_level": float(noise_level),
+        "n": int(spec.n), "dim": int(spec.dim), "seed": int(seed),
+        "noise_profile": spec.noise_profile,
+        "noise_low": float(spec.noise_low), "noise_high": float(spec.noise_high),
+        "noise_level": float(spec.noise_level),
     }
     return Dataset(X=X, y=y, sigma_true=sigma, meta=meta)
 
 
-def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
-                        held_out_clusters=(6, 7), seed: int = 0,
-                        cluster_std: float = 0.5, center_radius: float = 2.0,
-                        ood_radius: float = 6.0, noise: float = 0.3) -> Dataset:
+def gen_clustered_shift(spec: DataSpec, seed: int) -> Dataset:
     """Gaussian clusters, some of them shifted far from the rest; unsplit.
 
     Held-out cluster centers sit at ``ood_radius`` from the origin while
@@ -178,24 +260,25 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
     passing it to :func:`split_dataset` as ``test_groups`` puts exactly
     those clusters in the test split, so calibration sees no shifted data.
     """
-    held = check_clustered(n, dim, n_clusters, held_out_clusters, cluster_std,
-                           center_radius, ood_radius, noise)
+    _check_kind(spec, "clustered_shift")
+    n, dim, n_clusters = spec.n, spec.dim, spec.n_clusters
+    held = sorted(set(spec.held_out_clusters))
     rng = make_rng(seed)
-    centers = rng.normal(0.0, center_radius, size=(n_clusters, dim))
+    centers = rng.normal(0.0, spec.center_radius, size=(n_clusters, dim))
     for c in held:
         direction = rng.standard_normal(dim)
         norm = np.linalg.norm(direction)
         if norm == 0.0:
             direction = np.ones(dim)
             norm = np.sqrt(dim)
-        centers[c] = direction / norm * ood_radius
+        centers[c] = direction / norm * spec.ood_radius
     base, rem = divmod(n, n_clusters)
     counts = np.full(n_clusters, base)
     counts[:rem] += 1
     assignment = np.repeat(np.arange(n_clusters), counts)
     rng.shuffle(assignment)
-    X = centers[assignment] + cluster_std * rng.standard_normal((n, dim))
-    sigma = np.full(n, float(noise))
+    X = centers[assignment] + spec.cluster_std * rng.standard_normal((n, dim))
+    sigma = np.full(n, float(spec.noise))
     y = _smooth_f(X) + sigma * rng.standard_normal(n)
     labels = np.array([f"cluster_{c:02d}" for c in range(n_clusters)])
     return Dataset(X=X, y=y, sigma_true=sigma, groups=labels[assignment], meta={
@@ -203,83 +286,31 @@ def gen_clustered_shift(n: int, dim: int, n_clusters: int = 8,
         "n": int(n), "dim": int(dim), "seed": int(seed),
         "n_clusters": int(n_clusters), "held_out_clusters": held,
         "held_out_groups": labels[held].tolist(),
-        "cluster_std": float(cluster_std), "center_radius": float(center_radius),
-        "ood_radius": float(ood_radius), "noise": float(noise),
+        "cluster_std": float(spec.cluster_std), "center_radius": float(spec.center_radius),
+        "ood_radius": float(spec.ood_radius), "noise": float(spec.noise),
     })
 
 
-def check_heteroscedastic(n: int, dim: int, noise_profile: str, noise_low: float,
-                          noise_high: float, noise_level: float) -> None:
-    """Reject settings :func:`gen_heteroscedastic` cannot run; each message
-    starts with the offending argument's name."""
-    for name, value in (("n", n), ("dim", dim)):
-        if value < 1:
-            raise DimensionError(f"{name} must be >= 1")
-    if noise_profile not in NOISE_PROFILES:
-        raise ConfigError(f"noise_profile {noise_profile!r} is not one of {NOISE_PROFILES}")
-    for name, value in (("noise_low", noise_low), ("noise_high", noise_high),
-                        ("noise_level", noise_level)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{name} must be nonnegative and finite")
-
-
-def check_clustered(n: int, dim: int, n_clusters: int, held_out_clusters,
-                    cluster_std: float, center_radius: float, ood_radius: float,
-                    noise: float) -> list[int]:
-    """Reject settings :func:`gen_clustered_shift` cannot run, and return
-    the sorted distinct held-out cluster indices; each message starts with
-    the offending argument's name."""
-    if dim < 1:
-        raise DimensionError("dim must be >= 1")
-    if n_clusters < 2:
-        raise DimensionError("n_clusters must be >= 2")
-    if n < n_clusters:
-        raise DimensionError(f"n must be >= n_clusters ({n_clusters}): one sample per cluster")
-    held = sorted(set(int(c) for c in held_out_clusters))
-    if any(c < 0 or c >= n_clusters for c in held):
-        raise ConfigError(f"held_out_clusters must be valid cluster indices in [0, {n_clusters})")
-    for name, value in (("cluster_std", cluster_std), ("center_radius", center_radius),
-                        ("ood_radius", ood_radius)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite")
-    if not 0 <= noise < math.inf:
-        raise ConfigError("noise must be nonnegative and finite")
-    return held
-
-
-def check_fractions(fractions) -> Array:
-    """The four split fractions as an array; they must be nonnegative and
-    sum to 1."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (4,):
-        raise ConfigError("fractions must list four values (train, test, val, cal)")
-    if not (np.all(fr >= 0) and abs(float(fr.sum()) - 1.0) <= 1e-9):
-        raise ConfigError("fractions must be nonnegative and sum to 1")
-    return fr
-
-
-def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random",
-                  seed: int = 0, test_groups=None) -> Dataset:
-    """Assign split tags (train, test, val, cal) at the given fractions.
+def split_dataset(ds: Dataset, spec: SplitSpec, seed: int, test_groups=None) -> Dataset:
+    """Assign split tags (train, test, val, cal) at the spec's fractions.
 
     Rows whose group label is in ``test_groups`` all go to test. The other
-    rows are split by ``mode`` at the fractions, with test's share set to
-    zero and the rest renormalized when ``test_groups`` is given.
+    rows are split by ``spec.mode`` at the fractions, with test's share set
+    to zero and the rest renormalized when ``test_groups`` is given.
     ``random`` permutes the rows; realized sizes are within one row of
     exact. ``by_group`` keeps each group intact, assigning whole groups
     greedily (largest first) to whichever split is furthest below its
     target. While rows remain, the deficits sum to their count, so the
-    furthest is never a split with a zero share.
+    furthest is never a split with a zero share. ``meta["split"]`` records
+    the spec, the seed, and the realized row count of each tag.
     """
-    fr = check_fractions(fractions)
-    if (test_groups is not None or mode == "by_group") and ds.groups is None:
+    if (test_groups is not None or spec.mode == "by_group") and ds.groups is None:
         raise ConfigError("test_groups and the by_group split require group labels")
-    shares = fr
+    shares = np.array(spec.fractions)
     held = np.zeros(ds.n, dtype=bool)
     if test_groups is not None:
         test_groups = sorted(set(map(str, test_groups)))
         held = np.isin(ds.groups, test_groups)
-        shares = fr.copy()
         shares[SPLIT_TAGS.index("test")] = 0.0
         if shares.sum() == 0.0:
             raise ConfigError("fractions give train, val and cal no share outside test_groups")
@@ -287,13 +318,13 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random"
     rest = np.flatnonzero(~held)
     split = np.empty(ds.n, dtype=object)
     split[held] = "test"
-    if mode == "random":
+    if spec.mode == "random":
         perm = rest[make_rng(seed).permutation(rest.size)]
         edges = np.round(np.cumsum(shares) * rest.size).astype(int)
         edges[-1] = rest.size
         for tag, lo, hi in zip(SPLIT_TAGS, np.r_[0, edges[:-1]], edges):
             split[perm[lo:hi]] = tag
-    elif mode == "by_group":
+    else:  # by_group
         names, inverse, counts = np.unique(ds.groups[rest], return_inverse=True,
                                            return_counts=True)
         order = np.lexsort((names, -counts))
@@ -310,13 +341,13 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, mode: str = "random"
             choice[i] = SPLIT_TAGS[pick]
             assigned[pick] += counts[i]
         split[rest] = choice[inverse]
-    else:
-        raise ConfigError(f"unknown split mode {mode!r}")
     out = ds.select(np.arange(ds.n))
     out.split = np.asarray(split, dtype=str)
     out.meta = dict(ds.meta)
-    out.meta["split"] = {"fractions": [float(f) for f in fr], "mode": mode,
-                         "seed": int(seed)}
+    out.meta["split"] = {"fractions": list(spec.fractions), "mode": spec.mode,
+                         "seed": int(seed),
+                         "counts": {tag: int(np.count_nonzero(out.split == tag))
+                                    for tag in SPLIT_TAGS}}
     if test_groups is not None:
         out.meta["split"]["test_groups"] = test_groups
     return out

@@ -19,8 +19,7 @@ import numpy as np
 from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
     build_intervals, calibrate
-from .datagen import DEFAULT_FRACTIONS, SPLIT_MODES, Dataset, check_clustered, \
-    check_fractions, check_heteroscedastic, gen_clustered_shift, gen_heteroscedastic, \
+from .datagen import DataSpec, Dataset, SplitSpec, gen_clustered_shift, gen_heteroscedastic, \
     load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
@@ -83,59 +82,8 @@ def _from_dict(cls, d: dict, context: str):
     _check_types(cls, d, context)
     try:
         return cls(**d)
-    except (ConfigError, DimensionError) as e:  # a generator's shape rules raise DimensionError
+    except (ConfigError, DimensionError) as e:  # DataSpec's shape rules raise DimensionError
         raise ConfigError(f"{context}.{e}") from None
-
-
-@dataclass
-class DataSpec:
-    """What data to evaluate on: a generator and its knobs, or a CSV path."""
-
-    kind: str = "heteroscedastic"
-    n: int = 5000
-    dim: int = 4
-    noise_profile: str = "step"
-    noise_low: float = 0.2
-    noise_high: float = 1.0
-    noise_level: float = 0.5
-    n_clusters: int = 8
-    held_out_clusters: tuple[int, ...] = (6, 7)
-    mode: str = "ood"
-    cluster_std: float = 0.5
-    center_radius: float = 2.0
-    ood_radius: float = 6.0
-    noise: float = 0.3
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("heteroscedastic", "clustered_shift", "csv"):
-            raise ConfigError(f"kind {self.kind!r} is not a known data kind")
-        if self.mode not in ("ood", "iid"):
-            raise ConfigError(f"mode {self.mode!r} is not 'ood' or 'iid'")
-        self.held_out_clusters = tuple(int(c) for c in self.held_out_clusters)
-        if self.kind == "heteroscedastic":
-            check_heteroscedastic(self.n, self.dim, self.noise_profile, self.noise_low,
-                                  self.noise_high, self.noise_level)
-        elif self.kind == "clustered_shift":
-            held = check_clustered(self.n, self.dim, self.n_clusters, self.held_out_clusters,
-                                   self.cluster_std, self.center_radius, self.ood_radius,
-                                   self.noise)
-            if self.mode == "ood" and not 0 < len(held) < self.n_clusters:
-                raise ConfigError("held_out_clusters must be a nonempty strict subset of "
-                                  "the clusters in ood mode")
-        elif not self.path:
-            raise ConfigError("path is required when kind is 'csv'")
-
-
-@dataclass
-class SplitSpec:
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
-    mode: str = "random"
-
-    def __post_init__(self):
-        self.fractions = tuple(float(f) for f in check_fractions(self.fractions))
-        if self.mode not in SPLIT_MODES:
-            raise ConfigError(f"mode {self.mode!r} is not one of {SPLIT_MODES}")
 
 
 @dataclass
@@ -297,22 +245,15 @@ def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
     seed = derived_seed(config.seed, _ROLE_DATA)
     test_groups = None
     if spec.kind == "heteroscedastic":
-        ds = gen_heteroscedastic(spec.n, spec.dim, spec.noise_profile, seed,
-                                 noise_low=spec.noise_low, noise_high=spec.noise_high,
-                                 noise_level=spec.noise_level)
+        ds = gen_heteroscedastic(spec, seed)
     elif spec.kind == "clustered_shift":
-        ds = gen_clustered_shift(spec.n, spec.dim, n_clusters=spec.n_clusters,
-                                 held_out_clusters=spec.held_out_clusters, seed=seed,
-                                 cluster_std=spec.cluster_std,
-                                 center_radius=spec.center_radius,
-                                 ood_radius=spec.ood_radius, noise=spec.noise)
+        ds = gen_clustered_shift(spec, seed)
         if spec.mode == "ood":
             test_groups = ds.meta["held_out_groups"]
     else:
         ds = load_csv(spec.path)
     if ds.split is None:
-        ds = split_dataset(ds, fractions=config.split.fractions,
-                           mode=config.split.mode, seed=seed, test_groups=test_groups)
+        ds = split_dataset(ds, config.split, seed, test_groups)
     save_csv(ds, out / "data.csv")
     return ds
 

@@ -8,7 +8,6 @@ mean +/- z_{1-alpha/2} * std.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,11 @@ class DropoutMlp:
         self.dropout = float(dropout)
 
     @classmethod
-    def init(cls, input_dim: int, spec: McDropoutSpec, rng: int | np.random.Generator,
-             activation: str = "relu") -> "DropoutMlp":
-        """Fresh net of ``spec``'s hidden width and dropout rate, with
+    def init(cls, input_dim: int, spec: McDropoutSpec,
+             rng: int | np.random.Generator) -> "DropoutMlp":
+        """Fresh relu net of ``spec``'s hidden width and dropout rate, with
         Xavier-initialized weights."""
-        net = Mlp.init((input_dim, spec.hidden, 1), activation, as_rng(rng))
+        net = Mlp.init((input_dim, spec.hidden, 1), "relu", rng)
         return cls(net, spec.dropout)
 
     @property
@@ -192,7 +191,11 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
 
 
 def mc_intervals(mean: Array, variance: Array, alpha: float) -> PredictionIntervals:
-    """Symmetric Gaussian intervals mean +/- z_{1-alpha/2} * sqrt(variance)."""
+    """Symmetric Gaussian intervals mean +/- z_{1-alpha/2} * sqrt(variance).
+
+    An infinite z (alpha <= 2**-53 rounds 1 - alpha/2 to 1) yields the whole
+    real line for every sample.
+    """
     m = np.asarray(mean, dtype=np.float64).ravel()
     v = np.asarray(variance, dtype=np.float64).ravel()
     if m.shape != v.shape or m.size == 0:
@@ -204,5 +207,6 @@ def mc_intervals(mean: Array, variance: Array, alpha: float) -> PredictionInterv
     from statistics import NormalDist  # here, so that importing the package skips it
 
     p = 1.0 - alpha / 2.0
-    z = math.inf if p == 1.0 else NormalDist().inv_cdf(p)  # alpha <= 2**-53 rounds p to 1
-    return PredictionIntervals(center=m, half=z * np.sqrt(v))
+    # inf * 0 would be NaN where a variance is zero
+    half = np.full_like(m, np.inf) if p == 1.0 else NormalDist().inv_cdf(p) * np.sqrt(v)
+    return PredictionIntervals(center=m, half=half)

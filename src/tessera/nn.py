@@ -158,27 +158,20 @@ class Mlp:
         self.weights, self.biases = self._views(self.params)
 
     @classmethod
-    def init(cls, widths: Sequence[int], activation: str = "tanh",
-             rng: int | np.random.Generator | None = None) -> "Mlp":
-        """Xavier-uniform weights, zero biases.
-
-        ``activation`` applies to every hidden layer; pass a sequence to
-        mix activations.
-        """
+    def init(cls, widths: Sequence[int], activation: str,
+             rng: int | np.random.Generator) -> "Mlp":
+        """Xavier-uniform weights, zero biases, and ``activation`` after
+        every hidden layer."""
         widths = [int(w) for w in widths]
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise DimensionError("widths must list >= 2 positive layer sizes")
-        rng = as_rng(0 if rng is None else rng)
-        if isinstance(activation, str):
-            acts: Sequence[str] = (activation,) * (len(widths) - 2)
-        else:
-            acts = tuple(activation)
+        rng = as_rng(rng)
         weights, biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(weights, biases, acts)
+        return cls(weights, biases, (activation,) * (len(widths) - 2))
 
     @classmethod
     def stack(cls, nets: Sequence["Mlp"]) -> "Mlp":

@@ -28,7 +28,8 @@ import conftest
 from conftest import ssc
 from gradcheck import finite_difference_gradients
 from tessera.conformal import ScaleKind, build_intervals, calibrate, conformal_quantile
-from tessera.datagen import gen_clustered_shift, gen_heteroscedastic, split_dataset
+from tessera.datagen import DataSpec, SplitSpec, gen_clustered_shift, gen_heteroscedastic, \
+    split_dataset
 from tessera.errors import MetricError
 from tessera.experiment import ExperimentConfig, run_experiment
 from tessera.mc_dropout import mc_intervals
@@ -81,9 +82,9 @@ def test_coverage_validity_across_seeds():
     picps = {"epistemic": [], "aleatoric": [], "constant": []}
     t0 = time.monotonic()
     for seed in range(50):
-        ds = gen_heteroscedastic(12500, 4, "step", seed,
-                                 noise_low=0.2, noise_high=1.0)
-        ds = split_dataset(ds, fractions=fractions, seed=seed)
+        ds = gen_heteroscedastic(DataSpec(n=12500, dim=4, noise_profile="step",
+                                          noise_low=0.2, noise_high=1.0), seed)
+        ds = split_dataset(ds, SplitSpec(fractions=fractions), seed)
         model = _fit_moe(ds, seed, epochs=20, batch=256)
         ca, te = ds.part("cal"), ds.part("test")
         pc, pt = model.forward(ca.X), model.forward(te.X)
@@ -153,9 +154,9 @@ def step_noise_runs():
     """
     rows = []
     for seed in range(10):
-        ds = gen_heteroscedastic(2000, 4, "step", seed,
-                                 noise_low=0.2, noise_high=1.0)
-        ds = split_dataset(ds, seed=seed)
+        ds = gen_heteroscedastic(DataSpec(n=2000, dim=4, noise_profile="step",
+                                          noise_low=0.2, noise_high=1.0), seed)
+        ds = split_dataset(ds, SplitSpec(), seed)
         model = _fit_moe(ds, seed)
         ca, te = ds.part("cal"), ds.part("test")
         pc, pt = model.forward(ca.X), model.forward(te.X)
@@ -254,9 +255,9 @@ def test_classical_widths_constant():
 def test_disagreement_flags_shifted_clusters():
     hits = 0
     for seed in range(3):
-        ds = gen_clustered_shift(4000, 4, seed=seed,
-                                 ood_radius=10.0, cluster_std=0.4)
-        ds = split_dataset(ds, seed=seed, test_groups=ds.meta["held_out_groups"])
+        ds = gen_clustered_shift(DataSpec(kind="clustered_shift", n=4000, dim=4,
+                                          ood_radius=10.0, cluster_std=0.4), seed)
+        ds = split_dataset(ds, SplitSpec(), seed, ds.meta["held_out_groups"])
         model = _fit_moe(ds, seed, n_experts=3, epochs=250)
         e_shifted = float(np.mean(model.forward(ds.part("test").X).epistemic))
         e_in_dist = float(np.mean(model.forward(ds.part("val").X).epistemic))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import string
@@ -13,7 +14,9 @@ from tessera import datagen, serialize
 from tessera.datagen import (
     CSV_BLOCK_ROWS,
     SPLIT_TAGS,
+    DataSpec,
     Dataset,
+    SplitSpec,
     gen_clustered_shift,
     gen_heteroscedastic,
     load_csv,
@@ -23,21 +26,26 @@ from tessera.datagen import (
 from tessera.errors import ConfigError, CsvFormatError, DimensionError
 
 
+def clustered(**fields) -> DataSpec:
+    return DataSpec(kind="clustered_shift", **fields)
+
+
 # -------------------------------------------------------- heteroscedastic
 
 def test_gen_heteroscedastic_shapes_and_determinism():
-    a = gen_heteroscedastic(100, 3, "step", seed=7)
-    b = gen_heteroscedastic(100, 3, "step", seed=7)
+    a = gen_heteroscedastic(DataSpec(n=100, dim=3, noise_profile="step"), 7)
+    b = gen_heteroscedastic(DataSpec(n=100, dim=3, noise_profile="step"), 7)
     assert a.X.shape == (100, 3)
     assert a.y.shape == (100,)
     assert a.sigma_true is not None
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = gen_heteroscedastic(100, 3, "step", seed=8)
+    c = gen_heteroscedastic(DataSpec(n=100, dim=3, noise_profile="step"), 8)
     assert not np.array_equal(a.y, c.y)
 
 
 def test_step_profile_two_levels():
-    ds = gen_heteroscedastic(500, 2, "step", seed=0, noise_low=0.2, noise_high=1.0)
+    ds = gen_heteroscedastic(DataSpec(n=500, dim=2, noise_profile="step", noise_low=0.2,
+                                      noise_high=1.0), 0)
     right = ds.X[:, 0] > 0
     assert set(np.unique(ds.sigma_true)) == {0.2, 1.0}
     assert np.all(ds.sigma_true[right] == 1.0)
@@ -45,7 +53,8 @@ def test_step_profile_two_levels():
 
 
 def test_linear_profile_monotone_in_radius():
-    ds = gen_heteroscedastic(500, 3, "linear", seed=1, noise_low=0.1, noise_high=0.9)
+    ds = gen_heteroscedastic(DataSpec(n=500, dim=3, noise_profile="linear", noise_low=0.1,
+                                      noise_high=0.9), 1)
     r = np.linalg.norm(ds.X, axis=1)
     order = np.argsort(r)
     assert np.all(np.diff(ds.sigma_true[order]) >= 0)
@@ -54,16 +63,16 @@ def test_linear_profile_monotone_in_radius():
 
 
 def test_constant_profile():
-    ds = gen_heteroscedastic(50, 2, "constant", seed=2, noise_level=0.4)
+    ds = gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="constant", noise_level=0.4), 2)
     assert_allclose(ds.sigma_true, np.full(50, 0.4), rtol=0)
 
 
 def test_noise_matches_recorded_sigma():
     # same seed and shape, zero noise: isolates the additive noise exactly
-    clean = gen_heteroscedastic(4000, 2, "step", seed=3, noise_low=0.0,
-                                noise_high=0.0)
-    noisy = gen_heteroscedastic(4000, 2, "step", seed=3, noise_low=0.2,
-                                noise_high=1.0)
+    clean = gen_heteroscedastic(DataSpec(n=4000, dim=2, noise_profile="step", noise_low=0.0,
+                                         noise_high=0.0), 3)
+    noisy = gen_heteroscedastic(DataSpec(n=4000, dim=2, noise_profile="step", noise_low=0.2,
+                                         noise_high=1.0), 3)
     assert np.array_equal(clean.X, noisy.X)
     xi = (noisy.y - clean.y)[noisy.sigma_true > 0] / \
         noisy.sigma_true[noisy.sigma_true > 0]
@@ -72,14 +81,15 @@ def test_noise_matches_recorded_sigma():
 
 
 def test_unknown_profile_rejected():
-    with pytest.raises(ConfigError):
-        gen_heteroscedastic(10, 2, "quadratic", seed=0)
+    with pytest.raises(ConfigError, match="noise_profile 'quadratic' is not one of"):
+        DataSpec(n=10, dim=2, noise_profile="quadratic")
 
 
 # -------------------------------------------------------- clustered shift
 
 def test_generator_is_unsplit_and_names_the_held_out_groups():
-    ds = gen_clustered_shift(1000, 2, n_clusters=8, held_out_clusters=(7, 6), seed=0)
+    ds = gen_clustered_shift(clustered(n=1000, dim=2, n_clusters=8, held_out_clusters=(7, 6)),
+                             0)
     assert ds.split is None
     assert ds.meta["held_out_clusters"] == [6, 7]
     assert ds.meta["held_out_groups"] == ["cluster_06", "cluster_07"]
@@ -87,8 +97,9 @@ def test_generator_is_unsplit_and_names_the_held_out_groups():
 
 
 def test_ood_mode_isolates_held_out_clusters():
-    ds = gen_clustered_shift(1000, 2, n_clusters=8, held_out_clusters=(6, 7), seed=0)
-    ds = split_dataset(ds, test_groups=ds.meta["held_out_groups"])
+    ds = gen_clustered_shift(clustered(n=1000, dim=2, n_clusters=8, held_out_clusters=(6, 7)),
+                             0)
+    ds = split_dataset(ds, SplitSpec(), 0, ds.meta["held_out_groups"])
     held = {"cluster_06", "cluster_07"}
     test_groups = set(ds.groups[ds.split == "test"])
     rest_groups = set(ds.groups[ds.split != "test"])
@@ -102,8 +113,8 @@ def test_ood_mode_isolates_held_out_clusters():
 
 
 def test_ood_test_clusters_sit_far_away():
-    ds = gen_clustered_shift(1000, 3, n_clusters=6, held_out_clusters=(5,),
-                             seed=1, center_radius=2.0, ood_radius=8.0)
+    ds = gen_clustered_shift(clustered(n=1000, dim=3, n_clusters=6, held_out_clusters=(5,),
+                                       center_radius=2.0, ood_radius=8.0), 1)
     held = ds.groups == "cluster_05"
     r_test = np.linalg.norm(ds.X[held], axis=1)
     r_rest = np.linalg.norm(ds.X[~held], axis=1)
@@ -112,8 +123,9 @@ def test_ood_test_clusters_sit_far_away():
 
 def test_iid_mode_splits_by_fraction():
     n = 1000
-    ds = split_dataset(gen_clustered_shift(n, 2, n_clusters=8, held_out_clusters=(6, 7),
-                                           seed=2), seed=2)
+    ds = split_dataset(gen_clustered_shift(clustered(n=n, dim=2, n_clusters=8,
+                                                     held_out_clusters=(6, 7)), 2),
+                       SplitSpec(), 2)
     for tag, frac in (("train", 0.6), ("test", 0.2), ("val", 0.1), ("cal", 0.1)):
         assert abs(np.sum(ds.split == tag) - frac * n) <= 1.0
     # held-out labels appear across splits without test_groups
@@ -121,18 +133,20 @@ def test_iid_mode_splits_by_fraction():
 
 
 def test_clustered_validation():
-    # ood's "nonempty strict subset" rule belongs to the config, not the generator
-    assert gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=()).meta[
-        "held_out_groups"] == []
-    with pytest.raises(ConfigError):
-        gen_clustered_shift(100, 2, n_clusters=4, held_out_clusters=(9,))
-    with pytest.raises(DimensionError):
-        gen_clustered_shift(3, 2, n_clusters=4, held_out_clusters=(0,))
+    # the "nonempty strict subset" rule holds in ood mode only
+    iid = clustered(n=100, dim=2, n_clusters=4, held_out_clusters=(), mode="iid")
+    assert gen_clustered_shift(iid, 0).meta["held_out_groups"] == []
+    with pytest.raises(ConfigError, match="nonempty strict subset"):
+        clustered(n=100, dim=2, n_clusters=4, held_out_clusters=())
+    with pytest.raises(ConfigError, match="valid cluster indices"):
+        clustered(n=100, dim=2, n_clusters=4, held_out_clusters=(9,))
+    with pytest.raises(DimensionError, match="one sample per cluster"):
+        clustered(n=3, dim=2, n_clusters=4, held_out_clusters=(0,))
 
 
 def test_clustered_determinism():
-    a = gen_clustered_shift(300, 2, seed=5)
-    b = gen_clustered_shift(300, 2, seed=5)
+    a = gen_clustered_shift(clustered(n=300, dim=2), 5)
+    b = gen_clustered_shift(clustered(n=300, dim=2), 5)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.groups, b.groups)
 
@@ -140,44 +154,45 @@ def test_clustered_determinism():
 # ----------------------------------------------------------------- split
 
 def test_random_split_exact_sizes_at_round_n():
-    ds = gen_heteroscedastic(1000, 2, "constant", seed=0)
-    out = split_dataset(ds, seed=3)
+    ds = gen_heteroscedastic(DataSpec(n=1000, dim=2, noise_profile="constant"), 0)
+    out = split_dataset(ds, SplitSpec(), 3)
     counts = {tag: int(np.sum(out.split == tag))
               for tag in ("train", "test", "val", "cal")}
     assert counts == {"train": 600, "test": 200, "val": 100, "cal": 100}
 
 
 def test_random_split_deterministic_and_seed_sensitive():
-    ds = gen_heteroscedastic(200, 2, "constant", seed=0)
-    a = split_dataset(ds, seed=1)
-    b = split_dataset(ds, seed=1)
-    c = split_dataset(ds, seed=2)
+    ds = gen_heteroscedastic(DataSpec(n=200, dim=2, noise_profile="constant"), 0)
+    a = split_dataset(ds, SplitSpec(), 1)
+    b = split_dataset(ds, SplitSpec(), 1)
+    c = split_dataset(ds, SplitSpec(), 2)
     assert np.array_equal(a.split, b.split)
     assert not np.array_equal(a.split, c.split)
 
 
 def test_split_fraction_validation():
-    ds = gen_heteroscedastic(50, 2, "constant", seed=0)
+    ds = gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="constant"), 0)
     with pytest.raises(ConfigError):
-        split_dataset(ds, fractions=(0.5, 0.2, 0.1, 0.1))
+        split_dataset(ds, SplitSpec(fractions=(0.5, 0.2, 0.1, 0.1)), 0)
     with pytest.raises(ConfigError):
-        split_dataset(ds, fractions=(0.6, 0.2, 0.2))
+        split_dataset(ds, SplitSpec(fractions=(0.6, 0.2, 0.2)), 0)
     with pytest.raises(ConfigError):
-        split_dataset(ds, mode="stratified")
+        split_dataset(ds, SplitSpec(mode="stratified"), 0)
     with pytest.raises(ConfigError, match="nonnegative and sum to 1"):
-        split_dataset(ds, fractions=(0.6, 0.2, float("nan"), 0.2))
+        split_dataset(ds, SplitSpec(fractions=(0.6, 0.2, float("nan"), 0.2)), 0)
     for fractions in ((0.5, 0.5), (0.7, 0.2, 0.1, 0.1)):
         with pytest.raises(ConfigError, match="fractions"):
-            split_dataset(gen_clustered_shift(400, 2), fractions=fractions,
-                          test_groups=["cluster_06"])
+            split_dataset(gen_clustered_shift(clustered(n=400, dim=2), 0),
+                          SplitSpec(fractions=fractions), 0, ["cluster_06"])
 
 
 def test_test_groups_validation():
-    clustered = gen_clustered_shift(400, 2)
+    ds = gen_clustered_shift(clustered(n=400, dim=2), 0)
     with pytest.raises(ConfigError, match="require group labels"):
-        split_dataset(gen_heteroscedastic(50, 2, "constant", seed=0), test_groups=["a"])
+        split_dataset(gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="constant"), 0),
+                      SplitSpec(), 0, ["a"])
     with pytest.raises(ConfigError, match="no share outside test_groups"):
-        split_dataset(clustered, fractions=(0.0, 1.0, 0.0, 0.0), test_groups=["cluster_06"])
+        split_dataset(ds, SplitSpec(fractions=(0.0, 1.0, 0.0, 0.0)), 0, ["cluster_06"])
 
 
 def test_by_group_split_keeps_groups_whole():
@@ -188,7 +203,7 @@ def test_by_group_split_keeps_groups_whole():
     y = rng.standard_normal(100)
     ds = Dataset(X=X, y=y, groups=groups)
     with pytest.warns(UserWarning, match="exceeds"):  # b overshoots its target
-        out = split_dataset(ds, mode="by_group")
+        out = split_dataset(ds, SplitSpec(mode="by_group"), 0)
     for g in sizes:
         tags = set(out.split[out.groups == g])
         assert len(tags) == 1
@@ -204,13 +219,13 @@ def test_by_group_warns_on_oversized_group():
     groups = np.array(["big"] * 90 + ["small"] * 10)
     ds = Dataset(X=np.zeros((100, 1)), y=np.zeros(100), groups=groups)
     with pytest.warns(UserWarning, match="exceeds"):
-        split_dataset(ds, mode="by_group")
+        split_dataset(ds, SplitSpec(mode="by_group"), 0)
 
 
 def test_by_group_requires_groups():
     ds = Dataset(X=np.zeros((10, 1)), y=np.zeros(10))
     with pytest.raises(ConfigError):
-        split_dataset(ds, mode="by_group")
+        split_dataset(ds, SplitSpec(mode="by_group"), 0)
 
 
 @st.composite
@@ -223,16 +238,17 @@ def split_cases(draw):
                  y=np.zeros(groups.size), groups=groups)
     weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
     test_groups = draw(st.none() | st.sets(st.sampled_from(names)))
-    return ds, {"fractions": tuple(np.array(weights) / sum(weights)),
-                "mode": draw(st.sampled_from(datagen.SPLIT_MODES)),
-                "seed": draw(st.integers(0, 2**32 - 1)), "test_groups": test_groups}
+    spec = SplitSpec(tuple(np.array(weights) / sum(weights)),
+                     draw(st.sampled_from(datagen.SPLIT_MODES)))
+    return ds, {"spec": spec, "seed": draw(st.integers(0, 2**32 - 1)),
+                "test_groups": test_groups}
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=split_cases())
 def test_split_dataset_properties(case):
     ds, kwargs = case
-    shares = np.array(kwargs["fractions"])
+    shares = np.array(kwargs["spec"].fractions)
     held = np.zeros(ds.n, dtype=bool)
     if kwargs["test_groups"] is not None:
         held = np.isin(ds.groups, sorted(kwargs["test_groups"]))
@@ -248,11 +264,13 @@ def test_split_dataset_properties(case):
     assert np.array_equal(out.X, ds.X) and np.array_equal(out.groups, ds.groups)
     # one tag per row, and test holds exactly the test_groups rows
     assert out.split.shape == (ds.n,) and set(out.split) <= set(SPLIT_TAGS)
+    assert out.meta["split"]["counts"] == {tag: int(np.sum(out.split == tag))
+                                           for tag in SPLIT_TAGS}
     if kwargs["test_groups"] is not None:
         assert np.array_equal(out.split == "test", held)
     rest = out.split[~held]
     m = rest.size
-    if kwargs["mode"] == "by_group":
+    if kwargs["spec"].mode == "by_group":
         for g in np.unique(ds.groups):
             assert np.unique(out.split[ds.groups == g]).size == 1, g
         for tag, share in zip(SPLIT_TAGS, shares):
@@ -264,7 +282,8 @@ def test_split_dataset_properties(case):
 
 
 def test_part_selects_split_rows():
-    ds = split_dataset(gen_heteroscedastic(100, 2, "constant", seed=0), seed=0)
+    ds = split_dataset(gen_heteroscedastic(DataSpec(n=100, dim=2, noise_profile="constant"), 0),
+                       SplitSpec(), 0)
     test = ds.part("test")
     assert test.n == int(np.sum(ds.split == "test"))
     assert np.all(test.split == "test")
@@ -272,10 +291,76 @@ def test_part_selects_split_rows():
         Dataset(X=np.zeros((5, 1)), y=np.zeros(5)).part("test")
 
 
+# ------------------------------------------------------------------ specs
+
+# (kind, base fields, field, changed value): one row per field each generator
+# reads, under each noise profile that reads it
+FIELD_CHANGES = [
+    ("heteroscedastic", {}, "n", 41),
+    ("heteroscedastic", {}, "dim", 3),
+    ("heteroscedastic", {}, "noise_profile", "linear"),
+    ("heteroscedastic", {}, "noise_low", 0.3),
+    ("heteroscedastic", {}, "noise_high", 0.9),
+    ("heteroscedastic", {"noise_profile": "linear"}, "noise_low", 0.3),
+    ("heteroscedastic", {"noise_profile": "linear"}, "noise_high", 0.9),
+    ("heteroscedastic", {"noise_profile": "constant"}, "noise_level", 0.7),
+    ("clustered_shift", {}, "n", 41),
+    ("clustered_shift", {}, "dim", 3),
+    ("clustered_shift", {}, "n_clusters", 9),
+    ("clustered_shift", {}, "held_out_clusters", (5, 7)),
+    ("clustered_shift", {}, "cluster_std", 0.4),
+    ("clustered_shift", {}, "center_radius", 2.5),
+    ("clustered_shift", {}, "ood_radius", 7.0),
+    ("clustered_shift", {}, "noise", 0.2),
+]
+GENERATORS = {"heteroscedastic": gen_heteroscedastic, "clustered_shift": gen_clustered_shift}
+
+
+def test_field_changes_cover_every_data_spec_field():
+    # the rest: kind picks the generator, mode the split, path the csv
+    tested = {name for _, _, name, _ in FIELD_CHANGES}
+    assert tested | {"kind", "mode", "path"} == {f.name for f in dataclasses.fields(DataSpec)}
+
+
+@pytest.mark.parametrize("kind, base, name, value", FIELD_CHANGES,
+                         ids=[f"{k}-{name}-{'-'.join(map(str, base.values()))}".rstrip("-")
+                              for k, base, name, _ in FIELD_CHANGES])
+def test_every_data_spec_field_reaches_the_data(kind, base, name, value):
+    gen = GENERATORS[kind]
+    fields = {"kind": kind, "n": 40, "dim": 2, **base}
+    before = gen(DataSpec(**fields), 3)
+    after = gen(DataSpec(**{**fields, name: value}), 3)
+    arrays = ("X", "y", "sigma_true", "groups")
+    assert not all(np.array_equal(getattr(before, a), getattr(after, a)) for a in arrays)
+    assert after.meta[name] != before.meta[name]
+
+
+@pytest.mark.parametrize("kind, other", [
+    ("heteroscedastic", clustered()), ("heteroscedastic", DataSpec(kind="csv", path="x.csv")),
+    ("clustered_shift", DataSpec()), ("clustered_shift", DataSpec(kind="csv", path="x.csv")),
+], ids=lambda v: v if isinstance(v, str) else f"given_{v.kind}")
+def test_generator_refuses_a_spec_of_another_kind(kind, other):
+    # a spec of another kind never had this kind's rules applied
+    with pytest.raises(ConfigError, match=f"kind '{other.kind}' is not '{kind}'"):
+        GENERATORS[kind](other, 0)
+
+
+def test_split_spec_fractions_and_mode_each_change_the_split():
+    ds = gen_clustered_shift(clustered(n=400, dim=2, mode="iid"), 0)
+    base = split_dataset(ds, SplitSpec(), 1)
+    for spec in (SplitSpec(fractions=(0.5, 0.3, 0.1, 0.1)), SplitSpec(mode="by_group")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 50-row clusters, 40-row targets
+            out = split_dataset(ds, spec, 1)
+        assert not np.array_equal(out.split, base.split)
+        assert out.meta["split"]["fractions"] == list(spec.fractions)
+        assert out.meta["split"]["mode"] == spec.mode
+
+
 # ------------------------------------------------------------------- csv
 
 def test_csv_round_trip_lossless(tmp_path):
-    ds = split_dataset(gen_clustered_shift(200, 3, seed=9), seed=1)
+    ds = split_dataset(gen_clustered_shift(clustered(n=200, dim=3), 9), SplitSpec(), 1)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -288,7 +373,7 @@ def test_csv_round_trip_lossless(tmp_path):
 
 
 def test_csv_sidecar_written_and_read(tmp_path):
-    ds = gen_heteroscedastic(20, 2, "step", seed=4)
+    ds = gen_heteroscedastic(DataSpec(n=20, dim=2, noise_profile="step"), 4)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     sidecar = tmp_path / "data.csv.meta.json"
@@ -344,7 +429,7 @@ def test_csv_header_validation(tmp_path):
 
 
 def test_csv_non_finite_cell_rejected(tmp_path):
-    ds = gen_heteroscedastic(20, 2, "step", seed=4)
+    ds = gen_heteroscedastic(DataSpec(n=20, dim=2, noise_profile="step"), 4)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     lines = path.read_text().split("\n")
@@ -376,9 +461,11 @@ def test_exact_float_round_trip(tmp_path):
 
 def test_csv_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "data.csv"
-    save_csv(split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=0), seed=0), path)
+    save_csv(split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 0),
+                           SplitSpec(), 0), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=1), seed=1)
+    ds = split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 1),
+                       SplitSpec(), 1)
     ds.split = ds.split.astype(object)
     ds.split[CSV_BLOCK_ROWS + 5] = 7  # fails to format after the first block is written
     with pytest.raises(TypeError):
@@ -540,7 +627,8 @@ def test_csv_saved_cache_entry_equals_cold_parse(tmp_path_factory, ds, meta, wid
 
 
 def test_csv_load_after_save_does_not_parse(tmp_path, parses):
-    ds = split_dataset(gen_clustered_shift(CSV_BLOCK_ROWS + 10, 2, seed=3))
+    ds = split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 3),
+                       SplitSpec(), 0)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     for _ in range(3):
@@ -555,7 +643,7 @@ def test_csv_load_after_save_does_not_parse(tmp_path, parses):
 
 def test_csv_one_byte_edit_of_either_file_misses(tmp_path, parses):
     path = tmp_path / "data.csv"
-    ds = gen_heteroscedastic(30, 2, "step", seed=4)
+    ds = gen_heteroscedastic(DataSpec(n=30, dim=2, noise_profile="step"), 4)
     ds.meta = {}
     save_csv(ds, path)
     text = path.read_text()
@@ -565,7 +653,7 @@ def test_csv_one_byte_edit_of_either_file_misses(tmp_path, parses):
     assert load_csv(path).X[0, 0] == float(edited)
     assert parses == ["data.csv"]
 
-    save_csv(gen_heteroscedastic(30, 2, "step", seed=4), path)
+    save_csv(gen_heteroscedastic(DataSpec(n=30, dim=2, noise_profile="step"), 4), path)
     sidecar = tmp_path / "data.csv.meta.json"
     sidecar.write_text(sidecar.read_text().replace('"seed": 4', '"seed": 5'))
     assert load_csv(path).meta["seed"] == 5
@@ -576,7 +664,7 @@ def test_csv_one_byte_edit_of_either_file_misses(tmp_path, parses):
 
 
 def test_csv_loaded_arrays_are_read_only(tmp_path):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3))
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 0)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     for cold in (False, True):
@@ -591,7 +679,7 @@ def test_csv_loaded_arrays_are_read_only(tmp_path):
 
 
 def test_csv_cache_is_not_changed_through_results_or_the_saved_dataset(tmp_path):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=2)
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 2)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     want = json.loads(json.dumps(ds.meta))
@@ -620,8 +708,8 @@ def test_csv_corrupt_file_raises_on_every_call(tmp_path, parses):
 
 def test_csv_save_without_meta_removes_stale_sidecar(tmp_path):
     path = tmp_path / "data.csv"
-    save_csv(gen_heteroscedastic(50, 2, "step", seed=1), path)
-    ds = gen_heteroscedastic(60, 2, "step", seed=2)
+    save_csv(gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="step"), 1), path)
+    ds = gen_heteroscedastic(DataSpec(n=60, dim=2, noise_profile="step"), 2)
     ds.meta = {}
     save_csv(ds, path)
     assert not (tmp_path / "data.csv.meta.json").exists()
@@ -633,7 +721,7 @@ def test_csv_save_without_meta_removes_stale_sidecar(tmp_path):
 
 
 def test_csv_sidecar_records_data_sha256(tmp_path):
-    ds = gen_heteroscedastic(20, 2, "step", seed=4)
+    ds = gen_heteroscedastic(DataSpec(n=20, dim=2, noise_profile="step"), 4)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     recorded = serialize.load(tmp_path / "data.csv.meta.json")
@@ -644,13 +732,13 @@ def test_csv_sidecar_records_data_sha256(tmp_path):
 
 def test_csv_interrupted_sidecar_write_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
-    save_csv(gen_heteroscedastic(50, 2, "step", seed=1), path)
+    save_csv(gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="step"), 1), path)
 
     def interrupted(obj, target):
         raise KeyboardInterrupt
     monkeypatch.setattr(serialize, "dump", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        save_csv(gen_heteroscedastic(60, 2, "step", seed=2), path)
+        save_csv(gen_heteroscedastic(DataSpec(n=60, dim=2, noise_profile="step"), 2), path)
     monkeypatch.undo()
     for cold in (False, True):
         if cold:
@@ -671,7 +759,7 @@ def test_csv_sidecar_without_data_sha256_still_loads(tmp_path):
 
 
 def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3)
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3)
     ds.split = np.where(ds.split == "val", "holdout", ds.split)  # bypasses validation
     path = tmp_path / "data.csv"
     save_csv(ds, path)
@@ -681,7 +769,7 @@ def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
 
 @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\nb"])
 def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
-    ds = split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3)
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3)
     ds.groups = ds.groups.astype(object)
     ds.groups[7] = label
     with pytest.raises(CsvFormatError, match="commas or line breaks"):
@@ -693,10 +781,11 @@ def test_csv_save_refuses_labels_that_would_not_load_back(tmp_path, label):
                                            ("groups", "group"), ("split", "split")])
 def test_csv_save_refuses_a_column_with_the_wrong_row_count(tmp_path, field, column):
     path = tmp_path / "data.csv"
-    save_csv(split_dataset(gen_clustered_shift(40, 2, seed=3), seed=3), path)
+    save_csv(split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3),
+             path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert set(before) == {"data.csv", "data.csv.meta.json"}
-    ds = split_dataset(gen_clustered_shift(50, 2, seed=1), seed=1)
+    ds = split_dataset(gen_clustered_shift(clustered(n=50, dim=2), 1), SplitSpec(), 1)
     setattr(ds, field, getattr(ds, field)[:10])  # bypasses validation
     with pytest.raises(CsvFormatError,
                        match=rf"data.csv: column '{column}' has shape \(10,\), not \(50,\)"):

@@ -305,6 +305,20 @@ def test_ood_test_split_is_exactly_the_held_out_clusters(tmp_path, split_mode):
     assert ds.meta["split"]["test_groups"] == ["cluster_06", "cluster_07"]
 
 
+@pytest.mark.parametrize("mode, split_mode", [("iid", "by_group"), ("ood", "random")])
+def test_data_sidecar_records_the_realized_split_counts(tmp_path, mode, split_mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # by_group overshoots val and cal
+        _clustered_split(tmp_path, mode, split_mode)
+    out = tmp_path / f"{mode}_{split_mode}"
+    counts = serialize.load(out / "data.csv.meta.json")["split"]["counts"]
+    header, *rows = (out / "data.csv").read_text().splitlines()
+    column = header.split(",").index("split")
+    tags = [row.split(",")[column] for row in rows]
+    assert counts == {tag: tags.count(tag) for tag in datagen.SPLIT_TAGS}
+    assert sum(counts.values()) == 2000
+
+
 def test_alpha_is_respected(tmp_path):
     cfg = small_config(calibration={"alpha": 0.5})
     out = tmp_path / "wide_alpha"
@@ -345,6 +359,22 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert entry["std"] >= 0.0
     assert (report_dir / "report.csv").read_text().startswith(
         "method,metric,mean,std,n_runs")
+
+
+def test_cli_run_at_an_alpha_whose_z_is_infinite(tmp_path):
+    # 1 - 1e-17 / 2 rounds to 1, so z is inf, and zero dropout gives a zero MC variance
+    cfg = {"data": {"n": 600}, "train": {"epochs": 2}, "calibration": {"alpha": 1e-17},
+           "mc_dropout": {"dropout": 0.0, "epochs": 2}}
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    assert serialize.load(out / "manifest.json")["status"] == "ok"
+    for method in ("moe_e", "moe_a", "mc_dropout"):
+        report = serialize.load(out / f"metrics_{method}.json")
+        assert serialize.from_jsonable_float(report["mpiw"]) == math.inf, method
+        assert report["picp"] == 1.0, method
 
 
 def test_cli_stage_sequence(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from tessera.datagen import gen_heteroscedastic
+from tessera.datagen import DataSpec, gen_heteroscedastic
 from tessera.errors import ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import (
     DropoutMlp,
@@ -133,13 +134,13 @@ def test_init_builds_the_net_its_spec_describes(spec):
 
 
 def test_dropout_rate_validation():
-    net = Mlp.init((2, 4, 1), rng=make_rng(0))
+    net = Mlp.init((2, 4, 1), "relu", make_rng(0))
     with pytest.raises(ConfigError):
         DropoutMlp(net, dropout=1.0)
     with pytest.raises(ConfigError):
         DropoutMlp(net, dropout=-0.1)
     with pytest.raises(DimensionError):
-        DropoutMlp(Mlp.init((2, 4, 2), rng=make_rng(0)), dropout=0.5)
+        DropoutMlp(Mlp.init((2, 4, 2), "relu", make_rng(0)), dropout=0.5)
 
 
 # ------------------------------------------------------------ intervals
@@ -207,6 +208,15 @@ def test_intervals_at_an_alpha_that_rounds_p_to_one_are_infinite():
     assert np.isfinite(mc_intervals([0.0], [1.0], alpha=2.0 ** -52).upper).all()
 
 
+def test_infinite_z_gives_infinite_half_widths_at_zero_variance():
+    # inf * 0 would be NaN, and a RuntimeWarning; zero-variance rows are the whole line too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iv = mc_intervals([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], alpha=1e-17)
+    assert np.array_equal(iv.half, np.full(3, np.inf))
+    assert np.all(iv.lower == -np.inf) and np.all(iv.upper == np.inf)
+
+
 def test_intervals_alpha_05_quantile():
     iv = mc_intervals([0.0], [1.0], alpha=0.05)
     assert_allclose(iv.upper[0], 1.959963984540054, rtol=1e-12)
@@ -236,7 +246,7 @@ def test_intervals_reject_bad_inputs():
 # ------------------------------------------------------------- training
 
 def test_training_reduces_mse():
-    ds = gen_heteroscedastic(500, 2, "constant", seed=5, noise_level=0.1)
+    ds = gen_heteroscedastic(DataSpec(n=500, dim=2, noise_profile="constant", noise_level=0.1), 5)
     model = DropoutMlp.init(2, McDropoutSpec(hidden=16, dropout=0.2), make_rng(0))
     before = float(np.mean((model.deterministic_forward(ds.X) - ds.y) ** 2))
     history = train_dropout(model, ds.X, ds.y,
@@ -248,7 +258,7 @@ def test_training_reduces_mse():
 
 
 def test_training_divergence_reports_epoch():
-    ds = gen_heteroscedastic(200, 2, "constant", seed=6)
+    ds = gen_heteroscedastic(DataSpec(n=200, dim=2, noise_profile="constant"), 6)
     model = DropoutMlp.init(2, McDropoutSpec(hidden=8, dropout=0.5), make_rng(3))
     # the first step throws the weights so far that the second gradient is inf
     with pytest.raises(TrainingError, match=r"optimizer step \d+ \(epoch 0\)"):
@@ -257,7 +267,7 @@ def test_training_divergence_reports_epoch():
 
 
 def test_training_deterministic_given_seed():
-    ds = gen_heteroscedastic(200, 2, "constant", seed=6)
+    ds = gen_heteroscedastic(DataSpec(n=200, dim=2, noise_profile="constant"), 6)
 
     def run():
         model = DropoutMlp.init(2, McDropoutSpec(hidden=8, dropout=0.5), make_rng(3))

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from gradcheck import finite_difference_gradients
 from tessera import serialize
-from tessera.datagen import gen_heteroscedastic
+from tessera.datagen import DataSpec, gen_heteroscedastic
 from tessera.errors import ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, mc_predict
 from tessera.moe import (
@@ -322,7 +322,7 @@ def test_nll_rejects_mismatched_targets():
 
 @pytest.fixture(scope="module")
 def small_data():
-    ds = gen_heteroscedastic(600, 2, "step", seed=123)
+    ds = gen_heteroscedastic(DataSpec(n=600, dim=2, noise_profile="step"), 123)
     return ds.X[:400], ds.y[:400], ds.X[400:], ds.y[400:]
 
 
@@ -457,9 +457,10 @@ def test_checkpoint_bytes_match_per_expert_dicts(tmp_path):
 
 def test_experts_must_share_one_shape():
     rng = make_rng(26)
-    gate = Mlp.init((3, 2), rng=rng)
+    gate = Mlp.init((3, 2), "tanh", rng)
     with pytest.raises(DimensionError, match="differs in shape"):
-        MoeModel(gate, [Mlp.init((3, 6, 2), rng=rng), Mlp.init((3, 5, 2), rng=rng)], 1e-6)
+        MoeModel(gate, [Mlp.init((3, 6, 2), "tanh", rng), Mlp.init((3, 5, 2), "tanh", rng)],
+                 1e-6)
     with pytest.raises(DimensionError, match="differs in shape"):
         MoeModel(gate, [Mlp.init((3, 6, 2), "tanh", rng=rng),
                         Mlp.init((3, 6, 2), "relu", rng=rng)], 1e-6)

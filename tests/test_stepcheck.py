@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stepcheck
-from tessera.datagen import gen_heteroscedastic
+from tessera.datagen import DataSpec, gen_heteroscedastic
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, train_dropout
 from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, train_moe
 from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, make_rng, softmax_lse
@@ -131,7 +131,7 @@ def test_sample_masks_match_reference(dropout):
 @pytest.fixture(scope="module")
 def ragged_data():
     # 33 train rows in batches of 8: the last batch holds a single row
-    ds = gen_heteroscedastic(50, 3, "step", seed=17)
+    ds = gen_heteroscedastic(DataSpec(n=50, dim=3, noise_profile="step"), 17)
     return ds.X[:33], ds.y[:33], ds.X[33:], ds.y[33:]
 
 
@@ -155,8 +155,8 @@ def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation):
     spec = McDropoutSpec(hidden=8, dropout=0.3, epochs=4, batch_size=8, lr=1e-2)
 
     def fresh():
-        return DropoutMlp.init(3, McDropoutSpec(hidden=8, dropout=0.3), make_rng(2),
-                               activation=activation)
+        # DropoutMlp.init builds a relu net; this is its construction with ``activation``
+        return DropoutMlp(Mlp.init((3, 8, 1), activation, make_rng(2)), 0.3)
 
     model, replay = fresh(), fresh()
     history = train_dropout(model, X, y, spec, seed=6)
