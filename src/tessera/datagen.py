@@ -430,14 +430,25 @@ def save_csv(ds: Dataset, path) -> None:
         del meta["data_sha256"]
     else:
         sidecar.unlink(missing_ok=True)
+
+    def as_loaded(labels):
+        """A copy in the loader's label dtype: just wide enough for the
+        longest label, and at least one character wide. A <U array pads
+        each label with NULs, so the width is the last character column
+        that any label uses. (``numpy.strings.str_len`` finds it too, but
+        importing numpy.strings raised the benchmark's default_run peak RSS
+        by ~1.2 MB.)"""
+        if labels is None:
+            return None
+        labels = np.asarray(labels, dtype=str)
+        used = labels.view(np.uint32).reshape(labels.size, -1).any(axis=0)
+        return labels.astype(f"<U{max(len(np.trim_zeros(used, 'b')), 1)}")
+
     try:
         saved = Dataset(
             X=np.array(ds.X, order="C"), y=np.array(ds.y),
             sigma_true=None if ds.sigma_true is None else np.array(ds.sigma_true),
-            # the loader's label dtype: just wide enough for the longest label
-            groups=None if ds.groups is None else np.asarray(ds.groups.tolist()),
-            split=None if ds.split is None else np.asarray(ds.split.tolist()),
-            meta=meta)
+            groups=as_loaded(ds.groups), split=as_loaded(ds.split), meta=meta)
     except DimensionError:
         return  # a field set after construction is invalid; a load will say which
     _cache((data_sha256, side_key), saved)

@@ -23,11 +23,11 @@ from .datagen import DataSpec, Dataset, SplitSpec, gen_clustered_shift, gen_hete
     load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
-from .metrics import MetricsReport, check_cwc, check_grid, check_group_min_n, \
-    check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, picp, \
-    point_metrics, report_nll, sparsification, ssc_detail
+from .metrics import MetricsReport, PointMetrics, check_cwc, check_grid, check_group_min_n, \
+    check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, oracle_rmse, \
+    partition_groups, picp, point_metrics, report_nll, sparsification, ssc_detail
 from .moe import MixturePrediction, ModelSpec, MoeModel, TrainSpec, train_moe
-from .nn import derived_seed, make_rng
+from .nn import Array, derived_seed, make_rng
 
 METHODS = ("tessera_e", "tessera_a", "classical_cp", "moe_e", "moe_a", "mc_dropout")
 SCHEMA_VERSION = 1
@@ -298,12 +298,36 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
     return results
 
 
+@dataclass(eq=False)
+class _MeanScores:
+    """The scores of one predictive mean on the test split, each computed
+    once, when first read: the five MoE-based methods share the MoE's, and
+    mc_dropout has its own."""
+
+    mean: Array
+    density: MixturePrediction
+    y: Array
+    grid: tuple[float, ...] | None
+
+    @functools.cached_property
+    def resid(self) -> Array:
+        return self.y - self.mean
+
+    @functools.cached_property
+    def point(self) -> tuple[PointMetrics, float]:
+        return point_metrics(self.mean, self.y), report_nll(self.density, self.y)
+
+    @functools.cached_property
+    def oracle(self) -> Array:
+        return oracle_rmse(self.resid, self.grid)
+
+
 def _method_intervals(method: str, config: ExperimentConfig, out: Path,
-                      test: Dataset, pred: MixturePrediction, mu):
-    """Intervals, the uncertainty signal they came from, and the method's
-    point predictions and density model for the test split; the MoE
-    methods share ``pred`` and its mean ``mu``."""
+                      test: Dataset, moe: _MeanScores):
+    """Intervals for the test split, and the scores of the mean they are
+    centred on: ``moe`` for the MoE methods."""
     alpha = config.calibration.alpha
+    pred, mu = moe.density, moe.mean
     if method in ("tessera_e", "tessera_a", "classical_cp"):
         kind = {"tessera_e": ScaleKind.EPISTEMIC,
                 "tessera_a": ScaleKind.ALEATORIC}.get(method, ScaleKind.CONSTANT)
@@ -316,10 +340,10 @@ def _method_intervals(method: str, config: ExperimentConfig, out: Path,
                               f"epsilon={epsilon}; run `tessera calibrate` again first")
         scale = pred.epistemic if kind is ScaleKind.EPISTEMIC else \
             pred.aleatoric if kind is ScaleKind.ALEATORIC else None
-        return build_intervals(calib, mu, scale), mu, pred
+        return build_intervals(calib, mu, scale), moe
     if method in ("moe_e", "moe_a"):
         scale = pred.epistemic if method == "moe_e" else pred.aleatoric
-        return mc_intervals(mu, scale ** 2, alpha), mu, pred
+        return mc_intervals(mu, scale ** 2, alpha), moe
     if method == "mc_dropout":
         dropout = DropoutMlp.load(_artifact(out, "mc_dropout_model.json"))
         rng = make_rng(derived_seed(config.seed, _ROLE_MC_PASSES))
@@ -327,15 +351,14 @@ def _method_intervals(method: str, config: ExperimentConfig, out: Path,
         gauss = MixturePrediction(w=np.ones((test.n, 1)),
                                   mu=mean[:, None],
                                   sigma2=np.maximum(var, 1e-12)[:, None])
-        return mc_intervals(mean, var, alpha), mean, gauss
+        return mc_intervals(mean, var, alpha), _MeanScores(mean, gauss, test.y, moe.grid)
     raise ConfigError(f"unknown method {method!r}")
 
 
 def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
-                     test: Dataset, pred: MixturePrediction, mu, moe_scores):
-    intervals, mu, density = _method_intervals(method, config, out, test, pred, mu)
-    pm, nll = moe_scores() if density is pred else \
-        (point_metrics(mu, test.y), report_nll(density, test.y))
+                     test: Dataset, moe: _MeanScores):
+    intervals, scores = _method_intervals(method, config, out, test, moe)
+    pm, nll = scores.point
     mspec = config.metrics
     cov = picp(intervals, test.y)
     mpiw, nmpiw = mpiw_nmpiw(intervals, test.y)
@@ -343,20 +366,14 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
     for eta in mspec.cwc_eta:
         key = str(int(eta)) if float(eta).is_integer() else repr(float(eta))
         cwc_map[key] = cwc(cov, nmpiw, eta, mspec.cwc_mu)
-    curve = sparsification(intervals.width / 2.0, test.y - mu,
-                           grid=mspec.sparsification_grid)
-    ssc_map: dict[str, list[float]] | None = {}
-    ssc_note = None
-    ssc_rows = {}
-    for j in mspec.ssc_bins:
-        try:
-            bins = ssc_detail(intervals, test.y, j)
-        except MetricError as e:
-            ssc_map, ssc_note = None, str(e)
-            ssc_rows = {}
-            break
-        ssc_rows[j] = bins
-        ssc_map[str(j)] = [b.coverage for b in bins]
+    curve = sparsification(intervals.width / 2.0, scores.resid,
+                           grid=mspec.sparsification_grid, oracle=scores.oracle)
+    try:
+        ssc_rows = ssc_detail(intervals, test.y, mspec.ssc_bins)
+        ssc_map = {str(j): [b.coverage for b in bins] for j, bins in ssc_rows.items()}
+        ssc_note = None
+    except MetricError as e:
+        ssc_rows, ssc_map, ssc_note = {}, None, str(e)
     report = MetricsReport(
         n_test=test.n, picp=cov, mpiw=mpiw, nmpiw=nmpiw, cwc=cwc_map,
         ause=curve.ause, ssc=ssc_map, ssc_note=ssc_note,
@@ -378,22 +395,24 @@ def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
 
 @_stage("evaluate")
 def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsReport]:
-    """Metrics and curves for every method in ``config.methods`` on the test split."""
+    """Metrics and curves for every method in ``config.methods`` on the test
+    split. The methods share what depends on the split alone: one partition
+    of the group labels, and the MoE's residual, point metrics, NLL and
+    oracle sparsification curve."""
     ds = load_csv(_artifact(out, "data.csv"))
     model = MoeModel.load(_artifact(out, "moe_model.json"))
     test = ds.part("test")
     pred = model.forward(test.X)
-    mu = pred.mean
-    # the five MoE methods score one mean and one density: once per call, if any runs
-    moe_scores = functools.cache(lambda: (point_metrics(mu, test.y), report_nll(pred, test.y)))
+    moe = _MeanScores(pred.mean, pred, test.y, config.metrics.sparsification_grid)
+    groups = None if test.groups is None else partition_groups(test.groups)
     (out / "curves").mkdir(exist_ok=True)
     reports = {}
     group_rows = []
     for method in config.methods:
-        intervals, report = _evaluate_method(method, config, out, test, pred, mu, moe_scores)
+        intervals, report = _evaluate_method(method, config, out, test, moe)
         reports[method] = report
-        if test.groups is not None:
-            entries = groupwise_picp(intervals, test.y, test.groups,
+        if groups is not None:
+            entries = groupwise_picp(intervals, test.y, groups,
                                      min_n=config.metrics.group_min_n)
             group_rows.extend((method, e.group, e.n, e.picp) for e in entries)
     stats = disentangle_stats(pred.aleatoric, pred.epistemic)

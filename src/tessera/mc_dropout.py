@@ -133,60 +133,87 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
                rng: int | np.random.Generator) -> tuple[Array, Array]:
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
-    No mask touches the first layer's activation, so it is computed once.
-    Each pass runs every later layer in the row blocks of ``row_blocks``:
-    draw the block's uniforms into one buffer, threshold them in place into
-    the inverted-dropout mask, multiply in the block of the layer input and
-    matmul into that block of the layer output, so the working set stays
-    in cache. The uniforms are drawn layer by layer and row-major within a
-    layer, and consecutive ``rng.random`` calls continue one stream, so
-    the masks, and every output bit, are those of ``sample_masks`` over
-    all rows at once. The variance is finished in place over the
-    (passes, n) draws, in the float order of ``np.var(ddof=1)``: mean,
-    subtract, square, sum, divide by passes - 1.
+    The rows run in the blocks of ``row_blocks``, all passes of one block
+    before the next, so what is held at once is one block's: its
+    first-layer activation, computed once as no mask touches it, a buffer
+    per masked layer for the uniforms and then the mask, and its (passes,
+    block) draws. Each masked layer's input carries the inverted-dropout
+    factor 1/keep, and its mask is the 0/1 threshold of the uniforms:
+    k * (h * (1/keep)) == (k * (1/keep)) * h for k in {0, 1} and finite
+    h * (1/keep), so every masked product is that of ``sample_masks``.
+
+    The masks are those of ``sample_masks`` over all rows, pass by pass:
+    a pass draws layer by layer, row-major within a layer, so a block's
+    uniforms for one pass and layer sit at a known offset of the PCG64
+    stream, and ``advance`` jumps there. The generator ends in the state
+    drawing pass by pass leaves, its buffered uint32 included. The mean
+    and variance are finished on each block's draws in the float order of
+    ``np.var(ddof=1)``: mean, subtract, square, sum, divide by passes - 1.
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
     rng = as_rng(rng)
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ConfigError(f"mc_predict jumps in a PCG64 stream, not in {type(bits).__name__}; "
+                          "pass a seed or a generator from nn.make_rng")
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError(f"input must be (n, {net.input_dim})")
     n = X.shape[0]
-    first = X @ net.weights[0]
-    first += net.biases[0]
-    if net.n_layers > 1:
-        activate(first, net.activations[0])
     keep = 1.0 - model.dropout
-    draws = np.empty((passes, n))
-    blocks = row_blocks(n)
-    # each masked layer's input, and its block buffer for uniforms and mask
-    inputs = [first] + [np.empty((n, w.shape[0])) for w in net.weights[2:]]
-    bufs = [np.empty((min(n, BLOCK_ROWS + 1), w.shape[0])) for w in net.weights[1:]]
-    if net.n_layers == 1:
-        draws[:] = first[:, 0]
-    for t in range(passes):
-        for layer in range(1, net.n_layers):
-            h, buf = inputs[layer - 1], bufs[layer - 1]
-            last = layer == net.n_layers - 1
-            dest = draws[t, :, None] if last else inputs[layer]
-            for rows in blocks:
-                mask = buf[:rows.stop - rows.start]
+    widths = [w.shape[0] for w in net.weights[1:]]  # of each masked layer's input
+    # the uniforms a pass draws, and where each layer's draws start in a pass
+    per_pass = n * sum(widths)
+    layer_at = [n * sum(widths[:i]) for i in range(len(widths))]
+    start = bits.state
+    mean, var = np.empty(n), np.empty(n)
+    size = min(n, BLOCK_ROWS + 1)
+    slab = np.empty(passes * size)  # each block's draws, C-contiguous
+    bufs = [np.empty((size, w)) for w in widths]
+    inputs = [np.empty((size, w)) for w in widths[1:]]  # of the deeper masked layers
+    for rows in row_blocks(n):
+        b = rows.stop - rows.start
+        draws = slab[:passes * b].reshape(passes, b)
+        first = X[rows] @ net.weights[0]
+        first += net.biases[0]
+        if net.n_layers == 1:
+            draws[:] = first[:, 0]
+        else:
+            activate(first, net.activations[0])
+            first *= 1.0 / keep
+        bits.state = start
+        at = 0
+        for t in range(passes):
+            h = first
+            for layer in range(1, net.n_layers):
+                mask = bufs[layer - 1][:b]
+                offset = t * per_pass + layer_at[layer - 1] + rows.start * mask.shape[1]
+                bits.advance(offset - at)
                 rng.random(out=mask)
+                at = offset + mask.size
                 np.less(mask, keep, out=mask)
-                mask *= 1.0 / keep  # k / keep == k * (1 / keep) for k in {0, 1}
-                mask *= h[rows]
-                out = dest[rows]
-                np.matmul(mask, net.weights[layer], out=out)
-                out += net.biases[layer]
+                mask *= h
+                last = layer == net.n_layers - 1
+                h = draws[t, :, None] if last else inputs[layer - 1][:b]
+                np.matmul(mask, net.weights[layer], out=h)
+                h += net.biases[layer]
                 if not last:
-                    activate(out, net.activations[layer])
-    mean = draws.sum(axis=0)
-    mean /= passes
-    draws -= mean
-    np.square(draws, out=draws)
-    var = draws.sum(axis=0)
-    var /= passes - 1
+                    activate(h, net.activations[layer])
+                    h *= 1.0 / keep
+        m = draws.sum(axis=0)
+        m /= passes
+        draws -= m
+        np.square(draws, out=draws)
+        v = draws.sum(axis=0)
+        v /= passes - 1
+        mean[rows], var[rows] = m, v
+    # the last block's last draw ends where drawing pass by pass would, but
+    # advance dropped the buffered uint32
+    end = bits.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bits.state = end
     return mean, var
 
 

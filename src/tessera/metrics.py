@@ -117,33 +117,50 @@ def check_grid(grid: Sequence[float]) -> Array:
     return g
 
 
-def sparsification(uncertainty: Array, errors: Array,
-                   grid: Sequence[float] | None = None) -> SparsificationCurve:
+def _remaining_rmse(keys: Array, e: Array, g: Array) -> Array:
+    """RMSE of the absolute errors ``e`` left at each grid fraction f once
+    the floor(f * n) samples with the largest keys are dropped (stable ties)."""
+    n = e.size
+    order = np.argsort(-keys, kind="stable")  # most uncertain first
+    sq = e[order] ** 2
+    suffix = np.cumsum(sq[::-1])[::-1]  # suffix[i] = sum of sq[i:]
+    out = np.empty(g.size)
+    for i, f in enumerate(g):
+        # the slack must not round a fraction below 1 up to every sample
+        drop = min(int(np.floor(f * n + _FLOOR_SLACK)), n - 1)
+        out[i] = np.sqrt(suffix[drop] / (n - drop))
+    return out
+
+
+def oracle_rmse(errors: Array, grid: Sequence[float] | None = None) -> Array:
+    """The oracle curve of :func:`sparsification`, which drops by true
+    absolute error; it depends on the errors and the grid alone."""
+    e = np.abs(_vector(errors, "errors"))
+    return _remaining_rmse(e, e, check_grid(DEFAULT_SPARSIFICATION_GRID if grid is None else grid))
+
+
+def sparsification(uncertainty: Array, errors: Array, grid: Sequence[float] | None = None,
+                   oracle: Array | None = None) -> SparsificationCurve:
     """Sparsification curves for an uncertainty signal.
 
     At each grid fraction f, the floor(f * n) samples with the largest
     uncertainty are dropped (stable ties) and the RMSE of the remainder is
-    recorded; the oracle instead drops by true absolute error.
+    recorded; the oracle instead drops by true absolute error. Signals
+    scored against the same errors and grid can share one ``oracle``, the
+    :func:`oracle_rmse` of those errors and that grid, in place of
+    computing it again.
     """
     u = _vector(uncertainty, "uncertainty")
     e = np.abs(_vector(errors, "errors"))
     if u.size != e.size:
         raise MetricError("uncertainty and errors must have equal lengths")
     g = check_grid(DEFAULT_SPARSIFICATION_GRID if grid is None else grid)
-    n = u.size
-
-    def curve(keys: Array) -> Array:
-        order = np.argsort(-keys, kind="stable")  # most uncertain first
-        sq = e[order] ** 2
-        suffix = np.cumsum(sq[::-1])[::-1]  # suffix[i] = sum of sq[i:]
-        out = np.empty(g.size)
-        for i, f in enumerate(g):
-            # the slack must not round a fraction below 1 up to every sample
-            drop = min(int(np.floor(f * n + _FLOOR_SLACK)), n - 1)
-            out[i] = np.sqrt(suffix[drop] / (n - drop))
-        return out
-
-    return SparsificationCurve(fractions=g, model_rmse=curve(u), oracle_rmse=curve(e))
+    if oracle is None:
+        oracle = _remaining_rmse(e, e, g)
+    elif np.shape(oracle) != g.shape:
+        raise MetricError("oracle must hold one RMSE per grid fraction")
+    return SparsificationCurve(fractions=g, model_rmse=_remaining_rmse(u, e, g),
+                               oracle_rmse=oracle)
 
 
 @dataclass(frozen=True)
@@ -158,38 +175,44 @@ def check_ssc_bins(n_bins: int) -> None:
         raise MetricError("need at least two bins")
 
 
-def ssc_detail(intervals: PredictionIntervals, y, n_bins: int) -> list[SscBin]:
-    """Size-stratified coverage: equal-count bins of ascending width.
+def ssc_detail(intervals: PredictionIntervals, y,
+               bin_counts: Sequence[int]) -> dict[int, list[SscBin]]:
+    """Size-stratified coverage at each bin count J of ``bin_counts``: J
+    equal-count bins of ascending width, all cut from one stable sort of
+    the widths and one coverage vector.
 
-    When n is not divisible by n_bins the spare samples go to the last
-    bins. Refuses constant or infinite widths, for which the stratification
-    carries no information.
+    When n is not divisible by J the spare samples go to the last bins.
+    Refuses constant or infinite widths, for which the stratification
+    carries no information. The bin counts are taken in order, and the
+    first that cannot be binned raises what a call on it alone would.
     """
     yv = _paired(intervals, y)
-    check_ssc_bins(n_bins)
     n = intervals.n
-    if n < n_bins:
-        raise MetricError("need at least one sample per bin")
     widths = intervals.width
-    if not np.all(np.isfinite(widths)):
-        raise MetricError("interval widths are infinite; size-stratified "
-                          "coverage is undefined")
-    if float(np.min(widths)) == float(np.max(widths)):
-        raise MetricError("interval widths are constant; size-stratified "
-                          "coverage is uninformative for constant-width intervals")
-    order = np.argsort(widths, kind="stable")
-    base, rem = divmod(n, n_bins)
-    sizes = [base] * (n_bins - rem) + [base + 1] * rem
-    covered = intervals.covers(yv)
-    bins = []
-    pos = 0
-    for size in sizes:
-        idx = order[pos:pos + size]
-        pos += size
-        bins.append(SscBin(n=size,
-                           mean_width=float(np.mean(widths[idx])),
-                           coverage=float(np.mean(covered[idx]))))
-    return bins
+    out: dict[int, list[SscBin]] = {}
+    for n_bins in bin_counts:
+        check_ssc_bins(n_bins)
+        if n < n_bins:
+            raise MetricError("need at least one sample per bin")
+        if not out:  # the first bin count: check the widths, then sort them once
+            if not np.all(np.isfinite(widths)):
+                raise MetricError("interval widths are infinite; size-stratified "
+                                  "coverage is undefined")
+            if float(np.min(widths)) == float(np.max(widths)):
+                raise MetricError("interval widths are constant; size-stratified "
+                                  "coverage is uninformative for constant-width intervals")
+            order = np.argsort(widths, kind="stable")
+            sorted_widths, sorted_covered = widths[order], intervals.covers(yv)[order]
+        base, rem = divmod(n, n_bins)
+        bins = []
+        pos = 0
+        for size in [base] * (n_bins - rem) + [base + 1] * rem:
+            rows = slice(pos, pos + size)
+            pos += size
+            bins.append(SscBin(n=size, mean_width=float(np.mean(sorted_widths[rows])),
+                               coverage=float(np.mean(sorted_covered[rows]))))
+        out[n_bins] = bins
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,27 +227,45 @@ def check_group_min_n(min_n: int) -> None:
         raise MetricError("min_n must be >= 1")
 
 
-def groupwise_picp(intervals: PredictionIntervals, y, groups,
-                   min_n: int) -> list[GroupCoverageEntry]:
-    """Coverage per group label, skipping groups with fewer than min_n
-    samples. Entries are ordered by descending size, ties by name."""
-    yv = _paired(intervals, y)
+@dataclass(frozen=True)
+class GroupPartition:
+    """Group labels split once, for any number of coverage tables: the
+    distinct names by descending size, ties by name, each one's size, and
+    each row's index into them."""
+
+    names: Array
+    counts: Array
+    index: Array
+
+
+def partition_groups(groups) -> GroupPartition:
+    """The partition of a label array that :func:`groupwise_picp` reads."""
     if groups is None:
         raise MetricError("group labels are required")
-    garr = np.asarray(groups)
-    if garr.shape != yv.shape:
+    names, index, counts = np.unique(np.asarray(groups), return_inverse=True,
+                                     return_counts=True)
+    order = np.lexsort((names, -counts))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return GroupPartition(names=names[order], counts=counts[order], index=rank[index])
+
+
+def groupwise_picp(intervals: PredictionIntervals, y, groups: GroupPartition,
+                   min_n: int) -> list[GroupCoverageEntry]:
+    """Coverage per group of ``groups``, skipping groups with fewer than
+    min_n samples. Entries are ordered by descending size, ties by name.
+
+    A group's coverage is its count of covered rows over its size, the
+    value ``np.mean`` gives over its rows' 0/1 coverage.
+    """
+    yv = _paired(intervals, y)
+    if groups.index.shape != yv.shape:
         raise MetricError("groups must have one label per interval")
     check_group_min_n(min_n)
-    covered = intervals.covers(yv)
-    names, counts = np.unique(garr, return_counts=True)
-    order = np.lexsort((names, -counts))
-    entries = []
-    for i in order:
-        if counts[i] < min_n:
-            continue
-        mask = garr == names[i]
-        entries.append(GroupCoverageEntry(group=str(names[i]), n=int(counts[i]),
-                                          picp=float(np.mean(covered[mask]))))
+    hits = np.bincount(groups.index[intervals.covers(yv)], minlength=groups.names.size)
+    entries = [GroupCoverageEntry(group=str(name), n=int(count), picp=float(hit / count))
+               for name, count, hit in zip(groups.names, groups.counts, hits)
+               if count >= min_n]
     if not entries:
         warnings.warn("no group reaches min_n samples; coverage table is empty",
                       stacklevel=2)

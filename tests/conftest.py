@@ -35,4 +35,4 @@ def parses(monkeypatch):
 
 def ssc(intervals, y, n_bins: int) -> list[float]:
     """Per-bin coverage of ``metrics.ssc_detail``."""
-    return [b.coverage for b in ssc_detail(intervals, y, n_bins)]
+    return [b.coverage for b in ssc_detail(intervals, y, (n_bins,))[n_bins]]

@@ -111,6 +111,24 @@ def test_run_produces_all_artifacts(finished_run):
     assert set(tessera["ssc"]) == {"3", "5", "10"}
 
 
+def test_ssc_is_null_when_n_test_lies_between_two_bin_counts(finished_run, tmp_path):
+    # 80 test rows fill 3 bins but not 100: every method's ssc is null, with
+    # the refusal of the first bin count that fails, and no ssc curve is left
+    config, out = finished_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / "curves")
+    d = config.to_dict()
+    d["metrics"]["ssc_bins"] = [3, 100, 5]
+    stage_evaluate(ExperimentConfig.from_dict(d), run)
+    for method in METHODS:
+        m = serialize.load(run / f"metrics_{method}.json")
+        assert m["n_test"] == 80 and m["ssc"] is None
+        want = "constant" if method == "classical_cp" else "need at least one sample per bin"
+        assert want in m["ssc_note"], method
+    assert not list((run / "curves").glob("*_ssc_J*.csv"))
+
+
 def test_manifest_contents(finished_run):
     config, out = finished_run
     manifest = serialize.load(out / "manifest.json")

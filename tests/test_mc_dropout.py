@@ -87,7 +87,8 @@ def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropou
     want = full_forward_per_pass(model, x, 7, want_rng)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-    assert got_rng.random() == want_rng.random()  # both drew the same number of uniforms
+    # both drew the same number of uniforms
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -107,6 +108,34 @@ def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, 
 def test_mc_predict_matches_a_full_forward_per_pass_across_blocks(activation, widths,
                                                                   dropout, rows):
     assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows)
+
+
+@pytest.mark.parametrize("rows", [5, 2 * BLOCK_ROWS + 7])
+def test_mc_predict_keeps_a_buffered_uint32(rows):
+    # a generator that drew one uint32 holds the other half of its 64-bit
+    # output; PCG64.advance drops that half, and mc_predict must restore it
+    model = DropoutMlp.init(3, McDropoutSpec(hidden=6, dropout=0.3), make_rng(0))
+    x = make_rng(1).standard_normal((rows, 3))
+    got_rng, want_rng = make_rng(2), make_rng(2)
+    for rng in (got_rng, want_rng):
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+    assert got_rng.bit_generator.state["has_uint32"] == 1
+    got = mc_predict(model, x, passes=4, rng=got_rng)
+    want = full_forward_per_pass(model, x, 4, want_rng)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.integers(0, 2 ** 32, dtype=np.uint32) == \
+        want_rng.integers(0, 2 ** 32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
+                                           np.random.Philox, np.random.SFC64])
+def test_mc_predict_refuses_a_generator_not_backed_by_pcg64(bit_generator):
+    model = DropoutMlp.init(2, McDropoutSpec(hidden=4), make_rng(0))
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(ConfigError, match="make_rng"):
+        mc_predict(model, np.zeros((3, 2)), passes=2, rng=rng)
 
 
 def test_mc_predict_rejects_wrong_input_width():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +19,8 @@ from tessera.metrics import (
     disentangle_stats,
     groupwise_picp,
     mpiw_nmpiw,
+    oracle_rmse,
+    partition_groups,
     picp,
     point_metrics,
     report_nll,
@@ -28,6 +31,11 @@ from tessera.metrics import (
 from tessera.moe import MixturePrediction
 from tessera.nn import make_rng
 from tessera import serialize
+
+
+def _bits(a):
+    """The float64 bit patterns of ``a``, as Python ints, so -0.0 and NaNs compare exactly."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
 
 
 def intervals_from_bounds(lower, upper):
@@ -185,6 +193,28 @@ def test_sparsification_hand_case():
     assert curve.ause == pytest.approx(want, rel=1e-12)
 
 
+FLOATS_WITH_TIES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-1e3, 1e3),
+                            min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), err=FLOATS_WITH_TIES,
+       grid=st.sampled_from([None, (0.0, 0.25, 0.5, 0.75), (0.0, 0.3, 0.9)]))
+def test_shared_oracle_equals_a_fresh_one(data, err, grid):
+    # the methods that share one mean share one oracle curve
+    u = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3),
+                           min_size=len(err), max_size=len(err)), label="uncertainty")
+    oracle = oracle_rmse(err, grid)
+    shared, fresh = sparsification(u, err, grid, oracle=oracle), sparsification(u, err, grid)
+    for name in ("fractions", "model_rmse", "oracle_rmse", "ause"):
+        assert _bits(getattr(shared, name)) == _bits(getattr(fresh, name)), name
+
+
+def test_sparsification_refuses_an_oracle_for_another_grid():
+    with pytest.raises(MetricError, match="one RMSE per grid fraction"):
+        sparsification([1.0, 2.0], [1.0, 2.0], oracle=oracle_rmse([1.0, 2.0], (0.0, 0.5)))
+
+
 def test_sparsification_grid_validation():
     with pytest.raises(MetricError):
         sparsification([1.0], [1.0], grid=[0.0, 0.5, 0.5])
@@ -220,7 +250,7 @@ def test_ssc_hand_case():
 
 def test_ssc_remainder_goes_to_last_bins():
     iv = intervals_from_bounds(np.zeros(10), np.arange(1.0, 11.0))
-    detail = ssc_detail(iv, np.zeros(10), 3)
+    detail = ssc_detail(iv, np.zeros(10), (3,))[3]
     assert [b.n for b in detail] == [3, 3, 4]
     # ascending width bins
     assert detail[0].mean_width == pytest.approx(np.mean([1, 2, 3]))
@@ -255,6 +285,86 @@ def test_ssc_needs_enough_samples():
         ssc(iv, [0.5], 2)
 
 
+def ssc_one_j(iv, y, n_bins):
+    """One bin count's bins as computed before the sort was shared: a sort
+    per call and a fancy-indexed mean per bin."""
+    widths, covered = iv.width, iv.covers(np.asarray(y, dtype=float))
+    order = np.argsort(widths, kind="stable")
+    base, rem = divmod(iv.n, n_bins)
+    bins, pos = [], 0
+    for size in [base] * (n_bins - rem) + [base + 1] * rem:
+        idx = order[pos:pos + size]
+        pos += size
+        bins.append((size, float(np.mean(widths[idx])), float(np.mean(covered[idx]))))
+    return bins
+
+
+def ssc_outcome(iv, y, bin_counts):
+    """ssc_detail's bins per bin count, or the message it raised."""
+    try:
+        return {j: [(b.n, b.mean_width, b.coverage) for b in bins]
+                for j, bins in ssc_detail(iv, y, bin_counts).items()}
+    except MetricError as e:
+        return str(e)
+
+
+def separate_outcome(iv, y, bin_counts):
+    """What the evaluate stage made of one ssc_detail call per bin count:
+    each one's bins, or the message of the first that raised."""
+    out = {}
+    for j in bin_counts:
+        got = ssc_outcome(iv, y, (j,))
+        if isinstance(got, str):
+            return got
+        out[j] = got[j]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40),
+       bin_counts=st.lists(st.integers(2, 45), min_size=1, max_size=4))
+def test_one_ssc_sort_equals_a_call_per_bin_count(data, n, bin_counts):
+    # widths from a small set, so ties and constant widths both turn up
+    halves = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, np.inf]),
+                                min_size=n, max_size=n), label="half widths")
+    iv = PredictionIntervals(center=np.zeros(n), half=np.asarray(halves))
+    y = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), label="y")
+    shared = ssc_outcome(iv, y, bin_counts)
+    assert shared == separate_outcome(iv, y, bin_counts)
+    if not isinstance(shared, str):
+        assert_bins_match_a_sort_per_bin_count(shared, iv, y)
+
+
+def assert_bins_match_a_sort_per_bin_count(shared, iv, y):
+    for j, bins in shared.items():
+        want = ssc_one_j(iv, y, j)
+        assert [b[0] for b in bins] == [w[0] for w in want]
+        assert _bits([b[1:] for b in bins]) == _bits([w[1:] for w in want])
+
+
+def test_one_ssc_sort_keeps_tied_widths_in_row_order():
+    # enough tied rows that an unstable sort would reorder them
+    rng = make_rng(5)
+    iv = PredictionIntervals(center=np.zeros(300), half=rng.choice([0.5, 1.0, 1.5], 300))
+    y = rng.uniform(-2.0, 2.0, 300)
+    assert_bins_match_a_sort_per_bin_count(ssc_outcome(iv, y, (3, 7, 10)), iv, y)
+
+
+@pytest.mark.parametrize("half, bin_counts, message", [
+    # n_test between two bin counts: the first bins, the second cannot
+    (np.arange(1.0, 8.0), (3, 10, 5), "need at least one sample per bin"),
+    (np.ones(7), (3, 10), "constant"),
+    (np.ones(2), (3, 2), "need at least one sample per bin"),
+    (np.r_[np.arange(1.0, 7.0), np.inf], (3, 10), "infinite"),
+])
+def test_ssc_refusal_is_the_first_a_call_per_bin_count_meets(half, bin_counts, message):
+    iv = PredictionIntervals(center=np.zeros(half.size), half=half)
+    y = np.full(half.size, 0.5)
+    shared = ssc_outcome(iv, y, bin_counts)
+    assert message in shared
+    assert shared == separate_outcome(iv, y, bin_counts)
+
+
 # ------------------------------------------------------------ groupwise
 
 def test_groupwise_hand_case():
@@ -268,7 +378,7 @@ def test_groupwise_hand_case():
         np.full(n_c, 0.5),
     ])
     iv = intervals_from_bounds(lower, upper)
-    entries = groupwise_picp(iv, y, groups, min_n=10)
+    entries = groupwise_picp(iv, y, partition_groups(groups), min_n=10)
     assert [(e.group, e.n) for e in entries] == [("b", 15), ("a", 12)]
     assert entries[0].picp == 1.0
     assert entries[1].picp == pytest.approx(0.5)
@@ -278,7 +388,7 @@ def test_groupwise_single_group_equals_overall():
     iv = intervals_from_bounds(np.zeros(20), np.ones(20))
     y = np.where(np.arange(20) < 15, 0.5, 2.0)
     groups = np.full(20, "only")
-    entries = groupwise_picp(iv, y, groups, min_n=10)
+    entries = groupwise_picp(iv, y, partition_groups(groups), min_n=10)
     assert len(entries) == 1
     assert entries[0].picp == pytest.approx(picp(iv, y))
 
@@ -286,7 +396,7 @@ def test_groupwise_single_group_equals_overall():
 def test_groupwise_ties_break_by_name():
     iv = intervals_from_bounds(np.zeros(20), np.ones(20))
     groups = np.array(["z"] * 10 + ["a"] * 10)
-    entries = groupwise_picp(iv, np.full(20, 0.5), groups, min_n=10)
+    entries = groupwise_picp(iv, np.full(20, 0.5), partition_groups(groups), min_n=10)
     assert [e.group for e in entries] == ["a", "z"]
 
 
@@ -294,8 +404,42 @@ def test_groupwise_warns_when_all_groups_too_small():
     iv = intervals_from_bounds(np.zeros(4), np.ones(4))
     groups = np.array(["a", "b", "c", "d"])
     with pytest.warns(UserWarning, match="min_n"):
-        entries = groupwise_picp(iv, np.full(4, 0.5), groups, min_n=10)
+        entries = groupwise_picp(iv, np.full(4, 0.5), partition_groups(groups), min_n=10)
     assert entries == []
+
+
+def masked_group_coverage(iv, y, groups, min_n):
+    """Per-group coverage as computed before the partition was shared: a
+    string compare and a masked np.mean per group."""
+    covered = iv.covers(y)
+    names, counts = np.unique(groups, return_counts=True)
+    return [(str(names[i]), int(counts[i]), float(np.mean(covered[groups == names[i]])))
+            for i in np.lexsort((names, -counts)) if counts[i] >= min_n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300), min_n=st.integers(1, 12))
+def test_group_coverage_from_counts_equals_the_masked_mean(data, n, min_n):
+    labels = data.draw(st.lists(st.sampled_from(["a", "bb", "c", "zz", "cluster_10", "é"]),
+                                min_size=n, max_size=n), label="labels")
+    covered = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="covered")
+    groups = np.asarray(labels)
+    iv = intervals_from_bounds(np.zeros(n), np.ones(n))
+    y = np.where(covered, 0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no group may reach min_n
+        got = groupwise_picp(iv, y, partition_groups(groups), min_n)
+    want = masked_group_coverage(iv, y, groups, min_n)
+    assert [(e.group, e.n) for e in got] == [w[:2] for w in want]
+    assert _bits([e.picp for e in got]) == _bits([w[2] for w in want])
+
+
+def test_group_partition_is_checked_against_the_intervals():
+    iv = intervals_from_bounds(np.zeros(4), np.ones(4))
+    with pytest.raises(MetricError, match="one label per interval"):
+        groupwise_picp(iv, np.full(4, 0.5), partition_groups(np.array(["a"] * 5)), min_n=1)
+    with pytest.raises(MetricError, match="group labels are required"):
+        partition_groups(None)
 
 
 # --------------------------------------------------------- point metrics

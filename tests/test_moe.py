@@ -194,34 +194,55 @@ def test_zero_rows_raise_the_softmax_dimension_error():
         mixture_nll_loss(model, np.zeros((0, 2)), np.zeros(0))
 
 
+def mc_block_bytes(passes, hidden):
+    """What mc_predict holds for one block of rows: its (passes, block)
+    draws, and its first-layer activation, mask buffer and matmul output."""
+    return 8 * (BLOCK_ROWS + 1) * (passes + 3 * hidden)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("hidden", [16, 128])
 @pytest.mark.parametrize("call", ["forward", "nll_loss", "deterministic_forward",
                                   "mc_predict"])
 def test_inference_at_large_n_allocates_linear_memory(call, hidden):
-    # bounds in float64 n-vectors, none growing with the hidden width but
-    # mc_predict's: it keeps the first layer's (n, hidden) activation across
-    # its passes, besides its (passes, n) draws. A pass holding every row's
-    # hidden activations at once would need K * hidden vectors.
+    # bounds in float64 n-vectors, none growing with the hidden width, plus
+    # one block's working set for mc_predict. A pass holding every row's
+    # hidden activations at once would need K * hidden vectors, and an
+    # mc_predict holding every row's draws or first-layer activation would
+    # need passes or hidden vectors.
     n, k, passes = 20_000, 4, 50
     rng = make_rng(33)
     X = rng.standard_normal((n, 3))
     y = rng.standard_normal(n)
     moe = MoeModel.init(3, ModelSpec(n_experts=k, expert_hidden=hidden), make_rng(34))
     dropout = DropoutMlp.init(3, McDropoutSpec(hidden=hidden), make_rng(35))
-    run, vectors = {
-        "forward": (lambda: moe.forward(X), 12 * k),
-        "nll_loss": (lambda: mixture_nll_loss(moe, X, y), 12 * k),
-        "deterministic_forward": (lambda: dropout.deterministic_forward(X), 12),
+    run, bound = {
+        "forward": (lambda: moe.forward(X), 12 * k * 8 * n),
+        "nll_loss": (lambda: mixture_nll_loss(moe, X, y), 12 * k * 8 * n),
+        "deterministic_forward": (lambda: dropout.deterministic_forward(X), 12 * 8 * n),
         "mc_predict": (lambda: mc_predict(dropout, X, passes, make_rng(36)),
-                       passes + hidden + 16),
+                       4 * 8 * n + mc_block_bytes(passes, hidden)),
     }[call]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < vectors * 8 * n
+    assert traced_peak(run) < bound
+
+
+@pytest.mark.parametrize("passes, hidden", [(2, 1), (2, 96), (96, 1), (96, 96)])
+def test_mc_predict_peak_does_not_grow_with_passes_or_hidden(passes, hidden):
+    # at n = 8 blocks, draws or a first-layer activation held for every row
+    # would take 8 times a block's
+    n = 8 * BLOCK_ROWS
+    X = make_rng(37).standard_normal((n, 3))
+    dropout = DropoutMlp.init(3, McDropoutSpec(hidden=hidden), make_rng(38))
+    peak = traced_peak(lambda: mc_predict(dropout, X, passes, make_rng(39)))
+    assert peak < 4 * 8 * n + mc_block_bytes(passes, hidden)
 
 
 @pytest.mark.parametrize("spec", [
