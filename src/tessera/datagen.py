@@ -198,6 +198,10 @@ class SplitSpec:
         if not (np.all(fr >= 0) and abs(float(fr.sum()) - 1.0) <= 1e-9):
             raise ConfigError("fractions must be nonnegative and sum to 1")
         self.fractions = tuple(float(f) for f in fr)
+        empty = [tag for tag, f in zip(SPLIT_TAGS, self.fractions) if f == 0.0 and tag != "test"]
+        if empty:  # not test, which ood data takes from its held-out clusters
+            raise ConfigError(f"fractions give {' and '.join(empty)} a zero share; "
+                              "train, val and cal each feed a later stage")
         if self.mode not in SPLIT_MODES:
             raise ConfigError(f"mode {self.mode!r} is not one of {SPLIT_MODES}")
 
@@ -312,8 +316,6 @@ def split_dataset(ds: Dataset, spec: SplitSpec, seed: int, test_groups=None) -> 
         test_groups = sorted(set(map(str, test_groups)))
         held = np.isin(ds.groups, test_groups)
         shares[SPLIT_TAGS.index("test")] = 0.0
-        if shares.sum() == 0.0:
-            raise ConfigError("fractions give train, val and cal no share outside test_groups")
         shares = shares / shares.sum()
     rest = np.flatnonzero(~held)
     split = np.empty(ds.n, dtype=object)

@@ -19,8 +19,8 @@ import numpy as np
 from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
     build_intervals, calibrate
-from .datagen import DataSpec, Dataset, SplitSpec, gen_clustered_shift, gen_heteroscedastic, \
-    load_csv, save_csv, split_dataset
+from .datagen import SPLIT_TAGS, DataSpec, Dataset, SplitSpec, gen_clustered_shift, \
+    gen_heteroscedastic, load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
 from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
 from .metrics import MetricsReport, PointMetrics, check_cwc, check_grid, check_group_min_n, \
@@ -145,6 +145,10 @@ class ExperimentConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema version {self.schema_version!r}")
         self.methods = resolve_methods(self.methods)
+        ood = self.data.kind == "clustered_shift" and self.data.mode == "ood"
+        if self.split.fractions[SPLIT_TAGS.index("test")] == 0.0 and not ood:
+            raise ConfigError("config.split.fractions give test a zero share; only "
+                              "clustered_shift ood data takes its test rows from held-out clusters")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -252,8 +256,14 @@ def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
             test_groups = ds.meta["held_out_groups"]
     else:
         ds = load_csv(spec.path)
+    source = f"the split column of {spec.path}"
     if ds.split is None:
         ds = split_dataset(ds, config.split, seed, test_groups)
+        source = f"config.split.fractions {list(config.split.fractions)} ({config.split.mode})"
+    empty = [repr(tag) for tag in SPLIT_TAGS if not np.any(ds.split == tag)]
+    if empty:
+        raise ConfigError(f"{source} gives split {' and '.join(empty)} none of {ds.n} rows; "
+                          "train, calibrate and evaluate each need rows of their tags")
     save_csv(ds, out / "data.csv")
     return ds
 

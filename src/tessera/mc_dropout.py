@@ -19,6 +19,18 @@ from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, as_rng, 
     check_adam_schedule, make_rng, row_blocks
 
 
+def _kept(rng: np.random.Generator, keep: float, out: Array) -> Array:
+    """Fill the float64 array ``out`` with 0/1 indicators of the units
+    dropout keeps, drawn row-major from ``rng``, and return it: at keep 1/2
+    one random bit each, an exact Bernoulli(1/2); else a uniform below keep."""
+    if keep == 0.5:
+        bits = np.frombuffer(rng.bytes(-(-out.size // 8)), dtype=np.uint8)
+        # copied, as a product with the uint8 bits would cast them in a buffer
+        np.copyto(out, np.unpackbits(bits, count=out.size).reshape(out.shape))
+        return out
+    return np.less(rng.random(out=out), keep, out=out)
+
+
 class DropoutMlp:
     """MLP regressor whose hidden units are dropped out both in training
     and at prediction time."""
@@ -39,16 +51,13 @@ class DropoutMlp:
         net = Mlp.init((input_dim, spec.hidden, 1), "relu", rng)
         return cls(net, spec.dropout)
 
-    @property
-    def input_dim(self) -> int:
-        return self.net.input_dim
-
     def sample_masks(self, n: int, rng: np.random.Generator) -> list[Array]:
-        """Inverted-dropout masks, one per hidden layer: 0 with probability
-        p, else 1/(1-p), so the masked activation is unbiased."""
+        """Inverted-dropout masks, one (n, width) array per hidden layer,
+        drawn layer by layer by ``_kept``: 0 with probability p, else
+        1/(1-p), so the masked activation is unbiased."""
         keep = 1.0 - self.dropout
         # k / keep == k * (1 / keep) for k in {0, 1}, so one multiply does it
-        return [np.multiply(rng.random((n, w.shape[1])) < keep, 1.0 / keep)
+        return [np.multiply(_kept(rng, keep, np.empty((n, w.shape[1]))), 1.0 / keep)
                 for w in self.net.weights[:-1]]
 
     def deterministic_forward(self, x: Array) -> Array:
@@ -136,27 +145,17 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     The rows run in the blocks of ``row_blocks``, all passes of one block
     before the next, so what is held at once is one block's: its
     first-layer activation, computed once as no mask touches it, a buffer
-    per masked layer for the uniforms and then the mask, and its (passes,
-    block) draws. Each masked layer's input carries the inverted-dropout
-    factor 1/keep, and its mask is the 0/1 threshold of the uniforms:
-    k * (h * (1/keep)) == (k * (1/keep)) * h for k in {0, 1} and finite
-    h * (1/keep), so every masked product is that of ``sample_masks``.
-
-    The masks are those of ``sample_masks`` over all rows, pass by pass:
-    a pass draws layer by layer, row-major within a layer, so a block's
-    uniforms for one pass and layer sit at a known offset of the PCG64
-    stream, and ``advance`` jumps there. The generator ends in the state
-    drawing pass by pass leaves, its buffered uint32 included. The mean
-    and variance are finished on each block's draws in the float order of
+    per masked layer, and its (passes, block) draws. Each pass draws the
+    block's masks from ``rng`` as ``sample_masks(block, rng)`` would. Each
+    masked layer's input carries the factor 1/keep and is multiplied by the
+    0/1 indicator: k * (h * (1/keep)) == (k * (1/keep)) * h for k in {0, 1}
+    and finite h * (1/keep), so every product is that of a ``sample_masks``
+    mask. The mean and variance are finished in the float order of
     ``np.var(ddof=1)``: mean, subtract, square, sum, divide by passes - 1.
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
     rng = as_rng(rng)
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise ConfigError(f"mc_predict jumps in a PCG64 stream, not in {type(bits).__name__}; "
-                          "pass a seed or a generator from nn.make_rng")
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -164,10 +163,6 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     n = X.shape[0]
     keep = 1.0 - model.dropout
     widths = [w.shape[0] for w in net.weights[1:]]  # of each masked layer's input
-    # the uniforms a pass draws, and where each layer's draws start in a pass
-    per_pass = n * sum(widths)
-    layer_at = [n * sum(widths[:i]) for i in range(len(widths))]
-    start = bits.state
     mean, var = np.empty(n), np.empty(n)
     size = min(n, BLOCK_ROWS + 1)
     slab = np.empty(passes * size)  # each block's draws, C-contiguous
@@ -183,18 +178,11 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
         else:
             activate(first, net.activations[0])
             first *= 1.0 / keep
-        bits.state = start
-        at = 0
         for t in range(passes):
             h = first
             for layer in range(1, net.n_layers):
                 mask = bufs[layer - 1][:b]
-                offset = t * per_pass + layer_at[layer - 1] + rows.start * mask.shape[1]
-                bits.advance(offset - at)
-                rng.random(out=mask)
-                at = offset + mask.size
-                np.less(mask, keep, out=mask)
-                mask *= h
+                np.multiply(_kept(rng, keep, mask), h, out=mask)
                 last = layer == net.n_layers - 1
                 h = draws[t, :, None] if last else inputs[layer - 1][:b]
                 np.matmul(mask, net.weights[layer], out=h)
@@ -209,11 +197,6 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
         v = draws.sum(axis=0)
         v /= passes - 1
         mean[rows], var[rows] = m, v
-    # the last block's last draw ends where drawing pass by pass would, but
-    # advance dropped the buffered uint32
-    end = bits.state
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bits.state = end
     return mean, var
 
 

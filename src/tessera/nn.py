@@ -28,8 +28,9 @@ BLOCK_ROWS = 1024
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator from an integer seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    """Generator of numpy's default bit generator, seeded through a
+    ``SeedSequence`` of an integer seed."""
+    return np.random.default_rng(int(seed))
 
 
 def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:

@@ -103,9 +103,21 @@ class Adam:
 
 
 def sample_masks(model, n, rng):
+    """Per hidden layer, keep indicators over 1 - dropout: at keep 1/2 the
+    first n * width bits of the layer's whole bytes, most significant bit
+    first; otherwise uniforms below keep."""
     keep = 1.0 - model.dropout
-    return [(rng.random((n, w.shape[1])) < keep).astype(np.float64) / keep
-            for w in model.net.weights[:-1]]
+    masks = []
+    for w in model.net.weights[:-1]:
+        shape = (n, w.shape[1])
+        if keep == 0.5:
+            size = n * w.shape[1]
+            raw = np.frombuffer(rng.bytes((size + 7) // 8), dtype=np.uint8)
+            kept = (raw[:, None] >> np.arange(7, -1, -1) & 1).ravel()[:size].reshape(shape) == 1
+        else:
+            kept = rng.random(shape) < keep
+        masks.append(kept.astype(np.float64) / keep)
+    return masks
 
 
 def train_moe(model, x_train, y_train, x_val, y_val, config, seed):

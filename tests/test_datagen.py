@@ -191,8 +191,17 @@ def test_test_groups_validation():
     with pytest.raises(ConfigError, match="require group labels"):
         split_dataset(gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="constant"), 0),
                       SplitSpec(), 0, ["a"])
-    with pytest.raises(ConfigError, match="no share outside test_groups"):
-        split_dataset(ds, SplitSpec(fractions=(0.0, 1.0, 0.0, 0.0)), 0, ["cluster_06"])
+    out = split_dataset(ds, SplitSpec(fractions=(0.6, 0.0, 0.2, 0.2)), 0, ["cluster_06"])
+    assert np.array_equal(out.split == "test", ds.groups == "cluster_06")
+
+
+@pytest.mark.parametrize("fractions,tags", [((0.7, 0.2, 0.1, 0.0), "cal"),
+                                            ((0.7, 0.2, 0.0, 0.1), "val"),
+                                            ((0.0, 0.2, 0.4, 0.4), "train"),
+                                            ((0.0, 1.0, 0.0, 0.0), "train and val and cal")])
+def test_split_spec_refuses_a_zero_train_val_or_cal_share(fractions, tags):
+    with pytest.raises(ConfigError, match=f"^fractions give {tags} a zero share"):
+        SplitSpec(fractions=fractions)
 
 
 def test_by_group_split_keeps_groups_whole():
@@ -236,7 +245,8 @@ def split_cases(draw):
     groups = np.repeat(names, sizes)[draw(st.permutations(range(sum(sizes))))]
     ds = Dataset(X=np.arange(groups.size, dtype=np.float64)[:, None],
                  y=np.zeros(groups.size), groups=groups)
-    weights = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4).filter(any))
+    # train, val and cal each get a share; test may get none
+    weights = [draw(st.integers(0 if tag == "test" else 1, 10)) for tag in SPLIT_TAGS]
     test_groups = draw(st.none() | st.sets(st.sampled_from(names)))
     spec = SplitSpec(tuple(np.array(weights) / sum(weights)),
                      draw(st.sampled_from(datagen.SPLIT_MODES)))
@@ -253,10 +263,6 @@ def test_split_dataset_properties(case):
     if kwargs["test_groups"] is not None:
         held = np.isin(ds.groups, sorted(kwargs["test_groups"]))
         shares[SPLIT_TAGS.index("test")] = 0.0
-        if shares.sum() == 0.0:
-            with pytest.raises(ConfigError, match="no share outside test_groups"):
-                split_dataset(ds, **kwargs)
-            return
         shares /= shares.sum()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # by_group overshooting a target

@@ -526,6 +526,10 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("split", "fractions", [0.5, 0.5]),
     ("split", "fractions", [0.6, 0.2, 0.1, 0.2]),
     ("split", "fractions", [1.2, -0.2, 0.0, 0.0]),
+    # a zero cal, test or val share: refused before training, not at calibrate
+    ("split", "fractions", [0.7, 0.2, 0.1, 0.0]),
+    ("split", "fractions", [0.7, 0.0, 0.1, 0.2]),
+    ("split", "fractions", [0.7, 0.2, 0.0, 0.1]),
     ("split", "mode", "stratified"),
     ("data", "n", 0),
     ("data", "dim", 0),
@@ -553,6 +557,55 @@ def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key
     assert code == 1
     assert re.search(field, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["ood", "iid"])
+def test_a_zero_test_share_is_only_for_ood_data(tmp_path, mode):
+    # ood data takes its test rows from the held-out clusters, so it needs no share
+    cfg = small_config(data={"kind": "clustered_shift", "n": 2000, "dim": 2, "mode": mode},
+                       split={"fractions": [0.7, 0.0, 0.1, 0.2]})
+    if mode == "iid":
+        with pytest.raises(ConfigError, match=r"config\.split\.fractions give test a zero share"):
+            ExperimentConfig.from_dict(cfg)
+        return
+    ds = stage_gen_data(ExperimentConfig.from_dict(cfg), tmp_path / "ood")
+    assert np.array_equal(ds.split == "test", np.isin(ds.groups, ["cluster_06", "cluster_07"]))
+
+
+def assert_gen_data_refuses_an_empty_split(config, out, message):
+    with pytest.raises(ConfigError, match=message):
+        stage_gen_data(config, out)
+    assert not (out / "data.csv").exists()
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["stages"] == {"gen-data": "failed", "train": "missing",
+                                  "calibrate": "missing", "evaluate": "missing"}
+
+
+def test_gen_data_refuses_a_by_group_split_that_leaves_a_tag_empty(tmp_path):
+    # three clusters dealt whole to four tags leave one with no rows
+    config = ExperimentConfig.from_dict(small_config(
+        data={"kind": "clustered_shift", "n": 300, "dim": 2, "mode": "iid", "n_clusters": 3,
+              "held_out_clusters": [0]},
+        split={"mode": "by_group"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # every cluster overshoots its target
+        assert_gen_data_refuses_an_empty_split(
+            config, tmp_path / "run",
+            r"^config\.split\.fractions \[0\.6, 0\.2, 0\.1, 0\.1\] \(by_group\) gives "
+            r"split 'val' and 'cal' none of 300 rows")
+
+
+def test_gen_data_refuses_a_csv_split_column_without_cal_rows(tmp_path):
+    ds = datagen.split_dataset(
+        datagen.gen_heteroscedastic(datagen.DataSpec(n=100, dim=2), 0), datagen.SplitSpec(), 0)
+    ds.split[ds.split == "cal"] = "train"
+    path = tmp_path / "no_cal.csv"
+    datagen.save_csv(ds, path)
+    config = ExperimentConfig.from_dict(small_config(data={"kind": "csv", "path": str(path)}))
+    assert_gen_data_refuses_an_empty_split(
+        config, tmp_path / "run",
+        r"^the split column of .*no_cal\.csv gives split 'cal' none of 100 rows")
 
 
 def test_removed_group_top_k_fails_at_config_load(tmp_path, capsys):

@@ -17,30 +17,47 @@ from tessera.mc_dropout import (
     mc_predict,
     train_dropout,
 )
-from tessera.nn import ACTIVATIONS, BLOCK_ROWS, Mlp, make_rng
+from tessera.nn import ACTIVATIONS, BLOCK_ROWS, Mlp, make_rng, row_blocks
 
 
-def hand_identity_net(d=2, hidden=16):
+def hand_identity_net(d=2, hidden=16, dropout=0.5):
     # all-ones weights, zero biases, identity activation: the stochastic
     # output is d * sum of the hidden masks, which has a closed-form
     # mean and variance under inverted dropout
     net = Mlp([np.ones((d, hidden)), np.ones((hidden, 1))],
               [np.zeros(hidden), np.zeros(1)], ["identity"])
-    return DropoutMlp(net, dropout=0.5)
+    return DropoutMlp(net, dropout=dropout)
 
 
-def test_masks_are_inverted_dropout():
-    model = hand_identity_net()
-    masks = model.sample_masks(1000, make_rng(0))
-    m = masks[0]
-    vals = np.unique(m)
-    assert_allclose(vals, [0.0, 2.0], rtol=0)          # 1/(1-p) = 2 at p = 0.5
-    assert abs(m.mean() - 1.0) < 0.02                  # unbiased scaling
+def assert_within_5_sigma(count, trials, prob):
+    # oracle: count ~ Binomial(trials, prob); at prob 0 or 1 it is exact
+    assert abs(count - trials * prob) <= 5.0 * math.sqrt(trials * prob * (1.0 - prob))
 
 
-def test_mc_variance_matches_closed_form():
-    d, hidden, p = 2, 16, 0.5
-    model = hand_identity_net(d, hidden)
+# keep 1/2 takes one random bit per entry, eight to a byte, so horizontally
+# adjacent entries share a byte; every other keep thresholds a uniform
+@pytest.mark.parametrize("keep", [0.5, 0.7, 0.3, 1.0])
+def test_masks_are_independent_bernoulli_draws_of_keep(keep):
+    rows, width = 20_000, 64  # 1.28M entries, 640k adjacent pairs
+    model = hand_identity_net(hidden=width, dropout=1.0 - keep)
+    keep = 1.0 - model.dropout  # as the model forms it: 1 - (1 - 0.3) is not 0.3
+    (m,) = model.sample_masks(rows, make_rng(11))
+    assert m.shape == (rows, width) and m.dtype == np.float64
+    kept = m == 1.0 / keep
+    assert np.all(kept | (m == 0.0))
+    assert_within_5_sigma(np.count_nonzero(kept), m.size, keep)
+    left, right = kept[:, 0::2], kept[:, 1::2]  # disjoint pairs (2j, 2j + 1)
+    for a, b, prob in [(True, True, keep * keep), (True, False, keep * (1.0 - keep)),
+                       (False, True, (1.0 - keep) * keep),
+                       (False, False, (1.0 - keep) ** 2)]:
+        assert_within_5_sigma(np.count_nonzero((left == a) & (right == b)), left.size, prob)
+
+
+# dropout 0.5 draws its masks from random bits, 0.3 from thresholded uniforms
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_mc_variance_matches_closed_form(p):
+    d, hidden = 2, 16
+    model = hand_identity_net(d, hidden, p)
     x = np.ones((1, d))
     mean, var = mc_predict(model, x, passes=8000, rng=make_rng(42))
     want_mean = d * hidden                      # E[sum of masks] = hidden
@@ -69,30 +86,37 @@ def test_mc_predict_deterministic_given_seed():
 
 
 def full_forward_per_pass(model, x, passes, rng):
-    """mc_predict as one full forward pass of the net per draw of masks."""
+    """mc_predict as one forward pass of the net per block and draw of masks:
+    for each ``row_blocks`` block, ``passes`` draws of ``sample_masks``."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     draws = np.empty((passes, X.shape[0]))
-    for t in range(passes):
-        draws[t] = model.net.forward(X, hidden_masks=model.sample_masks(X.shape[0], rng))[:, 0]
+    for rows in row_blocks(X.shape[0]):
+        b = rows.stop - rows.start
+        for t in range(passes):
+            draws[t, rows] = model.net.forward(X[rows],
+                                               hidden_masks=model.sample_masks(b, rng))[:, 0]
     return draws.mean(axis=0), draws.var(axis=0, ddof=1)
 
 
-def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows):
+def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows,
+                                                      bit_generator=np.random.PCG64):
     net = Mlp.init(widths, activation, rng=make_rng(len(widths)))
     net.params += 0.1 * make_rng(3).standard_normal(net.n_params)  # nonzero biases
     model = DropoutMlp(net, dropout)
     x = make_rng(1).standard_normal((rows, 3))
-    got_rng, want_rng = make_rng(2), make_rng(2)
+    got_rng, want_rng = (np.random.Generator(bit_generator(2)) for _ in range(2))
     got = mc_predict(model, x, passes=7, rng=got_rng)
     want = full_forward_per_pass(model, x, 7, want_rng)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-    # both drew the same number of uniforms
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # both drew the same random numbers; MT19937 keeps its state in an array
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    return got
 
 
+# (3, 7, 5, 1): at dropout 0.5 a layer's mask bits do not fill whole bytes
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("widths", [(3, 1), (3, 16, 1), (3, 16, 8, 1)])
+@pytest.mark.parametrize("widths", [(3, 1), (3, 16, 1), (3, 16, 8, 1), (3, 7, 5, 1)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, dropout):
     assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, 37)
@@ -110,32 +134,20 @@ def test_mc_predict_matches_a_full_forward_per_pass_across_blocks(activation, wi
     assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, rows)
 
 
-@pytest.mark.parametrize("rows", [5, 2 * BLOCK_ROWS + 7])
-def test_mc_predict_keeps_a_buffered_uint32(rows):
-    # a generator that drew one uint32 holds the other half of its 64-bit
-    # output; PCG64.advance drops that half, and mc_predict must restore it
-    model = DropoutMlp.init(3, McDropoutSpec(hidden=6, dropout=0.3), make_rng(0))
-    x = make_rng(1).standard_normal((rows, 3))
-    got_rng, want_rng = make_rng(2), make_rng(2)
-    for rng in (got_rng, want_rng):
-        rng.integers(0, 2 ** 32, dtype=np.uint32)
-    assert got_rng.bit_generator.state["has_uint32"] == 1
-    got = mc_predict(model, x, passes=4, rng=got_rng)
-    want = full_forward_per_pass(model, x, 4, want_rng)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert got_rng.integers(0, 2 ** 32, dtype=np.uint32) == \
-        want_rng.integers(0, 2 ** 32, dtype=np.uint32)
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
-                                           np.random.Philox, np.random.SFC64])
-def test_mc_predict_refuses_a_generator_not_backed_by_pcg64(bit_generator):
-    model = DropoutMlp.init(2, McDropoutSpec(hidden=4), make_rng(0))
-    rng = np.random.Generator(bit_generator(0))
-    with pytest.raises(ConfigError, match="make_rng"):
-        mc_predict(model, np.zeros((3, 2)), passes=2, rng=rng)
+@pytest.mark.parametrize("dropout", [0.3, 0.5])
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_mc_predict_accepts_any_bit_generator(bit_generator, dropout):
+    widths = (3, 16, 8, 1)
+    first = assert_mc_predict_matches_a_full_forward_per_pass(
+        "relu", widths, dropout, BLOCK_ROWS + 9, bit_generator)
+    again = assert_mc_predict_matches_a_full_forward_per_pass(
+        "relu", widths, dropout, BLOCK_ROWS + 9, bit_generator)
+    pcg = assert_mc_predict_matches_a_full_forward_per_pass(
+        "relu", widths, dropout, BLOCK_ROWS + 9)
+    for f, a, p in zip(first, again, pcg):
+        assert np.array_equal(f.view(np.uint64), a.view(np.uint64))
+        assert not np.array_equal(f, p)  # the masks come from the generator given
 
 
 def test_mc_predict_rejects_wrong_input_width():

@@ -185,6 +185,15 @@ def test_make_rng_deterministic():
     assert not np.allclose(a, c)
 
 
+def test_make_rng_is_pcg64_of_the_seed_sequence():
+    # every seeded artifact is drawn from this stream; a numpy whose default
+    # bit generator moved would change them all
+    rng = make_rng(42)
+    assert type(rng.bit_generator) is np.random.PCG64
+    want = np.random.PCG64(np.random.SeedSequence(42))
+    assert rng.bit_generator.state == want.state
+
+
 # ------------------------------------------------------------------- mlp
 
 def _grads(net, x, upstream, hidden_masks=None):

@@ -122,10 +122,13 @@ def test_adam_step_matches_reference(lr, beta1, beta2, eps):
 def test_sample_masks_match_reference(dropout):
     net = Mlp.init((2, 7, 4, 1), "relu", rng=make_rng(0))
     model = DropoutMlp(net, dropout=dropout)
-    got = model.sample_masks(13, make_rng(3))
-    want = stepcheck.sample_masks(model, 13, make_rng(3))
+    # 13 rows of 7 and of 4 units: at dropout 0.5 neither fills whole bytes
+    got_rng, want_rng = make_rng(3), make_rng(3)
+    got = model.sample_masks(13, got_rng)
+    want = stepcheck.sample_masks(model, 13, want_rng)
     assert len(got) == len(want) == 2
     assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +152,16 @@ def test_train_moe_matches_index_per_batch_loop(ragged_data, gate, activation):
     assert same_bits(model.params, replay.params)
 
 
+# dropout 0.5 draws its masks from random bits, 0.3 from thresholded uniforms
+@pytest.mark.parametrize("dropout", [0.3, 0.5])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation):
+def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation, dropout):
     X, y, _, _ = ragged_data
-    spec = McDropoutSpec(hidden=8, dropout=0.3, epochs=4, batch_size=8, lr=1e-2)
+    spec = McDropoutSpec(hidden=8, dropout=dropout, epochs=4, batch_size=8, lr=1e-2)
 
     def fresh():
         # DropoutMlp.init builds a relu net; this is its construction with ``activation``
-        return DropoutMlp(Mlp.init((3, 8, 1), activation, make_rng(2)), 0.3)
+        return DropoutMlp(Mlp.init((3, 8, 1), activation, make_rng(2)), dropout)
 
     model, replay = fresh(), fresh()
     history = train_dropout(model, X, y, spec, seed=6)
