@@ -20,8 +20,7 @@ from .experiment import METHODS, ExperimentConfig, build_report, load_config, \
     stage_train
 
 
-def _add_common(p: argparse.ArgumentParser, alpha: bool = False,
-                method: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, alpha: bool, method: bool) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="JSON experiment config (defaults apply when omitted)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -99,25 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibrated prediction intervals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run all pipeline stages")
-    _add_common(p, alpha=True, method=True)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("gen-data", help="generate or import the dataset")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the mixture model and the dropout baseline")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("calibrate", help="conformal calibration on the cal split")
-    _add_common(p, alpha=True)
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("evaluate", help="metrics and curves on the test split")
-    _add_common(p, alpha=True, method=True)
-    p.set_defaults(func=_cmd_evaluate)
+    # the stage commands: name, help, handler, and whether --alpha, --method apply
+    for name, help_, func, alpha, method in (
+            ("run", "run all pipeline stages", _cmd_run, True, True),
+            ("gen-data", "generate or import the dataset", _cmd_gen_data, False, False),
+            ("train", "train the mixture model and the dropout baseline", _cmd_train,
+             False, False),
+            ("calibrate", "conformal calibration on the cal split", _cmd_calibrate, True, False),
+            ("evaluate", "metrics and curves on the test split", _cmd_evaluate, True, True)):
+        p = sub.add_parser(name, help=help_)
+        _add_common(p, alpha=alpha, method=method)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="aggregate metrics across finished runs")
     p.add_argument("run_dirs", nargs="+", type=Path, help="run directories")

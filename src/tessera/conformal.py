@@ -104,10 +104,6 @@ class CalibrationResult:
         if math.isinf(self.q_hat) != should_be_inf:
             raise CalibrationError("q_hat finiteness is inconsistent with alpha and n_cal")
 
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.q_hat)
-
     def to_dict(self) -> dict:
         return {
             "format_version": RESULT_VERSION,
@@ -145,12 +141,9 @@ def calibrate(y_cal: Array, mu_cal: Array, scale_cal: Array | None = None,
     """
     kind = ScaleKind(kind)
     yv = _as_vector(y_cal, "y_cal")
-    if kind is ScaleKind.CONSTANT:
-        scale = np.ones_like(yv)
-    else:
-        if scale_cal is None:
-            raise CalibrationError(f"scale_cal is required for kind={kind.value!r}")
-        scale = scale_cal
+    if scale_cal is None and kind is not ScaleKind.CONSTANT:
+        raise CalibrationError(f"scale_cal is required for kind={kind.value!r}")
+    scale = np.ones_like(yv) if kind is ScaleKind.CONSTANT else scale_cal
     scores = nonconformity_scores(yv, mu_cal, scale, epsilon)
     q_hat = conformal_quantile(scores, alpha)
     return CalibrationResult(kind=kind, alpha=alpha, epsilon=epsilon,
@@ -204,23 +197,30 @@ class PredictionIntervals:
         return (self.lower <= yv) & (yv <= self.upper)
 
 
-def build_intervals(calib: CalibrationResult, mu_test: Array,
-                    scale_test: Array | None = None) -> PredictionIntervals:
-    """Intervals mu +/- q_hat * scale for the calibrated scale family.
+def build_intervals(center: Array, factor: float,
+                    scale: Array | None = None) -> PredictionIntervals:
+    """Intervals center +/- factor * scale, where a scale of None is one.
 
-    An infinite quantile yields the whole real line for every sample.
+    Every method's interval has this shape: the factor is a conformal q_hat
+    or a Gaussian z. An infinite factor yields the whole real line for every
+    sample, zero scales included.
     """
-    mv = _as_vector(mu_test, "mu_test")
-    if calib.kind is ScaleKind.CONSTANT:
-        scale = np.ones_like(mv)
-    else:
-        if scale_test is None:
-            raise CalibrationError(f"scale_test is required for kind={calib.kind.value!r}")
-        scale = _as_vector(scale_test, "scale_test")
-        if scale.shape != mv.shape:
-            raise DimensionError("mu_test and scale_test must have equal lengths")
-        if np.any(scale < 0):
-            raise CalibrationError("scales must be nonnegative")
+    c = _as_vector(center, "center")
+    s = np.ones_like(c) if scale is None else _as_vector(scale, "scale")
+    if s.shape != c.shape:
+        raise DimensionError("center and scale must have equal lengths")
+    if not (factor >= 0.0 and np.all(s >= 0.0)):
+        raise CalibrationError("the factor and the scales must be nonnegative")
     # inf * 0 would be NaN where a scale is zero
-    half = np.full_like(mv, np.inf) if calib.infinite else calib.q_hat * scale
-    return PredictionIntervals(center=mv, half=half)
+    half = np.full_like(c, np.inf) if math.isinf(factor) else factor * s
+    return PredictionIntervals(center=c, half=half)
+
+
+def gaussian_z(alpha: float) -> float:
+    """z_{1-alpha/2}, the Gaussian interval's factor; +inf where 1 - alpha/2 rounds to 1."""
+    if not (0.0 < alpha < 1.0):
+        raise CalibrationError("alpha must lie strictly between 0 and 1")
+    from statistics import NormalDist  # here, so that importing the package skips it
+
+    p = 1.0 - alpha / 2.0
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)

@@ -376,6 +376,17 @@ def _cache(key: tuple[str, str], ds: Dataset) -> None:
     _csv_cache = (key, ds)
 
 
+def _check_split_counts(name: str, meta: dict, split: np.ndarray | None) -> None:
+    """Refuse a ``split.counts`` in ``meta`` that disagrees with the split column;
+    metadata of any other shape is not the splitter's record and passes."""
+    counts = meta["split"].get("counts") if isinstance(meta.get("split"), dict) else None
+    for tag, recorded in (counts.items() if isinstance(counts, dict) else ()):
+        found = 0 if split is None else int(np.count_nonzero(split == tag))
+        if recorded != found:
+            raise CsvFormatError(f"{name}: split.counts records {recorded} {tag!r} rows, "
+                                 f"but the split column holds {found}")
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset and, when metadata exists, a JSON sidecar.
 
@@ -384,7 +395,8 @@ def save_csv(ds: Dataset, path) -> None:
     files are replaced atomically. The sidecar records the sha256 of the
     rows as ``data_sha256``; without metadata any older sidecar is removed.
     The saved dataset, as a load would return it, becomes the CSV cache
-    entry (see :func:`load_csv`).
+    entry (see :func:`load_csv`). Metadata whose ``split.counts`` disagree
+    with the split column is refused before anything is written.
     """
     global _csv_cache
     path = Path(path)
@@ -406,6 +418,7 @@ def save_csv(ds: Dataset, path) -> None:
         if np.shape(col) != (ds.n,):
             raise CsvFormatError(f"{path.name}: column {name!r} has shape {np.shape(col)}, "
                                  f"not ({ds.n},) like the feature columns")
+    _check_split_counts(_sidecar_path(path).name, ds.meta, ds.split)
     _csv_cache = None  # holding it while this dataset is written and copied raises peak RSS
     with serialize.atomic_write(path) as f:
         f.write(",".join(header) + "\n")
@@ -482,7 +495,8 @@ def load_csv(path) -> Dataset:
 
     The file is read ``CSV_BLOCK_ROWS`` lines at a time. Blank lines are
     skipped, and error messages give physical line numbers. A sidecar whose
-    ``data_sha256`` does not match the rows is refused.
+    ``data_sha256`` does not match the rows, or whose ``split.counts`` do not
+    match the split column, is refused.
 
     The last dataset loaded or saved is cached, keyed on the sha256 of the
     CSV and sidecar bytes, so reading a file back parses it only when its
@@ -514,6 +528,7 @@ def load_csv(path) -> Dataset:
                         f"{sidecar.name} records data_sha256 {recorded}, but {path.name} "
                         f"hashes to {data_sha256}: the two files were not written "
                         "together; save the dataset again or remove the sidecar")
+                _check_split_counts(sidecar.name, ds.meta, ds.split)
             _cache(key, ds)
     out = copy.copy(_csv_cache[1])
     out.meta = copy.deepcopy(out.meta)

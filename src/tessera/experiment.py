@@ -18,11 +18,11 @@ import numpy as np
 
 from . import serialize
 from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
-    build_intervals, calibrate
+    build_intervals, calibrate, gaussian_z
 from .datagen import SPLIT_TAGS, DataSpec, Dataset, SplitSpec, gen_clustered_shift, \
     gen_heteroscedastic, load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
-from .mc_dropout import DropoutMlp, McDropoutSpec, mc_intervals, mc_predict, train_dropout
+from .mc_dropout import DropoutMlp, McDropoutSpec, mc_predict, train_dropout
 from .metrics import MetricsReport, PointMetrics, check_cwc, check_grid, check_group_min_n, \
     check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, oracle_rmse, \
     partition_groups, picp, point_metrics, report_nll, sparsification, ssc_detail
@@ -288,6 +288,12 @@ def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutM
     return model, dropout
 
 
+def _moe_scales(pred: MixturePrediction) -> dict[ScaleKind, Array | None]:
+    """Each scale family's MoE signal, computed once; the constant's is None (one)."""
+    return {ScaleKind.EPISTEMIC: pred.epistemic, ScaleKind.ALEATORIC: pred.aleatoric,
+            ScaleKind.CONSTANT: None}
+
+
 @_stage("calibrate")
 def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, CalibrationResult]:
     """Split-conformal calibration of every scale family on the cal split."""
@@ -295,11 +301,8 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
     model = MoeModel.load(_artifact(out, "moe_model.json"))
     cal = ds.part("cal")
     pred = model.forward(cal.X)
-    scales = {ScaleKind.EPISTEMIC: pred.epistemic,
-              ScaleKind.ALEATORIC: pred.aleatoric,
-              ScaleKind.CONSTANT: None}
     results = {}
-    for kind, scale in scales.items():
+    for kind, scale in _moe_scales(pred).items():
         res = calibrate(cal.y, pred.mean, scale, kind=kind,
                         alpha=config.calibration.alpha,
                         epsilon=config.calibration.epsilon)
@@ -312,12 +315,13 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
 class _MeanScores:
     """The scores of one predictive mean on the test split, each computed
     once, when first read: the five MoE-based methods share the MoE's, and
-    mc_dropout has its own."""
+    mc_dropout has its own, with its passes' standard deviation ``sd``."""
 
     mean: Array
     density: MixturePrediction
     y: Array
     grid: tuple[float, ...] | None
+    sd: Array | None = None
 
     @functools.cached_property
     def resid(self) -> Array:
@@ -332,42 +336,45 @@ class _MeanScores:
         return oracle_rmse(self.resid, self.grid)
 
 
-def _method_intervals(method: str, config: ExperimentConfig, out: Path,
-                      test: Dataset, moe: _MeanScores):
-    """Intervals for the test split, and the scores of the mean they are
-    centred on: ``moe`` for the MoE methods."""
-    alpha = config.calibration.alpha
-    pred, mu = moe.density, moe.mean
-    if method in ("tessera_e", "tessera_a", "classical_cp"):
-        kind = {"tessera_e": ScaleKind.EPISTEMIC,
-                "tessera_a": ScaleKind.ALEATORIC}.get(method, ScaleKind.CONSTANT)
+def _method_intervals(config: ExperimentConfig, out: Path, test: Dataset, moe: _MeanScores,
+                      scales: dict[ScaleKind, Array | None]) -> dict:
+    """method -> the row (scores of the mean its intervals are centred on,
+    factor, scale), computed when called: every method's intervals are
+    ``build_intervals(mean, factor, scale)``."""
+    alpha, epsilon = config.calibration.alpha, config.calibration.epsilon
+    z = gaussian_z(alpha)
+
+    def q_hat(kind: ScaleKind) -> float:
         path = _artifact(out, f"calibration_{kind.value}.json")
         calib = CalibrationResult.load(path)
-        epsilon = config.calibration.epsilon
         if (calib.alpha, calib.epsilon) != (alpha, epsilon):
             raise ConfigError(f"{path} was calibrated at alpha={calib.alpha}, epsilon="
                               f"{calib.epsilon}, but the config asks for alpha={alpha}, "
                               f"epsilon={epsilon}; run `tessera calibrate` again first")
-        scale = pred.epistemic if kind is ScaleKind.EPISTEMIC else \
-            pred.aleatoric if kind is ScaleKind.ALEATORIC else None
-        return build_intervals(calib, mu, scale), moe
-    if method in ("moe_e", "moe_a"):
-        scale = pred.epistemic if method == "moe_e" else pred.aleatoric
-        return mc_intervals(mu, scale ** 2, alpha), moe
-    if method == "mc_dropout":
-        dropout = DropoutMlp.load(_artifact(out, "mc_dropout_model.json"))
+        return calib.q_hat
+
+    def dropout() -> _MeanScores:
+        model = DropoutMlp.load(_artifact(out, "mc_dropout_model.json"))
         rng = make_rng(derived_seed(config.seed, _ROLE_MC_PASSES))
-        mean, var = mc_predict(dropout, test.X, passes=config.mc_dropout.passes, rng=rng)
-        gauss = MixturePrediction(w=np.ones((test.n, 1)),
-                                  mu=mean[:, None],
+        mean, var = mc_predict(model, test.X, passes=config.mc_dropout.passes, rng=rng)
+        gauss = MixturePrediction(w=np.ones((test.n, 1)), mu=mean[:, None],
                                   sigma2=np.maximum(var, 1e-12)[:, None])
-        return mc_intervals(mean, var, alpha), _MeanScores(mean, gauss, test.y, moe.grid)
-    raise ConfigError(f"unknown method {method!r}")
+        return _MeanScores(mean, gauss, test.y, moe.grid, np.sqrt(var))
+
+    E, A, C = ScaleKind.EPISTEMIC, ScaleKind.ALEATORIC, ScaleKind.CONSTANT
+    return {
+        "tessera_e": lambda: (moe, q_hat(E), scales[E]),
+        "tessera_a": lambda: (moe, q_hat(A), scales[A]),
+        "classical_cp": lambda: (moe, q_hat(C), scales[C]),
+        "moe_e": lambda: (moe, z, scales[E]),
+        "moe_a": lambda: (moe, z, scales[A]),
+        "mc_dropout": lambda: (mc := dropout(), z, mc.sd),
+    }
 
 
-def _evaluate_method(method: str, config: ExperimentConfig, out: Path,
-                     test: Dataset, moe: _MeanScores):
-    intervals, scores = _method_intervals(method, config, out, test, moe)
+def _evaluate_method(method: str, config: ExperimentConfig, out: Path, test: Dataset,
+                     scores: _MeanScores, factor: float, scale: Array | None):
+    intervals = build_intervals(scores.mean, factor, scale)
     pm, nll = scores.point
     mspec = config.metrics
     cov = picp(intervals, test.y)
@@ -414,24 +421,27 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> dict[str, MetricsRepo
     test = ds.part("test")
     pred = model.forward(test.X)
     moe = _MeanScores(pred.mean, pred, test.y, config.metrics.sparsification_grid)
+    scales = _moe_scales(pred)
+    table = _method_intervals(config, out, test, moe, scales)
     groups = None if test.groups is None else partition_groups(test.groups)
     (out / "curves").mkdir(exist_ok=True)
     reports = {}
     group_rows = []
     for method in config.methods:
-        intervals, report = _evaluate_method(method, config, out, test, moe)
+        intervals, report = _evaluate_method(method, config, out, test, *table[method]())
         reports[method] = report
         if groups is not None:
             entries = groupwise_picp(intervals, test.y, groups,
                                      min_n=config.metrics.group_min_n)
             group_rows.extend((method, e.group, e.n, e.picp) for e in entries)
-    stats = disentangle_stats(pred.aleatoric, pred.epistemic)
+    aleatoric, epistemic = scales[ScaleKind.ALEATORIC], scales[ScaleKind.EPISTEMIC]
+    stats = disentangle_stats(aleatoric, epistemic)
     serialize.dump({
         "pearson": stats.pearson, "spearman": stats.spearman,
         "kendall": stats.kendall, "welch_t_p": stats.welch_t_p,
         "mann_whitney_p": stats.mann_whitney_p,
-        "mean_aleatoric": float(np.mean(pred.aleatoric)),
-        "mean_epistemic": float(np.mean(pred.epistemic)),
+        "mean_aleatoric": float(np.mean(aleatoric)),
+        "mean_epistemic": float(np.mean(epistemic)),
     }, out / "uncertainty_stats.json")
     serialize.write_csv(out / "curves" / "group_coverage.csv",
                         ["method", "group", "n", "coverage"], group_rows)

@@ -2,8 +2,8 @@
 
 A small MLP trained on squared error with inverted dropout on its hidden
 layers. Dropout stays on at prediction time: T stochastic passes give a
-per-sample mean and an unbiased variance, turned into Gaussian intervals
-mean +/- z_{1-alpha/2} * std.
+per-sample mean and an unbiased variance, for the Gaussian interval
+mean +/- z_{1-alpha/2} * std that ``conformal.build_intervals`` builds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .conformal import PredictionIntervals
 from .errors import ConfigError, DimensionError, TrainingError
 from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, as_rng, \
     check_adam_schedule, make_rng, row_blocks
@@ -152,6 +151,9 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     and finite h * (1/keep), so every product is that of a ``sample_masks``
     mask. The mean and variance are finished in the float order of
     ``np.var(ddof=1)``: mean, subtract, square, sum, divide by passes - 1.
+    At dropout 0 every mask keeps every unit, so one pass of
+    ``deterministic_forward`` is the mean, the variance is 0, and nothing is
+    drawn.
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
@@ -160,6 +162,9 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError(f"input must be (n, {net.input_dim})")
+    if model.dropout == 0.0:
+        mean = model.deterministic_forward(X)
+        return mean, np.zeros_like(mean)
     n = X.shape[0]
     keep = 1.0 - model.dropout
     widths = [w.shape[0] for w in net.weights[1:]]  # of each masked layer's input
@@ -198,25 +203,3 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
         v /= passes - 1
         mean[rows], var[rows] = m, v
     return mean, var
-
-
-def mc_intervals(mean: Array, variance: Array, alpha: float) -> PredictionIntervals:
-    """Symmetric Gaussian intervals mean +/- z_{1-alpha/2} * sqrt(variance).
-
-    An infinite z (alpha <= 2**-53 rounds 1 - alpha/2 to 1) yields the whole
-    real line for every sample.
-    """
-    m = np.asarray(mean, dtype=np.float64).ravel()
-    v = np.asarray(variance, dtype=np.float64).ravel()
-    if m.shape != v.shape or m.size == 0:
-        raise DimensionError("mean and variance must be nonempty and equal length")
-    if np.any(v < 0):
-        raise DimensionError("variances must be nonnegative")
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError("alpha must lie strictly between 0 and 1")
-    from statistics import NormalDist  # here, so that importing the package skips it
-
-    p = 1.0 - alpha / 2.0
-    # inf * 0 would be NaN where a variance is zero
-    half = np.full_like(m, np.inf) if p == 1.0 else NormalDist().inv_cdf(p) * np.sqrt(v)
-    return PredictionIntervals(center=m, half=half)

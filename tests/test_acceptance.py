@@ -27,12 +27,12 @@ from scipy import stats
 import conftest
 from conftest import ssc
 from gradcheck import finite_difference_gradients
-from tessera.conformal import ScaleKind, build_intervals, calibrate, conformal_quantile
+from tessera.conformal import ScaleKind, build_intervals, calibrate, conformal_quantile, \
+    gaussian_z
 from tessera.datagen import DataSpec, SplitSpec, gen_clustered_shift, gen_heteroscedastic, \
     split_dataset
 from tessera.errors import MetricError
 from tessera.experiment import ExperimentConfig, run_experiment
-from tessera.mc_dropout import mc_intervals
 from tessera.metrics import cwc, disentangle_stats, sparsification
 from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, mixture_nll_loss, train_moe
 from tessera.nn import derived_seed, make_rng
@@ -92,7 +92,7 @@ def test_coverage_validity_across_seeds():
                             ("aleatoric", pc.aleatoric, pt.aleatoric),
                             ("constant", None, None)):
             cal = calibrate(ca.y, pc.mean, sc, tag, alpha=ALPHA)
-            iv = build_intervals(cal, pt.mean, st)
+            iv = build_intervals(pt.mean, cal.q_hat, st)
             picps[tag].append(float(np.mean(iv.covers(te.y))))
     elapsed = time.monotonic() - t0
     for tag, vals in picps.items():
@@ -161,8 +161,8 @@ def step_noise_runs():
         ca, te = ds.part("cal"), ds.part("test")
         pc, pt = model.forward(ca.X), model.forward(te.X)
         cal = calibrate(ca.y, pc.mean, pc.aleatoric, ScaleKind.ALEATORIC, alpha=ALPHA)
-        iv = build_intervals(cal, pt.mean, pt.aleatoric)
-        raw = mc_intervals(pt.mean, pt.aleatoric ** 2, alpha=ALPHA)
+        iv = build_intervals(pt.mean, cal.q_hat, pt.aleatoric)
+        raw = build_intervals(pt.mean, gaussian_z(ALPHA), pt.aleatoric)
         high = te.sigma_true > 0.6
         rows.append({
             "calibrated_bins": ssc(iv, te.y, 5),
@@ -243,7 +243,7 @@ def test_classical_widths_constant():
         mu_cal = y_cal + rng.normal(0, 1, 200)
         cal = calibrate(y_cal, mu_cal, kind=ScaleKind.CONSTANT, alpha=ALPHA)
         mu_test = rng.normal(0, 5, 120) * rng.uniform(0.01, 1000)
-        iv = build_intervals(cal, mu_test)
+        iv = build_intervals(mu_test, cal.q_hat)
         assert np.unique(iv.width).size == 1
         with pytest.raises(MetricError, match="constant-width"):
             ssc(iv, rng.normal(0, 5, 120), 5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from tessera.conformal import (
     build_intervals,
     calibrate,
     conformal_quantile,
+    gaussian_z,
     nonconformity_scores,
 )
 from tessera.errors import CalibrationError, DimensionError
@@ -114,7 +116,7 @@ def test_calibrate_constant_matches_raw_residual_quantile():
     want = conformal_quantile(np.abs(y), alpha=0.1)
     assert res.q_hat == want
     assert res.n_cal == 99
-    assert not res.infinite
+    assert math.isfinite(res.q_hat)
     # the default epsilon only rescales the unit denominator by 1 + 1e-8
     res_eps = calibrate(y, mu, kind=ScaleKind.CONSTANT, alpha=0.1)
     assert_allclose(res_eps.q_hat, want, rtol=1e-7)
@@ -140,13 +142,13 @@ def test_marginal_coverage_hits_finite_sample_level():
     for _ in range(trials):
         resid = rng.standard_normal(20)
         res = calibrate(resid[:19], np.zeros(19), kind=ScaleKind.CONSTANT, alpha=0.1)
-        iv = build_intervals(res, np.zeros(1))
+        iv = build_intervals(np.zeros(1), res.q_hat)
         hits_const += int(iv.covers(resid[19:])[0])
         scale = 0.5 + rng.random(20)
         obs = scale * rng.standard_normal(20)
         res = calibrate(obs[:19], np.zeros(19), scale[:19],
                         kind=ScaleKind.EPISTEMIC, alpha=0.1)
-        iv = build_intervals(res, np.zeros(1), scale[19:])
+        iv = build_intervals(np.zeros(1), res.q_hat, scale[19:])
         hits_scaled += int(iv.covers(obs[19:])[0])
     se = np.sqrt(0.9 * 0.1 / trials)  # ~0.0047
     assert abs(hits_const / trials - 0.9) < 5 * se
@@ -156,50 +158,61 @@ def test_marginal_coverage_hits_finite_sample_level():
 # ------------------------------------------------------------ intervals
 
 def test_build_intervals_hand_case():
-    res = CalibrationResult(kind=ScaleKind.EPISTEMIC, alpha=0.1, epsilon=0.0,
-                            n_cal=99, q_hat=2.0)
-    iv = build_intervals(res, mu_test=[0.0, 0.0], scale_test=[1.0, 3.0])
+    iv = build_intervals([0.0, 0.0], 2.0, [1.0, 3.0])
     assert_allclose(iv.lower, [-2.0, -6.0], rtol=1e-12)
     assert_allclose(iv.upper, [2.0, 6.0], rtol=1e-12)
     assert_allclose(iv.width, 2.0 * 2.0 * np.array([1.0, 3.0]), rtol=1e-12)
 
 
-@pytest.mark.parametrize("q_hat", [2.0, 0.7316, math.pi * 1e3])
-def test_build_intervals_bounds_are_bitwise_mu_plus_minus_q_scale(q_hat):
-    rng = make_rng(3)
-    mu = rng.standard_normal(200) * 10.0 ** rng.integers(-6, 7, 200)
-    scale = rng.exponential(size=200) * 10.0 ** rng.integers(-6, 7, 200)
-    scale[::7] = 0.0
-    for kind, s_test in ((ScaleKind.EPISTEMIC, scale), (ScaleKind.ALEATORIC, scale),
-                         (ScaleKind.CONSTANT, np.ones(200))):
-        res = CalibrationResult(kind=kind, alpha=0.1, epsilon=1e-8, n_cal=99, q_hat=q_hat)
-        iv = build_intervals(res, mu_test=mu, scale_test=scale)
-        assert np.array_equal(iv.lower, mu - q_hat * s_test)
-        assert np.array_equal(iv.upper, mu + q_hat * s_test)
-        assert np.array_equal(iv.width, 2.0 * (q_hat * s_test))
-        if kind is not ScaleKind.CONSTANT:  # a zero scale gives the point itself
-            assert np.array_equal(iv.lower[::7], mu[::7])
-            assert np.array_equal(iv.upper[::7], mu[::7])
+# the factors of the methods' rows: conformal q_hats, Gaussian z values, zero,
+# and the infinite factor that a tiny alpha gives both q_hat and z
+_FACTORS = [0.0, 2.0, 0.7316, math.pi * 1e3, gaussian_z(0.01), gaussian_z(0.1),
+            gaussian_z(0.3), math.inf]
+# (center, scale) rows, zero scales among them
+_ROWS = st.lists(st.tuples(st.floats(-1e12, 1e12), st.just(0.0) | st.floats(0.0, 1e12)),
+                 min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("factor", _FACTORS, ids=repr)
+@settings(deadline=None, max_examples=40)
+@given(rows=_ROWS, unit=st.booleans(),
+       bad=st.none() | st.tuples(st.sampled_from([-1e-300, -2.0, math.nan]), st.integers(0)))
+def test_build_intervals_is_center_plus_minus_factor_times_scale(factor, rows, unit, bad):
+    center, scale = (np.array(c) for c in zip(*rows))
+    if bad is not None and not unit:  # a negative or NaN scale, at any factor
+        scale[bad[1] % scale.size] = bad[0]
+        with pytest.raises(CalibrationError, match="nonnegative"):
+            build_intervals(center, factor, scale)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 would be NaN, and a RuntimeWarning
+        iv = build_intervals(center, factor, None if unit else scale)
+    s = np.ones_like(center) if unit else scale  # a scale of None is one
+    if math.isinf(factor):  # the whole line on every row, zero scales included
+        assert np.array_equal(iv.half, np.full(center.size, np.inf))
+        assert np.all(iv.lower == -np.inf) and np.all(iv.upper == np.inf)
+        assert np.all(iv.covers(np.full(center.size, -1e300)))
+    else:
+        assert np.array_equal(iv.lower, center - factor * s)
+        assert np.array_equal(iv.upper, center + factor * s)
+        assert np.array_equal(iv.width, 2.0 * (factor * s))
+        assert np.array_equal(iv.half[s == 0.0], np.zeros(np.sum(s == 0.0)))
+
+
+def test_build_intervals_refuses_bad_inputs():
+    with pytest.raises(DimensionError, match="nonempty"):
+        build_intervals([], 1.0)
+    with pytest.raises(DimensionError, match="equal lengths"):
+        build_intervals([0.0, 1.0], 1.0, [1.0])
+    for factor in (-1.0, -math.inf, math.nan):
+        with pytest.raises(CalibrationError, match="nonnegative"):
+            build_intervals([0.0], factor, [1.0])
 
 
 def test_zero_scale_gives_zero_width():
-    res = CalibrationResult(kind=ScaleKind.ALEATORIC, alpha=0.1, epsilon=1e-8,
-                            n_cal=99, q_hat=2.5)
-    iv = build_intervals(res, mu_test=[1.5], scale_test=[0.0])
+    iv = build_intervals([1.5], 2.5, [0.0])
     assert iv.width[0] == 0.0
     assert iv.covers([1.5])[0]  # endpoint convention: closed interval
-
-
-def test_infinite_quantile_gives_infinite_intervals():
-    for kind in ScaleKind:
-        res = CalibrationResult(kind=kind, alpha=0.1, epsilon=1e-8,
-                                n_cal=5, q_hat=math.inf)
-        # a zero scale too: inf * 0 would be NaN
-        iv = build_intervals(res, mu_test=[0.0, 100.0], scale_test=[0.0, 2.0])
-        assert np.array_equal(iv.lower, [-np.inf, -np.inf])
-        assert np.array_equal(iv.upper, [np.inf, np.inf])
-        assert np.all(iv.covers([1e12, -1e12]))
-        assert np.all(np.isinf(iv.width))
 
 
 def test_interval_ordering_enforced():
@@ -221,14 +234,6 @@ def test_covers_endpoints():
     assert not iv.covers([1.0 + 1e-12])[0]
 
 
-def test_constant_kind_ignores_scale_argument():
-    res = CalibrationResult(kind=ScaleKind.CONSTANT, alpha=0.1, epsilon=1e-8,
-                            n_cal=99, q_hat=1.5)
-    iv = build_intervals(res, mu_test=[0.0, 1.0])
-    assert_allclose(iv.width, [3.0, 3.0], rtol=1e-12)
-    assert np.array_equal(iv.half, [1.5, 1.5])
-
-
 # -------------------------------------------------------- serialization
 
 def test_calibration_result_round_trip(tmp_path):
@@ -242,7 +247,7 @@ def test_calibration_result_round_trip(tmp_path):
 
 def test_infinite_quantile_serializes_as_string(tmp_path):
     res = calibrate([1.0, 2.0, 3.0], [0.0] * 3, kind=ScaleKind.CONSTANT, alpha=0.1)
-    assert res.infinite
+    assert res.q_hat == math.inf
     path = tmp_path / "calib.json"
     res.save(path)
     assert '"inf"' in path.read_text()

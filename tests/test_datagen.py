@@ -473,6 +473,7 @@ def test_csv_failed_save_keeps_previous_file(tmp_path):
     ds = split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 1),
                        SplitSpec(), 1)
     ds.split = ds.split.astype(object)
+    ds.meta["split"]["counts"][ds.split[CSV_BLOCK_ROWS + 5]] -= 1  # as the column will hold
     ds.split[CSV_BLOCK_ROWS + 5] = 7  # fails to format after the first block is written
     with pytest.raises(TypeError):
         save_csv(ds, path)
@@ -767,10 +768,52 @@ def test_csv_sidecar_without_data_sha256_still_loads(tmp_path):
 def test_csv_invalid_saved_dataset_is_not_cached(tmp_path):
     ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3)
     ds.split = np.where(ds.split == "val", "holdout", ds.split)  # bypasses validation
+    ds.meta["split"]["counts"]["val"] = 0  # as the column now holds
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     with pytest.raises(CsvFormatError, match="data.csv: unknown split tags"):
         load_csv(path)
+
+
+def test_csv_save_refuses_split_counts_that_disagree_with_the_split_column(tmp_path):
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3)
+    counts = ds.meta["split"]["counts"]
+    assert (counts["train"], counts["cal"]) == (24, 4)
+    ds.split = np.where(ds.split == "cal", "train", ds.split)  # the counts go stale
+    with pytest.raises(CsvFormatError, match=r"data\.csv\.meta\.json: split\.counts records "
+                                             r"24 'train' rows, but the split column holds 28"):
+        save_csv(ds, tmp_path / "data.csv")
+    assert list(tmp_path.iterdir()) == []
+    ds.split = None  # no column at all holds no rows of any tag
+    with pytest.raises(CsvFormatError, match=r"records 24 'train' rows, but the split "
+                                             r"column holds 0"):
+        save_csv(ds, tmp_path / "data.csv")
+
+
+def test_csv_load_refuses_a_sidecar_whose_split_counts_disagree(tmp_path, parses):
+    path = tmp_path / "data.csv"
+    ds = split_dataset(gen_clustered_shift(clustered(n=40, dim=2), 3), SplitSpec(), 3)
+    save_csv(ds, path)
+    sidecar = tmp_path / "data.csv.meta.json"
+    record = serialize.load(sidecar)
+    record["split"]["counts"]["test"] += 1
+    serialize.dump(record, sidecar)  # data_sha256 still matches the rows
+    for _ in range(2):  # a refused load caches nothing
+        with pytest.raises(CsvFormatError, match=r"data\.csv\.meta\.json: split\.counts "
+                                                 r"records 9 'test' rows, but the split "
+                                                 r"column holds 8"):
+            load_csv(path)
+    assert len(parses) == 2
+
+
+@pytest.mark.parametrize("split_meta", [None, "by hand", [1, 2], {"counts": "all"},
+                                        {"mode": "random"}])
+def test_csv_metadata_that_is_no_split_record_is_not_checked(tmp_path, split_meta):
+    ds = gen_heteroscedastic(DataSpec(n=20, dim=2), 4)
+    ds.meta["split"] = split_meta
+    save_csv(ds, tmp_path / "data.csv")
+    datagen._csv_cache = None
+    assert load_csv(tmp_path / "data.csv").meta["split"] == split_meta
 
 
 @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\nb"])

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tessera import datagen, serialize
+from tessera import datagen, experiment, serialize
 from tessera.cli import main
+from tessera.conformal import CalibrationResult
 from tessera.errors import ConfigError
 from tessera.experiment import (
     METHODS,
@@ -25,8 +26,9 @@ from tessera.experiment import (
     stage_gen_data,
     stage_train,
 )
-from tessera.mc_dropout import DropoutMlp
+from tessera.mc_dropout import DropoutMlp, mc_predict
 from tessera.moe import MoeModel
+from tessera.nn import derived_seed, make_rng
 
 
 def small_config(**overrides):
@@ -176,6 +178,46 @@ def test_stagewise_equals_run(tmp_path, finished_run):
     for rel in ("data.csv", "moe_model.json", "calibration_epistemic.json",
                 "metrics_tessera_e.json", "manifest.json"):
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_every_method_row_is_its_reference_formula_bitwise(tmp_path, monkeypatch,
+                                                          finished_run):
+    # each method once had its own interval code; the half-widths it formed
+    # are the reference for the one center +/- factor * scale path
+    from statistics import NormalDist
+
+    config, out = finished_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    built, build = [], experiment.build_intervals
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "build_intervals", recorded)
+    stage_evaluate(config, run)
+    test = datagen.load_csv(run / "data.csv").part("test")
+    pred = MoeModel.load(run / "moe_model.json").forward(test.X)
+    q = {kind: CalibrationResult.load(run / f"calibration_{kind}.json").q_hat
+         for kind in ("epistemic", "aleatoric", "constant")}
+    z = NormalDist().inv_cdf(1.0 - config.calibration.alpha / 2.0)
+    rng = make_rng(derived_seed(config.seed, experiment._ROLE_MC_PASSES))
+    mc_mean, var = mc_predict(DropoutMlp.load(run / "mc_dropout_model.json"), test.X,
+                              passes=config.mc_dropout.passes, rng=rng)
+    mu, s_e, s_a = pred.mean, pred.epistemic, pred.aleatoric
+    want = {"tessera_e": (mu, q["epistemic"] * s_e),
+            "tessera_a": (mu, q["aleatoric"] * s_a),
+            "classical_cp": (mu, q["constant"] * np.ones_like(mu)),
+            "moe_e": (mu, z * np.sqrt(s_e ** 2)),
+            "moe_a": (mu, z * np.sqrt(s_a ** 2)),
+            "mc_dropout": (mc_mean, z * np.sqrt(var))}
+    assert len(built) == len(METHODS) == len(want)
+    for method, iv in zip(METHODS, built):
+        center, half = want[method]
+        for got, ref in ((iv.center, center), (iv.half, half), (iv.lower, center - half),
+                         (iv.upper, center + half)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), method
 
 
 @pytest.mark.parametrize("method", ["tessera_a", "mc_dropout"])
@@ -380,7 +422,8 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 
 def test_cli_run_at_an_alpha_whose_z_is_infinite(tmp_path):
-    # 1 - 1e-17 / 2 rounds to 1, so z is inf, and zero dropout gives a zero MC variance
+    # 1 - 1e-17 / 2 rounds to 1, so z is inf, and zero dropout gives a zero MC
+    # variance; q_hat is inf too, so every method's row is the whole line
     cfg = {"data": {"n": 600}, "train": {"epochs": 2}, "calibration": {"alpha": 1e-17},
            "mc_dropout": {"dropout": 0.0, "epochs": 2}}
     out = tmp_path / "run"
@@ -389,7 +432,10 @@ def test_cli_run_at_an_alpha_whose_z_is_infinite(tmp_path):
         assert main(["run", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
     assert serialize.load(out / "manifest.json")["status"] == "ok"
-    for method in ("moe_e", "moe_a", "mc_dropout"):
+    for kind in ("epistemic", "aleatoric", "constant"):
+        calib = serialize.load(out / f"calibration_{kind}.json")
+        assert serialize.from_jsonable_float(calib["q_hat"]) == math.inf, kind
+    for method in METHODS:
         report = serialize.load(out / f"metrics_{method}.json")
         assert serialize.from_jsonable_float(report["mpiw"]) == math.inf, method
         assert report["picp"] == 1.0, method
@@ -600,6 +646,7 @@ def test_gen_data_refuses_a_csv_split_column_without_cal_rows(tmp_path):
     ds = datagen.split_dataset(
         datagen.gen_heteroscedastic(datagen.DataSpec(n=100, dim=2), 0), datagen.SplitSpec(), 0)
     ds.split[ds.split == "cal"] = "train"
+    ds.meta["split"]["counts"] = {tag: int(np.sum(ds.split == tag)) for tag in datagen.SPLIT_TAGS}
     path = tmp_path / "no_cal.csv"
     datagen.save_csv(ds, path)
     config = ExperimentConfig.from_dict(small_config(data={"kind": "csv", "path": str(path)}))
@@ -657,7 +704,7 @@ def test_report_requires_metrics(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_nor_statistics():
-    # mc_intervals imports statistics when it runs, not when the package loads
+    # gaussian_z imports statistics when it runs, not when the package loads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}

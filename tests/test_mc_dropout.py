@@ -1,6 +1,4 @@
 import math
-import warnings
-from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -8,15 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+from tessera.conformal import build_intervals, gaussian_z
 from tessera.datagen import DataSpec, gen_heteroscedastic
-from tessera.errors import ConfigError, DimensionError, TrainingError
-from tessera.mc_dropout import (
-    DropoutMlp,
-    McDropoutSpec,
-    mc_intervals,
-    mc_predict,
-    train_dropout,
-)
+from tessera.errors import CalibrationError, ConfigError, DimensionError, TrainingError
+from tessera.mc_dropout import DropoutMlp, McDropoutSpec, mc_predict, train_dropout
 from tessera.nn import ACTIVATIONS, BLOCK_ROWS, Mlp, make_rng, row_blocks
 
 
@@ -70,10 +63,12 @@ def test_zero_dropout_rate_collapses_variance():
     net = Mlp.init((2, 8, 1), "tanh", rng=make_rng(0))
     model = DropoutMlp(net, dropout=0.0)
     x = make_rng(1).standard_normal((5, 2))
-    mean, var = mc_predict(model, x, passes=10, rng=make_rng(2))
-    # identical passes; only the mean-of-T-copies rounding is left over
-    assert_allclose(var, np.zeros(5), atol=1e-30)
-    assert_allclose(mean, model.deterministic_forward(x), rtol=1e-12)
+    rng = make_rng(2)
+    mean, var = mc_predict(model, x, passes=10, rng=rng)
+    # every mask keeps every unit: one deterministic pass, and nothing drawn
+    assert np.array_equal(var, np.zeros(5))
+    assert np.array_equal(mean.view(np.uint64), model.deterministic_forward(x).view(np.uint64))
+    assert rng.bit_generator.state == make_rng(2).bit_generator.state
 
 
 def test_mc_predict_deterministic_given_seed():
@@ -106,7 +101,10 @@ def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropou
     x = make_rng(1).standard_normal((rows, 3))
     got_rng, want_rng = (np.random.Generator(bit_generator(2)) for _ in range(2))
     got = mc_predict(model, x, passes=7, rng=got_rng)
-    want = full_forward_per_pass(model, x, 7, want_rng)
+    if dropout == 0.0:  # all passes are the net's one forward pass, and draw nothing
+        want = net.forward(x)[:, 0], np.zeros(rows)
+    else:
+        want = full_forward_per_pass(model, x, 7, want_rng)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
     # both drew the same random numbers; MT19937 keeps its state in an array
@@ -186,34 +184,16 @@ def test_dropout_rate_validation():
 
 # ------------------------------------------------------------ intervals
 
-def test_intervals_use_normal_quantile():
-    mean = np.array([0.0, 10.0])
-    var = np.array([1.0, 4.0])
-    iv = mc_intervals(mean, var, alpha=0.1)
-    z = norm.ppf(0.95)
+def test_interval_z_is_the_normal_quantile():
+    z = gaussian_z(0.1)
+    assert_allclose(z, norm.ppf(0.95), rtol=1e-12)
     assert_allclose(z, 1.6448536269514722, rtol=1e-12)
-    assert_allclose(iv.lower, mean - z * np.sqrt(var), rtol=1e-12)
-    assert_allclose(iv.upper, mean + z * np.sqrt(var), rtol=1e-12)
-    assert_allclose(iv.width, 2 * z * np.sqrt(var), rtol=1e-12)
-
-
-def test_interval_bounds_are_bitwise_mean_plus_minus_z_sd():
-    rng = make_rng(5)
-    mean = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 7, 300)
-    var = rng.exponential(size=300) * 10.0 ** rng.integers(-12, 13, 300)
-    var[::9] = 0.0
-    for alpha in (0.01, 0.1, 0.3):
-        iv = mc_intervals(mean, var, alpha=alpha)
-        z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-        assert np.array_equal(iv.lower, mean - z * np.sqrt(var))
-        assert np.array_equal(iv.upper, mean + z * np.sqrt(var))
-        assert np.array_equal(iv.width, 2.0 * (z * np.sqrt(var)))
 
 
 def assert_interval_z_within_3_eps(alpha):
     # oracle: the 40-digit quantile sqrt(2) erfinv(2p - 1) at the float p the
     # code forms
-    z = mc_intervals([0.0], [1.0], alpha=alpha).upper[0]  # 0 + z * sqrt(1)
+    z = gaussian_z(alpha)
     with mpmath.workdps(40):
         want = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(1.0 - alpha / 2.0) - 1)
         assert z > 0 and abs(z - want) <= 3 * np.finfo(float).eps * want, alpha
@@ -242,25 +222,15 @@ def test_interval_z_within_3_eps_at_the_quantile_branch_points(p):
     assert_interval_z_within_3_eps(alpha)
 
 
-def test_intervals_at_an_alpha_that_rounds_p_to_one_are_infinite():
+def test_interval_z_at_an_alpha_that_rounds_p_to_one_is_infinite():
     # 1 - alpha / 2 rounds to 1.0, whose normal quantile is +inf
-    iv = mc_intervals([0.0, 1.0], [1.0, 4.0], alpha=2.0 ** -53)
-    assert np.all(iv.upper == np.inf) and np.all(iv.lower == -np.inf)
-    assert np.isfinite(mc_intervals([0.0], [1.0], alpha=2.0 ** -52).upper).all()
+    assert gaussian_z(2.0 ** -53) == math.inf
+    assert gaussian_z(1e-17) == math.inf
+    assert math.isfinite(gaussian_z(2.0 ** -52))
 
 
-def test_infinite_z_gives_infinite_half_widths_at_zero_variance():
-    # inf * 0 would be NaN, and a RuntimeWarning; zero-variance rows are the whole line too
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        iv = mc_intervals([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], alpha=1e-17)
-    assert np.array_equal(iv.half, np.full(3, np.inf))
-    assert np.all(iv.lower == -np.inf) and np.all(iv.upper == np.inf)
-
-
-def test_intervals_alpha_05_quantile():
-    iv = mc_intervals([0.0], [1.0], alpha=0.05)
-    assert_allclose(iv.upper[0], 1.959963984540054, rtol=1e-12)
+def test_interval_z_alpha_05_quantile():
+    assert_allclose(gaussian_z(0.05), 1.959963984540054, rtol=1e-12)
 
 
 def test_interval_coverage_when_variance_is_exact():
@@ -270,18 +240,15 @@ def test_interval_coverage_when_variance_is_exact():
     mu = rng.standard_normal(n)
     s = 0.5 + rng.random(n)
     y = mu + s * rng.standard_normal(n)
-    iv = mc_intervals(mu, s ** 2, alpha=0.1)
+    iv = build_intervals(mu, gaussian_z(0.1), s)
     cover = np.mean(iv.covers(y))
     assert abs(cover - 0.9) < 5 * np.sqrt(0.9 * 0.1 / n)
 
 
-def test_intervals_reject_bad_inputs():
-    with pytest.raises(DimensionError):
-        mc_intervals([0.0], [-1.0], alpha=0.1)
-    with pytest.raises(ConfigError):
-        mc_intervals([0.0], [1.0], alpha=0.0)
-    with pytest.raises(DimensionError):
-        mc_intervals([0.0, 1.0], [1.0], alpha=0.1)
+def test_interval_z_rejects_alpha_outside_the_unit_interval():
+    for alpha in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(CalibrationError, match="alpha"):
+            gaussian_z(alpha)
 
 
 # ------------------------------------------------------------- training
