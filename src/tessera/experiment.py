@@ -454,7 +454,8 @@ def _write_manifest(config: ExperimentConfig, out: Path, stage: str,
     recorded failed stays failed until it succeeds itself."""
     artifacts = sorted(str(p.relative_to(out)).replace("\\", "/")
                        for p in out.rglob("*")
-                       if p.is_file() and p.name != "manifest.json")
+                       if p.is_file() and p.name != "manifest.json"
+                       and not serialize.is_temp_name(p.name))
     failed = {s for s, status in _recorded_stages(out).items() if status == "failed"} - {stage}
     if error is not None:
         failed.add(stage)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -62,6 +63,20 @@ def dumps(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+# Every temp file is hidden and named ".<final name>.<8 hex digits>.tmp".
+_TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{8}\.tmp")
+
+
+def temp_path(path: Path) -> Path:
+    """A fresh hidden temp file name beside ``path``; see :func:`is_temp_name`."""
+    return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+
+
+def is_temp_name(name: str) -> bool:
+    """Whether ``name`` is one that :func:`temp_path` makes."""
+    return _TEMP_NAME.fullmatch(name) is not None
+
+
 @contextmanager
 def atomic_write(path):
     """Open a text file that replaces ``path`` only once the block exits cleanly.
@@ -71,8 +86,7 @@ def atomic_write(path):
     file is removed and ``path`` keeps its previous contents. A killed
     process can leave a stray temp file, but never a truncated ``path``.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    tmp = temp_path(Path(path))
     try:
         with open(tmp, "x") as f:
             yield f

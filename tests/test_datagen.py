@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import string
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from numpy.testing import assert_allclose
 from tessera import datagen, serialize
 from tessera.datagen import (
     CSV_BLOCK_ROWS,
+    CSV_FORK_ROWS,
     SPLIT_TAGS,
     DataSpec,
     Dataset,
@@ -465,19 +471,85 @@ def test_exact_float_round_trip(tmp_path):
     assert np.array_equal(back.y, vals * 7.0)
 
 
-def test_csv_failed_save_keeps_previous_file(tmp_path):
+@pytest.mark.parametrize("bad_row", [CSV_BLOCK_ROWS + 5, CSV_FORK_ROWS + 5],
+                         ids=["parent_half", "child_half"])
+def test_csv_failed_save_keeps_previous_file(tmp_path, monkeypatch, bad_row):
+    n = CSV_FORK_ROWS + 10
     path = tmp_path / "data.csv"
-    save_csv(split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 0),
-                           SplitSpec(), 0), path)
+    save_csv(split_dataset(gen_clustered_shift(clustered(n=n, dim=2), 0), SplitSpec(), 0), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    ds = split_dataset(gen_clustered_shift(clustered(n=CSV_BLOCK_ROWS + 10, dim=2), 1),
-                       SplitSpec(), 1)
+    ds = split_dataset(gen_clustered_shift(clustered(n=n, dim=2), 1), SplitSpec(), 1)
     ds.split = ds.split.astype(object)
-    ds.meta["split"]["counts"][ds.split[CSV_BLOCK_ROWS + 5]] -= 1  # as the column will hold
-    ds.split[CSV_BLOCK_ROWS + 5] = 7  # fails to format after the first block is written
-    with pytest.raises(TypeError):
+    ds.meta["split"]["counts"][ds.split[bad_row]] -= 1  # as the column will hold
+    ds.split[bad_row] = 7  # fails to format after the first block of its half is written
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with pytest.raises(TypeError, match="expected str instance, int found"):
         save_csv(ds, path)
+    assert len(forks) == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not [p.name for p in tmp_path.iterdir() if serialize.is_temp_name(p.name)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+KILLED_WRITER = """
+import sys
+import numpy as np
+from tessera.datagen import Dataset, save_csv
+n = int(sys.argv[2])
+rng = np.random.default_rng(0)
+save_csv(Dataset(X=rng.standard_normal((n, 1)), y=rng.standard_normal(n)), sys.argv[1])
+"""
+
+
+def _temp_files(directory: Path) -> list[Path]:
+    return [p for p in directory.iterdir() if serialize.is_temp_name(p.name)]
+
+
+def _starts_with_header(p: Path) -> bool:
+    try:
+        with open(p, "rb") as f:
+            return f.read(len(b"feature_0,")) == b"feature_0,"
+    except FileNotFoundError:
+        return True  # gone is as good as the parent's own file here
+
+
+def test_csv_killed_writer_leaves_no_child_file(tmp_path):
+    # the forked child notices its parent is gone between blocks and removes
+    # its file; the parent's own temp file (it starts with the header) may stay
+    path = tmp_path / "data.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_WRITER, str(path), str(10 ** 6)],
+                            env=env, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        # both halves are under way once there are two non-empty temp files
+        while not (len(temps := _temp_files(tmp_path)) == 2
+                   and all(p.exists() and p.stat().st_size for p in temps)):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    deadline = time.monotonic() + 60
+    while not all(_starts_with_header(p) for p in _temp_files(tmp_path)):
+        assert time.monotonic() < deadline, [p.name for p in _temp_files(tmp_path)]
+        time.sleep(0.01)
+    assert len(_temp_files(tmp_path)) <= 1
+    assert not path.exists()
 
 
 # -------------------------------------------------------- csv properties
@@ -513,8 +585,11 @@ ADVERSARIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                       2.2250738585072014e-308, 1e-300, -1e-300, 2.0 ** 53,
                       2.0 ** 53 - 1, 2.0 ** 53 + 2, -(2.0 ** 53), 1.7976931348623157e308,
                       0.1, 1 / 3, 123456.789012345]
+# from CSV_FORK_ROWS rows on, two processes write the rows, split on a block
+# edge; the last count has an odd number of blocks, the last one partial
 BOUNDARY_ROWS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                 2 * CSV_BLOCK_ROWS + 3]
+                 2 * CSV_BLOCK_ROWS + 3, CSV_FORK_ROWS - 1, CSV_FORK_ROWS, CSV_FORK_ROWS + 1,
+                 (CSV_FORK_ROWS // (2 * CSV_BLOCK_ROWS) + 1) * 2 * CSV_BLOCK_ROWS + 7]
 LABEL_TEXT = st.text(alphabet=string.ascii_letters + string.digits + " _-.:", min_size=1,
                      max_size=8)
 
@@ -539,9 +614,11 @@ def csv_datasets(draw, rows=st.sampled_from(BOUNDARY_ROWS)):
         split=rng.choice(SPLIT_TAGS, n) if draw(st.booleans()) else None)
 
 
-@settings(max_examples=25, deadline=None)
-@given(ds=csv_datasets())
-def test_csv_block_codec_matches_reference_and_round_trips_bits(tmp_path_factory, ds):
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_csv_block_codec_matches_reference_and_round_trips_bits(tmp_path_factory, rows, data):
+    ds = data.draw(csv_datasets(rows=st.just(rows)))
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     save_csv(ds, path)
     assert path.read_bytes() == _reference_csv_bytes(ds)

@@ -145,6 +145,17 @@ def test_manifest_contents(finished_run):
     assert "timestamp" not in text
 
 
+def test_manifest_skips_stray_temp_files(tmp_path):
+    # a killed atomic write leaves such a file; it is no artifact of the run
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".data.csv.deadbeef.tmp").write_text("feature_0,feature_1,target\n")
+    stage_gen_data(ExperimentConfig.from_dict(small_config()), out)
+    artifacts = serialize.load(out / "manifest.json")["artifacts"]
+    assert "data.csv" in artifacts
+    assert ".data.csv.deadbeef.tmp" not in artifacts
+
+
 def test_metrics_values_are_sane(finished_run):
     _, out = finished_run
     for method in METHODS:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from tessera import serialize
@@ -33,3 +35,13 @@ def test_atomic_write_replaces_whole_file_with_plain_permissions(tmp_path):
             raise ValueError("interrupted")
     assert path.read_text() == '{\n  "a": 1\n}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "report.json"]
+
+
+def test_temp_names_are_recognised():
+    made = serialize.temp_path(Path("run") / "data.csv")
+    assert made.parent == Path("run")
+    assert serialize.is_temp_name(made.name)
+    assert serialize.is_temp_name(".data.csv.deadbeef.tmp")
+    for name in ("data.csv", "data.csv.deadbeef.tmp", ".data.csv.tmp", ".data.csv.deadbeef",
+                 ".data.csv.DEADBEEF.tmp", ".data.csv.deadbee.tmp", "..deadbeef.tmp"):
+        assert not serialize.is_temp_name(name), name
