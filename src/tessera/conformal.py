@@ -19,10 +19,6 @@ from .errors import CalibrationError, DimensionError
 from .nn import Array
 from . import serialize
 
-EPSILON_DEFAULT = 1e-8
-ALPHA_DEFAULT = 0.10
-RESULT_VERSION = 1
-
 # Slack for the quantile index: binary float products like 0.82 * 500 land a
 # hair above the exact integer and must not bump the order statistic.
 _CEIL_SLACK = 1e-9
@@ -41,8 +37,7 @@ def _as_vector(x, name: str) -> Array:
     return v
 
 
-def nonconformity_scores(y: Array, mu_hat: Array, scale: Array,
-                         epsilon: float = EPSILON_DEFAULT) -> Array:
+def nonconformity_scores(y: Array, mu_hat: Array, scale: Array, epsilon: float) -> Array:
     """Scaled absolute residuals |y - mu| / (scale + epsilon)."""
     yv = _as_vector(y, "y")
     mv = _as_vector(mu_hat, "mu_hat")
@@ -59,7 +54,12 @@ def nonconformity_scores(y: Array, mu_hat: Array, scale: Array,
     return np.abs(yv - mv) / denom
 
 
-def conformal_quantile(scores: Array, alpha: float = ALPHA_DEFAULT) -> float:
+def _rank(alpha: float, n: int) -> int:
+    """The finite-sample order statistic k = ceil((1 - alpha) * (n + 1))."""
+    return math.ceil((1.0 - alpha) * (n + 1) - _CEIL_SLACK)
+
+
+def conformal_quantile(scores: Array, alpha: float) -> float:
     """Finite-sample calibration quantile of the scores.
 
     Returns the k-th smallest score with k = ceil((1 - alpha) * (n + 1)),
@@ -73,7 +73,7 @@ def conformal_quantile(scores: Array, alpha: float = ALPHA_DEFAULT) -> float:
     if np.any(s < 0):
         raise CalibrationError("scores must be nonnegative")
     n = s.size
-    k = math.ceil((1.0 - alpha) * (n + 1) - _CEIL_SLACK)
+    k = _rank(alpha, n)
     if k > n:
         return math.inf
     return float(np.partition(s, k - 1)[k - 1])
@@ -100,51 +100,30 @@ class CalibrationResult:
             raise CalibrationError("n_cal must be >= 1")
         if math.isnan(self.q_hat) or self.q_hat < 0:
             raise CalibrationError("q_hat must be nonnegative")
-        should_be_inf = math.ceil((1.0 - self.alpha) * (self.n_cal + 1) - _CEIL_SLACK) > self.n_cal
-        if math.isinf(self.q_hat) != should_be_inf:
+        if math.isinf(self.q_hat) != (_rank(self.alpha, self.n_cal) > self.n_cal):
             raise CalibrationError("q_hat finiteness is inconsistent with alpha and n_cal")
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": RESULT_VERSION,
-            "kind": self.kind.value,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "n_cal": self.n_cal,
-            "q_hat": self.q_hat,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationResult":
-        if d.get("format_version") != RESULT_VERSION:
-            raise CalibrationError(f"unsupported calibration version {d.get('format_version')!r}")
-        return cls(kind=ScaleKind(d["kind"]), alpha=float(d["alpha"]),
-                   epsilon=float(d["epsilon"]), n_cal=int(d["n_cal"]),
-                   q_hat=serialize.from_jsonable_float(d["q_hat"]))
-
     def save(self, path) -> None:
-        serialize.dump(self.to_dict(), path)
+        serialize.save_checkpoint(path, self.kind.value, {
+            "alpha": self.alpha, "epsilon": self.epsilon, "n_cal": self.n_cal, "q_hat": self.q_hat})
 
     @classmethod
-    def load(cls, path) -> "CalibrationResult":
-        return cls.from_dict(serialize.load(path))
+    def load(cls, path, kind: ScaleKind | str) -> "CalibrationResult":
+        """Read a file written by :meth:`save`, refusing any other format
+        version or scale family."""
+        kind = ScaleKind(kind)
+        d = serialize.load_checkpoint(path, kind.value)
+        return cls(kind=kind, alpha=float(d["alpha"]), epsilon=float(d["epsilon"]),
+                   n_cal=int(d["n_cal"]), q_hat=serialize.from_jsonable_float(d["q_hat"]))
 
 
-def calibrate(y_cal: Array, mu_cal: Array, scale_cal: Array | None = None,
-              kind: ScaleKind | str = ScaleKind.CONSTANT,
-              alpha: float = ALPHA_DEFAULT,
-              epsilon: float = EPSILON_DEFAULT) -> CalibrationResult:
-    """Split-conformal calibration on held-out residuals.
-
-    For ``constant`` the scale is identically one and ``scale_cal`` is
-    ignored; otherwise a per-sample scale vector is required.
-    """
+def calibrate(y_cal: Array, mu_cal: Array, scale_cal: Array, kind: ScaleKind | str,
+              alpha: float, epsilon: float) -> CalibrationResult:
+    """Split-conformal calibration on held-out residuals, each divided by
+    its scale plus epsilon; the constant family's scale is a vector of ones."""
     kind = ScaleKind(kind)
     yv = _as_vector(y_cal, "y_cal")
-    if scale_cal is None and kind is not ScaleKind.CONSTANT:
-        raise CalibrationError(f"scale_cal is required for kind={kind.value!r}")
-    scale = np.ones_like(yv) if kind is ScaleKind.CONSTANT else scale_cal
-    scores = nonconformity_scores(yv, mu_cal, scale, epsilon)
+    scores = nonconformity_scores(yv, mu_cal, scale_cal, epsilon)
     q_hat = conformal_quantile(scores, alpha)
     return CalibrationResult(kind=kind, alpha=alpha, epsilon=epsilon,
                              n_cal=yv.size, q_hat=q_hat)
@@ -197,16 +176,15 @@ class PredictionIntervals:
         return (self.lower <= yv) & (yv <= self.upper)
 
 
-def build_intervals(center: Array, factor: float,
-                    scale: Array | None = None) -> PredictionIntervals:
-    """Intervals center +/- factor * scale, where a scale of None is one.
+def build_intervals(center: Array, factor: float, scale: Array) -> PredictionIntervals:
+    """Intervals center +/- factor * scale.
 
     Every method's interval has this shape: the factor is a conformal q_hat
     or a Gaussian z. An infinite factor yields the whole real line for every
     sample, zero scales included.
     """
     c = _as_vector(center, "center")
-    s = np.ones_like(c) if scale is None else _as_vector(scale, "scale")
+    s = _as_vector(scale, "scale")
     if s.shape != c.shape:
         raise DimensionError("center and scale must have equal lengths")
     if not (factor >= 0.0 and np.all(s >= 0.0)):

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .conformal import ALPHA_DEFAULT, EPSILON_DEFAULT, CalibrationResult, ScaleKind, \
-    build_intervals, calibrate, gaussian_z
+from .conformal import CalibrationResult, ScaleKind, build_intervals, calibrate, gaussian_z
 from .datagen import SPLIT_TAGS, DataSpec, Dataset, SplitSpec, gen_clustered_shift, \
     gen_heteroscedastic, load_csv, save_csv, split_dataset
 from .errors import ConfigError, DimensionError, MetricError
@@ -71,25 +70,30 @@ def _check_types(cls, d: dict, context: str) -> None:
 
 
 def _from_dict(cls, d: dict, context: str):
-    """Build one config section; spec errors start with the field name, so
-    prefixing the section gives e.g. ``config.train.epochs must be >= 1``."""
+    """Build the config or one of its sections, a field whose default is a
+    dataclass, which is built the same way. Spec errors start with the
+    field name, so prefixing the context gives e.g.
+    ``config.train.epochs must be >= 1``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {unknown}")
     _check_types(cls, d, context)
+    kwargs = {f.name: _from_dict(f.default_factory, d[f.name], f"{context}.{f.name}")
+              if dataclasses.is_dataclass(f.default_factory) else d[f.name]
+              for f in fields if f.name in d}
     try:
-        return cls(**d)
+        return cls(**kwargs)
     except (ConfigError, DimensionError) as e:  # DataSpec's shape rules raise DimensionError
         raise ConfigError(f"{context}.{e}") from None
 
 
 @dataclass
 class CalibrationSpec:
-    alpha: float = ALPHA_DEFAULT
-    epsilon: float = EPSILON_DEFAULT
+    alpha: float = 0.10
+    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -143,30 +147,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config schema version {self.schema_version!r}")
+            raise ConfigError(f"schema_version {self.schema_version!r} is not supported")
         self.methods = resolve_methods(self.methods)
         ood = self.data.kind == "clustered_shift" and self.data.mode == "ood"
         if self.split.fractions[SPLIT_TAGS.index("test")] == 0.0 and not ood:
-            raise ConfigError("config.split.fractions give test a zero share; only "
+            raise ConfigError("split.fractions give test a zero share; only "
                               "clustered_shift ood data takes its test rows from held-out clusters")
+        if self.split.mode == "by_group" and self.data.kind == "heteroscedastic":
+            raise ConfigError("split.mode 'by_group' deals whole groups, and "
+                              "heteroscedastic data has no group labels")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a mapping")
-        sections = {"data": DataSpec, "split": SplitSpec, "model": ModelSpec,
-                    "train": TrainSpec, "mc_dropout": McDropoutSpec,
-                    "calibration": CalibrationSpec, "metrics": MetricsSpec}
-        scalars = {"schema_version", "seed", "methods"}
-        unknown = sorted(set(d) - set(sections) - scalars)
-        if unknown:
-            raise ConfigError(f"unknown keys in config: {unknown}")
-        _check_types(cls, d, "config")
-        kwargs = {k: d[k] for k in scalars if k in d}
-        for name, spec_cls in sections.items():
-            if name in d:
-                kwargs[name] = _from_dict(spec_cls, d[name], f"config.{name}")
-        return cls(**kwargs)
+        return _from_dict(cls, d, "config")
 
     def to_dict(self) -> dict:
         return serialize.to_jsonable(dataclasses.asdict(self))
@@ -185,7 +178,7 @@ def resolve_methods(methods) -> tuple:
         elif m in METHODS:
             out.append(m)
         else:
-            raise ConfigError(f"unknown method {m!r}")
+            raise ConfigError(f"methods: unknown method {m!r}")
     return tuple(dict.fromkeys(out))  # first occurrence wins
 
 
@@ -264,6 +257,10 @@ def stage_gen_data(config: ExperimentConfig, out: Path) -> Dataset:
     if empty:
         raise ConfigError(f"{source} gives split {' and '.join(empty)} none of {ds.n} rows; "
                           "train, calibrate and evaluate each need rows of their tags")
+    n_test = int(np.sum(ds.split == "test"))
+    if n_test < 3:  # disentangle_stats's minimum, the largest of evaluate's metrics
+        raise ConfigError(f"{source} gives split 'test' {n_test} of {ds.n} rows; "
+                          "evaluate needs at least 3")
     save_csv(ds, out / "data.csv")
     return ds
 
@@ -288,10 +285,10 @@ def stage_train(config: ExperimentConfig, out: Path) -> tuple[MoeModel, DropoutM
     return model, dropout
 
 
-def _moe_scales(pred: MixturePrediction) -> dict[ScaleKind, Array | None]:
-    """Each scale family's MoE signal, computed once; the constant's is None (one)."""
+def _moe_scales(pred: MixturePrediction) -> dict[ScaleKind, Array]:
+    """Each scale family's MoE signal, computed once; the constant's is a vector of ones."""
     return {ScaleKind.EPISTEMIC: pred.epistemic, ScaleKind.ALEATORIC: pred.aleatoric,
-            ScaleKind.CONSTANT: None}
+            ScaleKind.CONSTANT: np.ones(pred.n)}
 
 
 @_stage("calibrate")
@@ -303,9 +300,8 @@ def stage_calibrate(config: ExperimentConfig, out: Path) -> dict[str, Calibratio
     pred = model.forward(cal.X)
     results = {}
     for kind, scale in _moe_scales(pred).items():
-        res = calibrate(cal.y, pred.mean, scale, kind=kind,
-                        alpha=config.calibration.alpha,
-                        epsilon=config.calibration.epsilon)
+        res = calibrate(cal.y, pred.mean, scale, kind,
+                        config.calibration.alpha, config.calibration.epsilon)
         res.save(out / f"calibration_{kind.value}.json")
         results[kind.value] = res
     return results
@@ -337,7 +333,7 @@ class _MeanScores:
 
 
 def _method_intervals(config: ExperimentConfig, out: Path, test: Dataset, moe: _MeanScores,
-                      scales: dict[ScaleKind, Array | None]) -> dict:
+                      scales: dict[ScaleKind, Array]) -> dict:
     """method -> the row (scores of the mean its intervals are centred on,
     factor, scale), computed when called: every method's intervals are
     ``build_intervals(mean, factor, scale)``."""
@@ -346,7 +342,7 @@ def _method_intervals(config: ExperimentConfig, out: Path, test: Dataset, moe: _
 
     def q_hat(kind: ScaleKind) -> float:
         path = _artifact(out, f"calibration_{kind.value}.json")
-        calib = CalibrationResult.load(path)
+        calib = CalibrationResult.load(path, kind)
         if (calib.alpha, calib.epsilon) != (alpha, epsilon):
             raise ConfigError(f"{path} was calibrated at alpha={calib.alpha}, epsilon="
                               f"{calib.epsilon}, but the config asks for alpha={alpha}, "
@@ -373,7 +369,7 @@ def _method_intervals(config: ExperimentConfig, out: Path, test: Dataset, moe: _
 
 
 def _evaluate_method(method: str, config: ExperimentConfig, out: Path, test: Dataset,
-                     scores: _MeanScores, factor: float, scale: Array | None):
+                     scores: _MeanScores, factor: float, scale: Array):
     intervals = build_intervals(scores.mean, factor, scale)
     pm, nll = scores.point
     mspec = config.metrics

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import serialize
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, as_rng, \
-    check_adam_schedule, make_rng, row_blocks
+from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, check_adam_schedule, \
+    make_rng, row_blocks
 
 
 def _kept(rng: np.random.Generator, keep: float, out: Array) -> Array:
@@ -43,8 +43,7 @@ class DropoutMlp:
         self.dropout = float(dropout)
 
     @classmethod
-    def init(cls, input_dim: int, spec: McDropoutSpec,
-             rng: int | np.random.Generator) -> "DropoutMlp":
+    def init(cls, input_dim: int, spec: McDropoutSpec, rng: np.random.Generator) -> "DropoutMlp":
         """Fresh relu net of ``spec``'s hidden width and dropout rate, with
         Xavier-initialized weights."""
         net = Mlp.init((input_dim, spec.hidden, 1), "relu", rng)
@@ -138,7 +137,7 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
 
 
 def mc_predict(model: DropoutMlp, x: Array, passes: int,
-               rng: int | np.random.Generator) -> tuple[Array, Array]:
+               rng: np.random.Generator) -> tuple[Array, Array]:
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
     The rows run in the blocks of ``row_blocks``, all passes of one block
@@ -157,7 +156,6 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
-    rng = as_rng(rng)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:

@@ -503,7 +503,7 @@ def point_metrics(preds: Array, y) -> PointMetrics:
     resid = p - yv
     rmse = float(np.sqrt(np.mean(resid ** 2)))
     mae = float(np.mean(np.abs(resid)))
-    if not (np.std(p) > 0.0 and np.std(yv) > 0.0):
+    if not (p.min() < p.max() and yv.min() < yv.max()):
         return PointMetrics(rmse, mae, np.nan, np.nan)
     return PointMetrics(rmse, mae, _pearson(p, yv), _spearman(p, yv))
 
@@ -531,7 +531,7 @@ def disentangle_stats(sig_a: Array, sig_e: Array) -> DisentangleStats:
         raise MetricError("signals must have equal lengths")
     if a.size < 3:
         raise MetricError("need at least three samples")
-    if not (np.std(a) > 0.0 and np.std(e) > 0.0):
+    if not (a.min() < a.max() and e.min() < e.max()):
         pearson = spearman = kendall = np.nan
     else:
         pearson, spearman, kendall = _pearson(a, e), _spearman(a, e), _kendall_tau_b(a, e)

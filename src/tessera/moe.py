@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import ACTIVATIONS, AdamState, Array, Mlp, adam_step, as_rng, check_adam_schedule, \
+from .nn import ACTIVATIONS, AdamState, Array, Mlp, adam_step, check_adam_schedule, \
     make_rng, sigmoid, softmax_lse, softplus
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -136,10 +136,8 @@ class MoeModel:
         self.var_floor = float(var_floor)
 
     @classmethod
-    def init(cls, input_dim: int, spec: ModelSpec,
-             rng: int | np.random.Generator) -> "MoeModel":
+    def init(cls, input_dim: int, spec: ModelSpec, rng: np.random.Generator) -> "MoeModel":
         """Fresh model of shape ``spec`` with Xavier-initialized parts."""
-        rng = as_rng(rng)
         hidden = () if spec.gate == "linear" else (spec.gate_hidden,)
         gate = Mlp.init((input_dim, *hidden, spec.n_experts), spec.activation, rng)
         experts = [Mlp.init((input_dim, spec.expert_hidden, 2), spec.activation, rng)

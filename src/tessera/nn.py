@@ -33,12 +33,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return make_rng(seed_or_rng)
-
-
 def derived_seed(seed: int, role: int) -> int:
     """Stable 63-bit integer seed for a numbered sub-stream of ``seed``."""
     state = np.random.SeedSequence([int(seed), int(role)]).generate_state(1, np.uint64)
@@ -159,14 +153,12 @@ class Mlp:
         self.weights, self.biases = self._views(self.params)
 
     @classmethod
-    def init(cls, widths: Sequence[int], activation: str,
-             rng: int | np.random.Generator) -> "Mlp":
+    def init(cls, widths: Sequence[int], activation: str, rng: np.random.Generator) -> "Mlp":
         """Xavier-uniform weights, zero biases, and ``activation`` after
         every hidden layer."""
         widths = [int(w) for w in widths]
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise DimensionError("widths must list >= 2 positive layer sizes")
-        rng = as_rng(rng)
         weights, biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -106,18 +106,19 @@ def load(path):
 
 
 def save_checkpoint(path, kind: str, body: dict) -> None:
-    """Write a model checkpoint: ``body`` tagged with its kind and format version."""
+    """Write a versioned artifact (a model checkpoint or a calibration):
+    ``body`` tagged with its kind and format version."""
     dump({"format_version": CHECKPOINT_VERSION, "kind": kind, **body}, path)
 
 
 def load_checkpoint(path, kind: str) -> dict:
-    """Read a checkpoint written by :func:`save_checkpoint`, refusing any
-    other format version or model kind."""
+    """Read a file written by :func:`save_checkpoint`, refusing any other
+    format version or kind."""
     d = load(path)
     if d.get("format_version") != CHECKPOINT_VERSION:
-        raise DimensionError(f"unsupported checkpoint version {d.get('format_version')!r}")
+        raise DimensionError(f"{path}: unsupported checkpoint version {d.get('format_version')!r}")
     if d.get("kind") != kind:
-        raise DimensionError(f"checkpoint kind {d.get('kind')!r} is not {kind!r}")
+        raise DimensionError(f"{path}: checkpoint kind {d.get('kind')!r} is not {kind!r}")
     return d
 
 

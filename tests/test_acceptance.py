@@ -38,6 +38,7 @@ from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, mixture_nll
 from tessera.nn import derived_seed, make_rng
 
 ALPHA = 0.10
+EPSILON = 1e-8
 
 
 def criterion(num: int, label: str):
@@ -90,8 +91,8 @@ def test_coverage_validity_across_seeds():
         pc, pt = model.forward(ca.X), model.forward(te.X)
         for tag, sc, st in (("epistemic", pc.epistemic, pt.epistemic),
                             ("aleatoric", pc.aleatoric, pt.aleatoric),
-                            ("constant", None, None)):
-            cal = calibrate(ca.y, pc.mean, sc, tag, alpha=ALPHA)
+                            ("constant", np.ones(ca.n), np.ones(te.n))):
+            cal = calibrate(ca.y, pc.mean, sc, tag, alpha=ALPHA, epsilon=EPSILON)
             iv = build_intervals(pt.mean, cal.q_hat, st)
             picps[tag].append(float(np.mean(iv.covers(te.y))))
     elapsed = time.monotonic() - t0
@@ -160,7 +161,8 @@ def step_noise_runs():
         model = _fit_moe(ds, seed)
         ca, te = ds.part("cal"), ds.part("test")
         pc, pt = model.forward(ca.X), model.forward(te.X)
-        cal = calibrate(ca.y, pc.mean, pc.aleatoric, ScaleKind.ALEATORIC, alpha=ALPHA)
+        cal = calibrate(ca.y, pc.mean, pc.aleatoric, ScaleKind.ALEATORIC, alpha=ALPHA,
+                        epsilon=EPSILON)
         iv = build_intervals(pt.mean, cal.q_hat, pt.aleatoric)
         raw = build_intervals(pt.mean, gaussian_z(ALPHA), pt.aleatoric)
         high = te.sigma_true > 0.6
@@ -241,9 +243,10 @@ def test_classical_widths_constant():
     for _ in range(25):
         y_cal = rng.normal(0, 5, 200)
         mu_cal = y_cal + rng.normal(0, 1, 200)
-        cal = calibrate(y_cal, mu_cal, kind=ScaleKind.CONSTANT, alpha=ALPHA)
+        cal = calibrate(y_cal, mu_cal, np.ones(200), ScaleKind.CONSTANT, alpha=ALPHA,
+                        epsilon=EPSILON)
         mu_test = rng.normal(0, 5, 120) * rng.uniform(0.01, 1000)
-        iv = build_intervals(mu_test, cal.q_hat)
+        iv = build_intervals(mu_test, cal.q_hat, np.ones(120))
         assert np.unique(iv.width).size == 1
         with pytest.raises(MetricError, match="constant-width"):
             ssc(iv, rng.normal(0, 5, 120), 5)

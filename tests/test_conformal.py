@@ -39,12 +39,12 @@ def test_scores_epsilon_guards_zero_scale():
 
 def test_scores_reject_negative_scale():
     with pytest.raises(CalibrationError):
-        nonconformity_scores(y=[1.0], mu_hat=[0.0], scale=[-0.5])
+        nonconformity_scores(y=[1.0], mu_hat=[0.0], scale=[-0.5], epsilon=1e-8)
 
 
 def test_scores_reject_length_mismatch():
     with pytest.raises(DimensionError):
-        nonconformity_scores(y=[1.0, 2.0], mu_hat=[0.0], scale=[1.0])
+        nonconformity_scores(y=[1.0, 2.0], mu_hat=[0.0], scale=[1.0], epsilon=1e-8)
 
 
 # ------------------------------------------------------------ quantile
@@ -112,23 +112,18 @@ def test_calibrate_constant_matches_raw_residual_quantile():
     rng = make_rng(0)
     y = rng.standard_normal(99)
     mu = np.zeros(99)
-    res = calibrate(y, mu, kind=ScaleKind.CONSTANT, alpha=0.1, epsilon=0.0)
+    res = calibrate(y, mu, np.ones(99), ScaleKind.CONSTANT, alpha=0.1, epsilon=0.0)
     want = conformal_quantile(np.abs(y), alpha=0.1)
     assert res.q_hat == want
     assert res.n_cal == 99
     assert math.isfinite(res.q_hat)
     # the default epsilon only rescales the unit denominator by 1 + 1e-8
-    res_eps = calibrate(y, mu, kind=ScaleKind.CONSTANT, alpha=0.1)
+    res_eps = calibrate(y, mu, np.ones(99), ScaleKind.CONSTANT, alpha=0.1, epsilon=1e-8)
     assert_allclose(res_eps.q_hat, want, rtol=1e-7)
 
 
-def test_calibrate_requires_scales_for_normalized_kinds():
-    with pytest.raises(CalibrationError):
-        calibrate([1.0, 2.0], [0.0, 0.0], None, kind=ScaleKind.EPISTEMIC)
-
-
 def test_calibrate_accepts_kind_strings():
-    res = calibrate([1.0] * 20, [0.0] * 20, [1.0] * 20, kind="aleatoric", alpha=0.2)
+    res = calibrate([1.0] * 20, [0.0] * 20, [1.0] * 20, "aleatoric", alpha=0.2, epsilon=1e-8)
     assert res.kind is ScaleKind.ALEATORIC
 
 
@@ -141,13 +136,14 @@ def test_marginal_coverage_hits_finite_sample_level():
     hits_scaled = 0
     for _ in range(trials):
         resid = rng.standard_normal(20)
-        res = calibrate(resid[:19], np.zeros(19), kind=ScaleKind.CONSTANT, alpha=0.1)
-        iv = build_intervals(np.zeros(1), res.q_hat)
+        res = calibrate(resid[:19], np.zeros(19), np.ones(19), ScaleKind.CONSTANT,
+                        alpha=0.1, epsilon=1e-8)
+        iv = build_intervals(np.zeros(1), res.q_hat, np.ones(1))
         hits_const += int(iv.covers(resid[19:])[0])
         scale = 0.5 + rng.random(20)
         obs = scale * rng.standard_normal(20)
         res = calibrate(obs[:19], np.zeros(19), scale[:19],
-                        kind=ScaleKind.EPISTEMIC, alpha=0.1)
+                        ScaleKind.EPISTEMIC, alpha=0.1, epsilon=1e-8)
         iv = build_intervals(np.zeros(1), res.q_hat, scale[19:])
         hits_scaled += int(iv.covers(obs[19:])[0])
     se = np.sqrt(0.9 * 0.1 / trials)  # ~0.0047
@@ -186,8 +182,8 @@ def test_build_intervals_is_center_plus_minus_factor_times_scale(factor, rows, u
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # inf * 0 would be NaN, and a RuntimeWarning
-        iv = build_intervals(center, factor, None if unit else scale)
-    s = np.ones_like(center) if unit else scale  # a scale of None is one
+        iv = build_intervals(center, factor, np.ones_like(center) if unit else scale)
+    s = np.ones_like(center) if unit else scale
     if math.isinf(factor):  # the whole line on every row, zero scales included
         assert np.array_equal(iv.half, np.full(center.size, np.inf))
         assert np.all(iv.lower == -np.inf) and np.all(iv.upper == np.inf)
@@ -201,7 +197,7 @@ def test_build_intervals_is_center_plus_minus_factor_times_scale(factor, rows, u
 
 def test_build_intervals_refuses_bad_inputs():
     with pytest.raises(DimensionError, match="nonempty"):
-        build_intervals([], 1.0)
+        build_intervals([], 1.0, [])
     with pytest.raises(DimensionError, match="equal lengths"):
         build_intervals([0.0, 1.0], 1.0, [1.0])
     for factor in (-1.0, -math.inf, math.nan):
@@ -238,22 +234,37 @@ def test_covers_endpoints():
 
 def test_calibration_result_round_trip(tmp_path):
     res = calibrate(make_rng(0).standard_normal(50), np.zeros(50),
-                    np.ones(50) * 0.5, kind=ScaleKind.EPISTEMIC, alpha=0.1)
+                    np.ones(50) * 0.5, ScaleKind.EPISTEMIC, alpha=0.1, epsilon=1e-8)
     path = tmp_path / "calib.json"
     res.save(path)
-    back = CalibrationResult.load(path)
+    back = CalibrationResult.load(path, ScaleKind.EPISTEMIC)
     assert back == res
 
 
 def test_infinite_quantile_serializes_as_string(tmp_path):
-    res = calibrate([1.0, 2.0, 3.0], [0.0] * 3, kind=ScaleKind.CONSTANT, alpha=0.1)
+    res = calibrate([1.0, 2.0, 3.0], [0.0] * 3, np.ones(3), ScaleKind.CONSTANT,
+                    alpha=0.1, epsilon=1e-8)
     assert res.q_hat == math.inf
     path = tmp_path / "calib.json"
     res.save(path)
     assert '"inf"' in path.read_text()
-    back = CalibrationResult.load(path)
+    back = CalibrationResult.load(path, ScaleKind.CONSTANT)
     assert back.q_hat == math.inf
     assert back == res
+
+
+def test_calibration_load_refuses_another_family_or_version(tmp_path):
+    res = calibrate([1.0] * 20, [0.0] * 20, [1.0] * 20, ScaleKind.EPISTEMIC,
+                    alpha=0.1, epsilon=1e-8)
+    path = tmp_path / "calibration_aleatoric.json"
+    res.save(path)
+    with pytest.raises(DimensionError, match=r"calibration_aleatoric\.json: checkpoint "
+                                             r"kind 'epistemic' is not 'aleatoric'"):
+        CalibrationResult.load(path, ScaleKind.ALEATORIC)
+    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
+    with pytest.raises(DimensionError, match=r"calibration_aleatoric\.json: unsupported "
+                                             r"checkpoint version 2"):
+        CalibrationResult.load(path, ScaleKind.EPISTEMIC)
 
 
 def test_result_consistency_validation():

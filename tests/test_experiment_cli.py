@@ -66,6 +66,25 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"output_dir": "elsewhere"})
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"schema_version": 2}, r"config\.schema_version 2 is not supported"),
+    ({"methods": ["tessera_x"]}, r"config\.methods: unknown method 'tessera_x'"),
+    ({"split": {"fractions": [0.7, 0.0, 0.1, 0.2]}},
+     r"config\.split\.fractions give test a zero share; .*"),
+    ({"train": {"epochs": 0}}, r"config\.train\.epochs must be >= 1"),
+    ({"train": {"epochs": 1.5}}, r"config\.train\.epochs must be an integer"),
+    # an unknown key has no field to lead with: the message names its section
+    ({"train": {"momentum": 0.9}}, r"unknown keys in config\.train: \['momentum'\]"),
+], ids=["schema_version", "method", "test_share", "nested", "type", "unknown_key"])
+def test_every_load_error_names_its_config_field(cfg, message):
+    # the whole message: a nested error is prefixed once, not twice
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(cfg)
+    assert re.fullmatch(message, str(err.value)), str(err.value)
+    if "unknown keys" not in message:
+        assert str(err.value).startswith("config.")
+
+
 def test_config_hash_tracks_content():
     a = ExperimentConfig.from_dict(small_config())
     b = ExperimentConfig.from_dict(small_config())
@@ -210,7 +229,7 @@ def test_every_method_row_is_its_reference_formula_bitwise(tmp_path, monkeypatch
     stage_evaluate(config, run)
     test = datagen.load_csv(run / "data.csv").part("test")
     pred = MoeModel.load(run / "moe_model.json").forward(test.X)
-    q = {kind: CalibrationResult.load(run / f"calibration_{kind}.json").q_hat
+    q = {kind: CalibrationResult.load(run / f"calibration_{kind}.json", kind).q_hat
          for kind in ("epistemic", "aleatoric", "constant")}
     z = NormalDist().inv_cdf(1.0 - config.calibration.alpha / 2.0)
     rng = make_rng(derived_seed(config.seed, experiment._ROLE_MC_PASSES))
@@ -588,6 +607,8 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("split", "fractions", [0.7, 0.0, 0.1, 0.2]),
     ("split", "fractions", [0.7, 0.2, 0.0, 0.1]),
     ("split", "mode", "stratified"),
+    # heteroscedastic data has no group labels to deal whole
+    ("split", "mode", "by_group"),
     ("data", "n", 0),
     ("data", "dim", 0),
     ("data", "mode", "shifted"),
@@ -629,7 +650,7 @@ def test_a_zero_test_share_is_only_for_ood_data(tmp_path, mode):
     assert np.array_equal(ds.split == "test", np.isin(ds.groups, ["cluster_06", "cluster_07"]))
 
 
-def assert_gen_data_refuses_an_empty_split(config, out, message):
+def assert_gen_data_refuses_the_split(config, out, message):
     with pytest.raises(ConfigError, match=message):
         stage_gen_data(config, out)
     assert not (out / "data.csv").exists()
@@ -647,10 +668,28 @@ def test_gen_data_refuses_a_by_group_split_that_leaves_a_tag_empty(tmp_path):
         split={"mode": "by_group"}))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # every cluster overshoots its target
-        assert_gen_data_refuses_an_empty_split(
+        assert_gen_data_refuses_the_split(
             config, tmp_path / "run",
             r"^config\.split\.fractions \[0\.6, 0\.2, 0\.1, 0\.1\] \(by_group\) gives "
             r"split 'val' and 'cal' none of 300 rows")
+
+
+def test_a_by_group_split_of_csv_data_waits_for_gen_data():
+    # heteroscedastic data is refused at load; a csv's groups are known only
+    # once gen-data reads it
+    ExperimentConfig.from_dict(small_config(data={"kind": "csv", "path": "data.csv"},
+                                            split={"mode": "by_group"}))
+
+
+def test_gen_data_refuses_a_split_that_leaves_evaluate_too_few_test_rows(tmp_path):
+    # one test row would pass train and calibrate and fail at evaluate
+    config = ExperimentConfig.from_dict(small_config(
+        data={"kind": "heteroscedastic", "n": 100, "dim": 2},
+        split={"fractions": [0.79, 0.01, 0.1, 0.1]}))
+    assert_gen_data_refuses_the_split(
+        config, tmp_path / "run",
+        r"^config\.split\.fractions \[0\.79, 0\.01, 0\.1, 0\.1\] \(random\) gives "
+        r"split 'test' 1 of 100 rows; evaluate needs at least 3$")
 
 
 def test_gen_data_refuses_a_csv_split_column_without_cal_rows(tmp_path):
@@ -661,7 +700,7 @@ def test_gen_data_refuses_a_csv_split_column_without_cal_rows(tmp_path):
     path = tmp_path / "no_cal.csv"
     datagen.save_csv(ds, path)
     config = ExperimentConfig.from_dict(small_config(data={"kind": "csv", "path": str(path)}))
-    assert_gen_data_refuses_an_empty_split(
+    assert_gen_data_refuses_the_split(
         config, tmp_path / "run",
         r"^the split column of .*no_cal\.csv gives split 'cal' none of 100 rows")
 
@@ -715,12 +754,14 @@ def test_report_requires_metrics(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_nor_statistics():
-    # gaussian_z imports statistics when it runs, not when the package loads
+    # gaussian_z imports statistics when it runs, not when the package loads;
+    # signal, numpy.strings and multiprocessing would each only add start-up time
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, tessera.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'statistics')))")
+    code = ("import sys, tessera.cli; print(sorted(m for m in sys.modules if any("
+            "m == p or m.startswith(p + '.') for p in "
+            "('scipy', 'statistics', 'signal', 'numpy.strings', 'multiprocessing'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

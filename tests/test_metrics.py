@@ -486,6 +486,17 @@ def test_point_metrics_constant_input_gives_nan():
     assert pm.rmse > 0
 
 
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.7])
+def test_a_constant_whose_std_rounds_above_zero_is_constant(value):
+    # np.std of 3 copies of 0.1 is 1.4e-17 and of 10 copies of 0.3 is 5.6e-17;
+    # the correlations are still NaN, with no warning from the tied ranks
+    pm = point_metrics(np.full(3, value), [0.0, 1.0, 2.0])
+    assert np.isnan(pm.pearson) and np.isnan(pm.spearman)
+    for n in (3, 7, 10):
+        out = disentangle_stats(np.arange(float(n)), np.full(n, value))
+        assert np.isnan(out.pearson) and np.isnan(out.spearman) and np.isnan(out.kendall)
+
+
 # ----------------------------------------------------------- disentangle
 
 def naive_kendall_tau_b(x, y):

@@ -410,8 +410,8 @@ def test_shape_validation():
     with pytest.raises(DimensionError):
         Mlp([np.zeros((2, 3))], [np.zeros(2)], [])
     with pytest.raises(DimensionError):
-        Mlp.init((3,), "tanh", 0)
-    net = Mlp.init((3, 4, 2), "tanh", 0)
+        Mlp.init((3,), "tanh", make_rng(0))
+    net = Mlp.init((3, 4, 2), "tanh", make_rng(0))
     with pytest.raises(DimensionError):
         net.forward(np.zeros((5, 7)))
     with pytest.raises(DimensionError):
@@ -419,7 +419,7 @@ def test_shape_validation():
     with pytest.raises(DimensionError, match="one activation per hidden layer"):
         Mlp([np.zeros((2, 2))], [np.zeros(2)], ["tanh"])
     with pytest.raises(DimensionError, match="unknown activation 'swish'"):
-        Mlp.init((2, 3, 2), "swish", 0)
+        Mlp.init((2, 3, 2), "swish", make_rng(0))
 
 
 def test_round_trip_dict():
