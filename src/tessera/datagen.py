@@ -396,8 +396,10 @@ def _check_split_counts(name: str, meta: dict, split: np.ndarray | None) -> None
 
 
 def _write_rows_forked(f, path: Path, n: int, write_rows) -> None:
-    """Write rows [0, n) with ``write_rows`` onto ``f``: the first half here,
-    the second half in a forked child, whose file is then appended to ``f``.
+    """Write rows [0, n) with ``write_rows`` onto ``f``, a file of
+    :func:`serialize.atomic_write`: the first half here, the second half in a
+    forked child, whose file is then appended to ``f``, and so hashed as it
+    is copied.
 
     The halves meet on a ``CSV_BLOCK_ROWS`` boundary, so every block holds
     the rows it would hold written in one pass. The child runs only
@@ -490,6 +492,31 @@ def save_csv(ds: Dataset, path) -> None:
     _check_split_counts(_sidecar_path(path).name, ds.meta, ds.split)
     _csv_cache = None  # holding it while this dataset is written and copied raises peak RSS
 
+    def as_loaded(labels):
+        """A copy in the loader's label dtype: just wide enough for the
+        longest label, and at least one character wide. A <U array pads
+        each label with NULs, so the width is the last character column
+        that any label uses. (``numpy.strings.str_len`` finds it too, but
+        importing numpy.strings raised the benchmark's default_run peak RSS
+        by ~1.2 MB.)"""
+        if labels is None:
+            return None
+        labels = np.asarray(labels, dtype=str)
+        used = labels.view(np.uint32).reshape(labels.size, -1).any(axis=0)
+        return labels.astype(f"<U{max(len(np.trim_zeros(used, 'b')), 1)}")
+
+    # the cache entry is built before the write, so that a dataset of the
+    # dropped entry's shape takes its memory back, instead of landing above
+    # the holes the write leaves in the heap (a 50 000-row save read peak
+    # RSS ~5 MB higher that way)
+    try:
+        saved = Dataset(
+            X=np.array(ds.X, order="C"), y=np.array(ds.y),
+            sigma_true=None if ds.sigma_true is None else np.array(ds.sigma_true),
+            groups=as_loaded(ds.groups), split=as_loaded(ds.split))
+    except DimensionError:
+        saved = None  # a field set after construction is invalid; a load will say which
+
     def write_rows(f, lo: int, hi: int) -> None:
         """Format rows [lo, hi) onto ``f``, ``CSV_BLOCK_ROWS`` from ``lo`` at a time."""
         for start in range(lo, hi, CSV_BLOCK_ROWS):
@@ -510,40 +537,20 @@ def save_csv(ds: Dataset, path) -> None:
             _write_rows_forked(f, path, ds.n, write_rows)
         else:
             write_rows(f, 0, ds.n)
-    with open(path, "rb") as f:
-        data_sha256 = _sha256(f)
+    data_sha256 = f.sha256.hexdigest()
     sidecar = _sidecar_path(path)
     meta, side_key = {}, _NO_SIDECAR
     if ds.meta:
         record = {**ds.meta, "data_sha256": data_sha256}
-        serialize.dump(record, sidecar)
-        side_key = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        side_key = serialize.dump(record, sidecar)
         meta = json.loads(serialize.dumps(record))
         del meta["data_sha256"]
     else:
         sidecar.unlink(missing_ok=True)
 
-    def as_loaded(labels):
-        """A copy in the loader's label dtype: just wide enough for the
-        longest label, and at least one character wide. A <U array pads
-        each label with NULs, so the width is the last character column
-        that any label uses. (``numpy.strings.str_len`` finds it too, but
-        importing numpy.strings raised the benchmark's default_run peak RSS
-        by ~1.2 MB.)"""
-        if labels is None:
-            return None
-        labels = np.asarray(labels, dtype=str)
-        used = labels.view(np.uint32).reshape(labels.size, -1).any(axis=0)
-        return labels.astype(f"<U{max(len(np.trim_zeros(used, 'b')), 1)}")
-
-    try:
-        saved = Dataset(
-            X=np.array(ds.X, order="C"), y=np.array(ds.y),
-            sigma_true=None if ds.sigma_true is None else np.array(ds.sigma_true),
-            groups=as_loaded(ds.groups), split=as_loaded(ds.split), meta=meta)
-    except DimensionError:
-        return  # a field set after construction is invalid; a load will say which
-    _cache((data_sha256, side_key), saved)
+    if saved is not None:
+        saved.meta = meta
+        _cache((data_sha256, side_key), saved)
 
 
 def _raise_first_bad_row(name: str, lines: list[str], lineno: int, width: int,

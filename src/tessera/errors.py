@@ -25,6 +25,10 @@ class CsvFormatError(TesseraError, ValueError):
     """A CSV file does not match the expected dataset schema."""
 
 
+class CheckpointError(TesseraError, ValueError):
+    """A checkpoint or calibration file is of another kind or format version."""
+
+
 class TrainingError(TesseraError, RuntimeError):
     """Training produced a non-finite loss or gradient."""
 

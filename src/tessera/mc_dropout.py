@@ -49,14 +49,18 @@ class DropoutMlp:
         net = Mlp.init((input_dim, spec.hidden, 1), "relu", rng)
         return cls(net, spec.dropout)
 
-    def sample_masks(self, n: int, rng: np.random.Generator) -> list[Array]:
+    def sample_masks(self, n: int, rng: np.random.Generator,
+                     out: list[Array] | None = None) -> list[Array]:
         """Inverted-dropout masks, one (n, width) array per hidden layer,
         drawn layer by layer by ``_kept``: 0 with probability p, else
-        1/(1-p), so the masked activation is unbiased."""
+        1/(1-p), so the masked activation is unbiased. With ``out``, one
+        C-ordered (>= n, width) buffer per hidden layer, mask i is the
+        first n rows of ``out[i]``."""
         keep = 1.0 - self.dropout
+        if out is None:
+            out = [np.empty((n, w.shape[1])) for w in self.net.weights[:-1]]
         # k / keep == k * (1 / keep) for k in {0, 1}, so one multiply does it
-        return [np.multiply(_kept(rng, keep, np.empty((n, w.shape[1]))), 1.0 / keep)
-                for w in self.net.weights[:-1]]
+        return [np.multiply(_kept(rng, keep, buf[:n]), 1.0 / keep, out=buf[:n]) for buf in out]
 
     def deterministic_forward(self, x: Array) -> Array:
         """The net's output with dropout off, from the row-blocked
@@ -114,6 +118,10 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
     rng = make_rng(seed)
     params = model.net.params
     state = AdamState(params, lr=config.lr)
+    # each step's masks and gradient overwrite the last step's
+    rows = min(n, config.batch_size)
+    mask_bufs = [np.empty((rows, w.shape[1])) for w in model.net.weights[:-1]]
+    grads = np.empty_like(params)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -121,12 +129,11 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
         try:
             for start in range(0, n, config.batch_size):
                 Xb, yb = xs[start:start + config.batch_size], ys[start:start + config.batch_size]
-                masks = model.sample_masks(Xb.shape[0], rng)
+                masks = model.sample_masks(Xb.shape[0], rng, out=mask_bufs)
                 out, cache = model.net.forward_cache(Xb, hidden_masks=masks)
                 resid = out[:, 0] - yb
                 upstream = (2.0 * resid / Xb.shape[0])[:, None]
-                grads = model.net.backward(cache, upstream)
-                adam_step(state, params, grads)
+                adam_step(state, params, model.net.backward(cache, upstream, out=grads))
             mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
             if not np.isfinite(mse):
                 raise TrainingError("non-finite training loss")

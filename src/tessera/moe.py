@@ -102,7 +102,8 @@ class MixturePrediction:
 
 
 class _Heads(NamedTuple):
-    """A batch's (n, K) mixture heads, each on K-major storage."""
+    """A batch's mixture heads as K-major (K, n) arrays: row k is component
+    k. ``mu`` and ``raw_var`` are views of the experts' (K, n, 2) output."""
 
     log_w: Array
     w: Array
@@ -167,14 +168,15 @@ class MoeModel:
     def _heads(self, logits: Array, out: Array) -> _Heads:
         """Mixture heads from the gate's (n, K) logits and the experts'
         (K, n, 2) outputs."""
-        # (n, K) arrays on K-major storage, the layout softmax_lse reduces
-        # over without a copy; every (n, K) result below inherits it
-        logits = np.asfortranarray(logits)
-        lse, w = softmax_lse(logits)
-        mu = np.asfortranarray(out[..., 0].T)
-        raw = np.asfortranarray(out[..., 1].T)
-        sigma2 = softplus(raw) + self.var_floor
-        return _Heads(logits - lse[:, None], w, mu, raw, sigma2)
+        # one K-major copy of the logits: softmax_lse reduces over its
+        # transpose without another, and it then becomes log w in place
+        log_w = np.ascontiguousarray(logits.T)
+        lse, w = softmax_lse(log_w.T)
+        log_w -= lse
+        raw = out[..., 1]
+        sigma2 = softplus(raw)
+        sigma2 += self.var_floor
+        return _Heads(log_w, w.T, out[..., 0], raw, sigma2)
 
     def _forward_parts(self, x: Array) -> tuple[_Heads, dict, dict]:
         """Heads of a training batch plus the gate's and the experts'
@@ -199,7 +201,7 @@ class MoeModel:
         non-finite layer value raises ``ModelError`` when ``check_finite``.
         """
         heads = self._forward_heads(x, check_finite=check_finite)
-        return MixturePrediction(heads.w, heads.mu, heads.sigma2)
+        return MixturePrediction(heads.w.T, heads.mu.T, heads.sigma2.T)
 
     def save(self, path) -> None:
         serialize.save_checkpoint(path, "moe", {
@@ -215,13 +217,22 @@ class MoeModel:
                    float(d["var_floor"]))
 
 
-def _log_components(pred_w_log: Array, mu: Array, sigma2: Array,
+def _log_components(log_w: Array, mu: Array, sigma2: Array,
                     y: Array) -> tuple[Array, Array, Array]:
-    """log w + log N(y; mu, sigma2) per (row, component), plus the residuals
-    y - mu and their squares."""
-    resid = y[:, None] - mu
-    sq = resid * resid
-    return pred_w_log + -0.5 * (LOG_2PI + np.log(sigma2) + sq / sigma2), resid, sq
+    """log w + log N(y; mu, sigma2) per component and row of K-major (K, n)
+    heads, plus what the gradient reuses: 1/sigma2 and the scaled residuals
+    z = (y - mu)/sigma2, so that the squared term (y - mu)^2/sigma2 is
+    (y - mu) z."""
+    resid = y - mu
+    inv = np.divide(1.0, sigma2)
+    z = resid * inv
+    resid *= z
+    comp = np.log(sigma2)
+    comp += LOG_2PI
+    comp += resid
+    comp *= -0.5
+    comp += log_w
+    return comp, inv, z
 
 
 def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
@@ -236,26 +247,27 @@ def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
         raise DimensionError("y must pair with prediction rows")
     with np.errstate(divide="ignore"):  # w == 0 gives -inf, which softmax_lse absorbs
         log_w = np.log(pred.w)
-    out = softmax_lse(_log_components(log_w, pred.mu, pred.sigma2, yv)[0])[0]
+    comp = _log_components(log_w.T, pred.mu.T, pred.sigma2.T, yv)[0]
+    out = softmax_lse(comp.T)[0]
     return float(out[0]) if scalar_in else out
 
 
 def _nll_core(heads: _Heads, y):
-    """Mean NLL of a batch from its heads, plus the pieces its gradient
-    needs: the targets, the per-row component responsibilities, and the
-    residuals y - mu with their squares. Raises if the loss is not
-    finite."""
+    """Mean NLL of a batch from its K-major heads, plus the pieces its
+    gradient needs: the targets, the (K, n) component responsibilities,
+    1/sigma2 and z = (y - mu)/sigma2 (see :func:`_log_components`). Raises
+    if the loss is not finite."""
     yv = np.asarray(y, dtype=np.float64).ravel()
-    if yv.shape[0] != heads.w.shape[0]:
+    if yv.shape[0] != heads.w.shape[1]:
         raise DimensionError("y must have one target per row of x")
     if yv.shape[0] == 0:
         raise DimensionError("empty batch")
-    comp, resid, sq = _log_components(heads.log_w, heads.mu, heads.sigma2, yv)
-    log_mix, resp = softmax_lse(comp)
-    loss = float(-log_mix.mean())
-    if not np.isfinite(loss):
+    comp, inv, z = _log_components(heads.log_w, heads.mu, heads.sigma2, yv)
+    log_mix, resp = softmax_lse(comp.T)
+    loss = -float(log_mix.sum()) / yv.shape[0]  # the bits of -log_mix.mean(), at less cost
+    if not math.isfinite(loss):
         raise TrainingError("non-finite mixture NLL")
-    return loss, yv, resp, resid, sq
+    return loss, yv, resp.T, inv, z
 
 
 def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
@@ -267,23 +279,29 @@ def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
 def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     """Mean mixture NLL with its exact gradient in the ``model.params``
     layout. Raises if the loss is not finite.
+
+    With responsibilities r, z = (y - mu)/sigma2 and 1/sigma2 from the
+    loss, on K-major (K, n) arrays: d logits = (w - r)/n, d mu = -(r/n) z
+    and d sigma2 = -(r/n) 0.5 (z^2 - 1/sigma2), which softplus'(raw) =
+    sigmoid(raw) turns into d raw. Both expert columns are written straight
+    into the experts' (K, n, 2) upstream buffer.
     """
     heads, gate_cache, expert_cache = model._forward_parts(x)
-    loss, yv, resp, resid, sq = _nll_core(heads, y)
+    loss, yv, resp, inv, z = _nll_core(heads, y)
     n = yv.shape[0]
-    s2 = heads.sigma2
-    d_logits = (heads.w - resp) / n
-    # (K, n, 2), slice k for expert k. Each formula runs on K-major (n, K)
-    # arrays, so its transpose is contiguous and is copied in at once: ufuncs
-    # writing through the strided views run slower. softplus'(r) = sigmoid(r)
-    # turns d_sigma2 into d_raw.
-    upstream = np.empty((s2.shape[1], n, 2))
-    upstream[..., 0] = (-(resp * resid / s2) / n).T
-    upstream[..., 1] = (-(resp * 0.5 * (sq / (s2 * s2) - 1.0 / s2)) / n
-                        * sigmoid(heads.raw_var)).T
+    d_logits = np.subtract(heads.w, resp)
+    d_logits /= n
+    r = np.divide(resp, -n, out=resp)
+    upstream = np.empty(heads.sigma2.shape + (2,))
+    np.multiply(r, z, out=upstream[..., 0])
+    np.multiply(z, z, out=z)
+    z -= inv
+    z *= r
+    z *= 0.5
+    np.multiply(z, sigmoid(heads.raw_var), out=upstream[..., 1])
     grad = np.empty_like(model.params)
     n_gate = model.gate.n_params
-    model.gate.backward(gate_cache, d_logits, out=grad[:n_gate])
+    model.gate.backward(gate_cache, d_logits.T, out=grad[:n_gate])
     model.experts.backward(expert_cache, upstream, out=grad[n_gate:])
     return loss, grad
 

@@ -290,7 +290,10 @@ class Mlp:
         gradient is written into ``out``, a float64 vector of ``n_params``
         entries (say a slice of a longer gradient vector), and ``out`` is
         returned; every entry is overwritten and no other memory is. With
-        ``out=None`` a fresh vector is returned.
+        ``out=None`` a fresh vector is returned. Each layer's weight
+        gradient is ``input^T @ delta`` and its bias gradient the column
+        sum ``ones(n) @ delta``, both BLAS products, so the float order of
+        a sum over the n rows is BLAS's.
         """
         G = np.asarray(upstream, dtype=np.float64)
         want = self.weights[0].shape[:-2] + (cache["inputs"][0].shape[0], self.output_dim)
@@ -301,13 +304,18 @@ class Mlp:
         elif out.dtype != np.float64 or out.shape != self.params.shape:
             raise DimensionError(f"out must be a float64 vector of {self.n_params} entries")
         grad_w, grad_b = self._views(out)
+        ones = np.ones(G.shape[-2])
         delta = G
         for layer in range(self.n_layers - 1, -1, -1):
             np.matmul(cache["inputs"][layer].swapaxes(-1, -2), delta, out=grad_w[layer])
-            delta.sum(axis=-2, out=grad_b[layer])
+            np.matmul(ones, delta, out=grad_b[layer])
             if layer > 0:
-                # dh is a fresh product, so the chain rule runs in place on it
-                dh = delta @ self.weights[layer].swapaxes(-1, -2)
+                # dh is a fresh product, so the chain rule runs in place on it.
+                # Past a one-unit layer it is an outer product, which numpy
+                # runs as a slow rank-1 BLAS product; each entry is one
+                # rounded product either way, so broadcasting gives its bits
+                w_t = self.weights[layer].swapaxes(-1, -2)
+                dh = delta * w_t if w_t.shape[-2] == 1 else delta @ w_t
                 if cache["masks"] is not None:
                     dh *= cache["masks"][layer - 1]
                 tag, a = self.activations[layer - 1], cache["hidden"][layer - 1]

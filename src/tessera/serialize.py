@@ -7,6 +7,8 @@ files stay strictly valid JSON. The same bytes come out for the same data.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CheckpointError
 
 CHECKPOINT_VERSION = 1
 
@@ -77,18 +79,37 @@ def is_temp_name(name: str) -> bool:
     return _TEMP_NAME.fullmatch(name) is not None
 
 
+class _HashedFile(io.FileIO):
+    """A new file that feeds every byte written to it to ``sha256``."""
+
+    def __init__(self, path):
+        super().__init__(path, "x")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        return written
+
+
 @contextmanager
 def atomic_write(path):
-    """Open a text file that replaces ``path`` only once the block exits cleanly.
+    """Open a text file that replaces ``path`` only once the block exits
+    cleanly; the file's ``sha256`` then holds the digest of its bytes.
 
     Writes go to a hidden temp file in the same directory, which
     ``os.replace`` then renames over ``path``; if the block raises, the temp
     file is removed and ``path`` keeps its previous contents. A killed
     process can leave a stray temp file, but never a truncated ``path``.
+    The hash is taken below the text and buffer layers, so it covers the
+    encoded bytes that reach the file, those written to ``f.buffer``
+    included, and the file is never read back for it.
     """
     tmp = temp_path(Path(path))
     try:
-        with open(tmp, "x") as f:
+        raw = _HashedFile(tmp)
+        with io.TextIOWrapper(io.BufferedWriter(raw)) as f:
+            f.sha256 = raw.sha256
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -96,9 +117,11 @@ def atomic_write(path):
         raise
 
 
-def dump(obj, path) -> None:
+def dump(obj, path) -> str:
+    """Write ``obj`` as canonical JSON; returns the file's sha256 hex digest."""
     with atomic_write(path) as f:
         f.write(dumps(obj))
+    return f.sha256.hexdigest()
 
 
 def load(path):
@@ -116,9 +139,9 @@ def load_checkpoint(path, kind: str) -> dict:
     format version or kind."""
     d = load(path)
     if d.get("format_version") != CHECKPOINT_VERSION:
-        raise DimensionError(f"{path}: unsupported checkpoint version {d.get('format_version')!r}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {d.get('format_version')!r}")
     if d.get("kind") != kind:
-        raise DimensionError(f"{path}: checkpoint kind {d.get('kind')!r} is not {kind!r}")
+        raise CheckpointError(f"{path}: checkpoint kind {d.get('kind')!r} is not {kind!r}")
     return d
 
 

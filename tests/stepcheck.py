@@ -44,7 +44,7 @@ def backward(net, cache, upstream):
     delta = np.asarray(upstream, dtype=np.float64)
     for layer in range(net.n_layers - 1, -1, -1):
         grad_w[layer][...] = np.swapaxes(cache["inputs"][layer], -1, -2) @ delta
-        grad_b[layer][...] = delta.sum(axis=-2)
+        grad_b[layer][...] = np.ones(delta.shape[-2]) @ delta
         if layer > 0:
             dh = delta @ np.swapaxes(net.weights[layer], -1, -2)
             if cache["masks"] is not None:
@@ -60,27 +60,32 @@ def backward(net, cache, upstream):
 
 
 def mixture_nll(model, x, y):
-    """(mean mixture NLL, gradient in the ``model.params`` layout)."""
+    """(mean mixture NLL, gradient in the ``model.params`` layout), on
+    K-major (K, n) heads: row k is component k."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
     logits, gate_cache = model.gate.forward_cache(X)
     lse, w = softmax_lse(logits)
     out, expert_cache = model.experts.forward_cache(X)
-    mu = out[..., 0].T
-    raw = out[..., 1].T
+    mu = out[..., 0]
+    raw = out[..., 1]
     sigma2 = softplus(raw) + model.var_floor
-    log_w = logits - lse[:, None]
-    resid = yv[:, None] - mu
-    comp = log_w + -0.5 * (LOG_2PI + np.log(sigma2) + resid * resid / sigma2)
-    log_mix, resp = softmax_lse(comp)
+    log_w = np.transpose(logits) - lse
+    resid = yv - mu
+    inv = 1.0 / sigma2
+    z = resid * inv
+    comp = -0.5 * (LOG_2PI + np.log(sigma2) + resid * z) + log_w
+    log_mix, resp = softmax_lse(np.transpose(comp))
     loss = float(-np.mean(log_mix))
     n = yv.shape[0]
-    d_logits = (w - resp) / n
-    d_mu = -(resp * resid / sigma2) / n
-    d_sigma2 = -(resp * 0.5 * (resid * resid / (sigma2 * sigma2) - 1.0 / sigma2)) / n
+    resp = np.transpose(resp)
+    d_logits = (np.transpose(w) - resp) / n
+    r = resp / -n
+    d_mu = r * z
+    d_sigma2 = (z * z - inv) * r * 0.5
     d_raw = d_sigma2 * (1.0 / (1.0 + np.exp(-raw)))
-    upstream = np.stack((d_mu.T, d_raw.T), axis=-1)
-    return loss, np.concatenate((backward(model.gate, gate_cache, d_logits),
+    upstream = np.stack((d_mu, d_raw), axis=-1)
+    return loss, np.concatenate((backward(model.gate, gate_cache, np.transpose(d_logits)),
                                  backward(model.experts, expert_cache, upstream)))
 
 

@@ -18,7 +18,7 @@ from tessera.conformal import (
     gaussian_z,
     nonconformity_scores,
 )
-from tessera.errors import CalibrationError, DimensionError
+from tessera.errors import CalibrationError, CheckpointError, DimensionError
 from tessera.nn import make_rng
 
 
@@ -258,12 +258,12 @@ def test_calibration_load_refuses_another_family_or_version(tmp_path):
                     alpha=0.1, epsilon=1e-8)
     path = tmp_path / "calibration_aleatoric.json"
     res.save(path)
-    with pytest.raises(DimensionError, match=r"calibration_aleatoric\.json: checkpoint "
-                                             r"kind 'epistemic' is not 'aleatoric'"):
+    with pytest.raises(CheckpointError, match=r"calibration_aleatoric\.json: checkpoint "
+                                              r"kind 'epistemic' is not 'aleatoric'"):
         CalibrationResult.load(path, ScaleKind.ALEATORIC)
     path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
-    with pytest.raises(DimensionError, match=r"calibration_aleatoric\.json: unsupported "
-                                             r"checkpoint version 2"):
+    with pytest.raises(CheckpointError, match=r"calibration_aleatoric\.json: unsupported "
+                                              r"checkpoint version 2"):
         CalibrationResult.load(path, ScaleKind.EPISTEMIC)
 
 

@@ -814,6 +814,35 @@ def test_csv_sidecar_records_data_sha256(tmp_path):
     assert load_csv(path).meta == ds.meta
 
 
+@pytest.mark.parametrize("n", [20, CSV_FORK_ROWS, CSV_FORK_ROWS + CSV_BLOCK_ROWS + 3],
+                         ids=["serial", "forked", "forked_ragged"])
+def test_csv_data_sha256_is_the_hash_of_the_file_on_disk(tmp_path, monkeypatch, n):
+    # the hash is taken as the rows are written, over the encoded bytes of
+    # non-ASCII labels and, from CSV_FORK_ROWS rows, over the child's half too
+    rng = np.random.default_rng(n)
+    groups = rng.choice(["café", "Zürich", "東京", "g"], n)
+    ds = Dataset(X=rng.standard_normal((n, 2)), y=rng.standard_normal(n), groups=groups,
+                 meta={"source": "test"})
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    assert len(forks) == (n >= CSV_FORK_ROWS)
+    recorded = serialize.load(tmp_path / "data.csv.meta.json")["data_sha256"]
+    assert recorded == hashlib.sha256(path.read_bytes()).hexdigest()
+    datagen._csv_cache = None
+    back = load_csv(path)
+    assert np.array_equal(back.groups, groups) and back.meta == ds.meta
+
+
 def test_csv_interrupted_sidecar_write_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     save_csv(gen_heteroscedastic(DataSpec(n=50, dim=2, noise_profile="step"), 1), path)

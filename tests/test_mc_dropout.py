@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+from gradcheck import finite_difference_gradients
 from tessera.conformal import build_intervals, gaussian_z
 from tessera.datagen import DataSpec, gen_heteroscedastic
 from tessera.errors import CalibrationError, ConfigError, DimensionError, TrainingError
@@ -252,6 +253,26 @@ def test_interval_z_rejects_alpha_outside_the_unit_interval():
 
 
 # ------------------------------------------------------------- training
+
+def test_one_row_masked_backward_matches_finite_differences():
+    model = DropoutMlp.init(3, McDropoutSpec(hidden=8, dropout=0.3), make_rng(4))
+    net = model.net
+    x, y = np.array([[0.3, -0.8, 1.2]]), np.array([0.5])
+    # the first row of a batch-sized buffer, as train_dropout draws a short last batch
+    masks = model.sample_masks(1, make_rng(5), out=[np.empty((4, 8))])
+    assert masks[0].shape == (1, 8) and 0 < np.count_nonzero(masks[0]) < 8
+    # a central difference that straddles relu's kink is no check
+    assert np.abs(x @ net.weights[0] + net.biases[0]).min() >= 1e-3
+    out, cache = net.forward_cache(x, hidden_masks=masks)
+    grads = net.backward(cache, 2.0 * (out - y[:, None]))
+
+    def loss():
+        return float(np.sum((net.forward(x, hidden_masks=masks) - y[:, None]) ** 2))
+
+    fd = finite_difference_gradients(loss, net.params, h=1e-6)
+    denom = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-8)
+    assert np.max(np.abs(grads - fd) / denom) < 1e-4
+
 
 def test_training_reduces_mse():
     ds = gen_heteroscedastic(DataSpec(n=500, dim=2, noise_profile="constant", noise_level=0.1), 5)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.stats import norm
 from gradcheck import finite_difference_gradients
 from tessera import serialize
 from tessera.datagen import DataSpec, gen_heteroscedastic
-from tessera.errors import ConfigError, DimensionError, TrainingError
+from tessera.errors import CheckpointError, ConfigError, DimensionError, TrainingError
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, mc_predict
 from tessera.moe import (
     LOG_2PI,
@@ -24,8 +25,8 @@ from tessera.moe import (
     mixture_nll_loss,
     train_moe,
 )
-from tessera.nn import BLOCK_ROWS, AdamState, Mlp, adam_step, make_rng, row_blocks, \
-    softmax_lse, softplus
+from tessera.nn import ACTIVATIONS, BLOCK_ROWS, AdamState, Mlp, adam_step, make_rng, \
+    row_blocks, softmax_lse, softplus
 
 
 def two_component():
@@ -181,9 +182,11 @@ def test_forward_and_val_loss_match_a_per_block_reference_bitwise(rows):
     pred = model.forward(X)
     for got, want in ((pred.w, w), (pred.mu, mu), (pred.sigma2, s2)):
         assert np.array_equal(got, want)
-    resid = y[:, None] - mu
-    comp = (logits - lse[:, None]) + -0.5 * (LOG_2PI + np.log(s2) + resid * resid / s2)
-    assert mixture_nll_loss(model, X, y) == float(-softmax_lse(comp)[0].mean())
+    # the loss runs on K-major (K, n) heads, so the component formula does too
+    mu, s2, resid = mu.T, s2.T, y - mu.T
+    z = resid * (1.0 / s2)
+    comp = -0.5 * (LOG_2PI + np.log(s2) + resid * z) + (logits.T - lse)
+    assert mixture_nll_loss(model, X, y) == float(-softmax_lse(comp.T)[0].mean())
 
 
 def test_zero_rows_raise_the_softmax_dimension_error():
@@ -192,6 +195,8 @@ def test_zero_rows_raise_the_softmax_dimension_error():
         model.forward(np.zeros((0, 2)))
     with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
         mixture_nll_loss(model, np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(DimensionError, match="softmax_lse requires a nonempty"):
+        mixture_nll(model, np.zeros((0, 2)), np.zeros(0))
 
 
 def mc_block_bytes(passes, hidden):
@@ -321,6 +326,28 @@ def test_nll_gradients_match_finite_differences(gate_kind, n_experts):
     assert np.max(np.abs(grads - fd) / denom) < 1e-4
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_one_row_single_expert_nll_gradients_match_finite_differences(activation):
+    # every (K, n) head is 1 x 1, and the lone expert's gate weight is exactly 1
+    spec = ModelSpec(n_experts=1, expert_hidden=5, gate="mlp", gate_hidden=4,
+                     activation=activation)
+    model = MoeModel.init(2, spec, make_rng(11))
+    model.params += 0.3 * make_rng(12).standard_normal(model.params.size)
+    X, y = np.array([[0.4, -1.1]]), np.array([0.7])
+    # a central difference that straddles relu's kink is no check
+    for net in (model.gate, model.experts):
+        assert np.abs(X @ net.weights[0] + net.biases[0][..., None, :]).min() >= 1e-3
+    _, grads = mixture_nll(model, X, y)
+
+    def loss():
+        return mixture_nll_loss(model, X, y)
+
+    fd = finite_difference_gradients(loss, model.params, h=1e-5)
+    assert np.all(grads[:model.gate.n_params] == 0.0) and np.all(fd[:model.gate.n_params] == 0.0)
+    denom = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-8)
+    assert np.max(np.abs(grads - fd) / denom) < 1e-4
+
+
 def test_nll_gate_gradient_sums_to_zero_per_row():
     # softmax invariance: shifting all logits of a row leaves the loss alone
     model = MoeModel.init(2, ModelSpec(n_experts=4, expert_hidden=5), make_rng(9))
@@ -337,6 +364,10 @@ def test_nll_rejects_mismatched_targets():
     model = MoeModel.init(2, ModelSpec(n_experts=2), make_rng(0))
     with pytest.raises(DimensionError):
         mixture_nll(model, np.zeros((3, 2)), np.zeros(4))
+    # the targets of a one-row batch would broadcast across the (K, 1) heads
+    for loss in (mixture_nll, mixture_nll_loss):
+        with pytest.raises(DimensionError, match="one target per row"):
+            loss(model, np.zeros((1, 2)), np.zeros(2))
 
 
 # ------------------------------------------------------------ training
@@ -452,11 +483,11 @@ def test_checkpoint_rejects_wrong_kind(tmp_path, cls):
     for key, value, message in (("kind", "linear_regression", "kind"),
                                 ("format_version", 99, "version")):
         path.write_text(json.dumps({**saved, key: value}))
-        with pytest.raises(DimensionError, match=message):
+        with pytest.raises(CheckpointError, match=message):
             cls.load(path)
     other = DropoutMlp if cls is MoeModel else MoeModel
     fresh(other).save(path)
-    with pytest.raises(DimensionError, match="kind"):
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: checkpoint kind")):
         cls.load(path)
 
 

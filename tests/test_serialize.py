@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,17 @@ def test_temp_names_are_recognised():
     for name in ("data.csv", "data.csv.deadbeef.tmp", ".data.csv.tmp", ".data.csv.deadbeef",
                  ".data.csv.DEADBEEF.tmp", ".data.csv.deadbee.tmp", "..deadbeef.tmp"):
         assert not serialize.is_temp_name(name), name
+
+
+def test_atomic_write_hashes_the_bytes_that_reach_the_file(tmp_path):
+    path = tmp_path / "mixed.txt"
+    with serialize.atomic_write(path) as f:
+        f.write("Zürich,東京\n")
+        f.flush()
+        f.buffer.write(b"raw \xff bytes\r\n")  # bytes past the text layer, as is
+        f.write("tail\r\n" * 5000)  # past the buffer size, so flushed mid-block
+    data = path.read_bytes()
+    assert data.startswith("Zürich,東京".encode(f.encoding)) and b"raw \xff bytes\r\n" in data
+    assert len(data) > 5000 * 6
+    assert f.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert serialize.dump({"k": "é"}, path) == hashlib.sha256(path.read_bytes()).hexdigest()

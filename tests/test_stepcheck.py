@@ -82,13 +82,16 @@ def test_mixture_nll_with_tied_logits_matches_reference(all_tied):
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("masked", [False, True])
-def test_backward_matches_reference_and_fills_only_its_buffer(activation, stacked, masked):
-    nets = [Mlp.init((3, 6, 5, 2), activation, rng=make_rng(s)) for s in range(3)]
+# (3, 6, 1, 1): the delta past each one-unit layer is an outer product
+@pytest.mark.parametrize("widths", [(3, 6, 5, 2), (3, 6, 1, 1)])
+def test_backward_matches_reference_and_fills_only_its_buffer(activation, stacked, masked,
+                                                              widths):
+    nets = [Mlp.init(widths, activation, rng=make_rng(s)) for s in range(3)]
     net = Mlp.stack(nets) if stacked else nets[0]
     net.params += 0.2 * make_rng(7).standard_normal(net.n_params)
     rng = make_rng(8)
     lead = (3,) if stacked else ()
-    masks = [np.multiply(rng.random(lead + (9, w)) < 0.6, 1.0 / 0.6) for w in (6, 5)]
+    masks = [np.multiply(rng.random(lead + (9, w)) < 0.6, 1.0 / 0.6) for w in widths[1:-1]]
     out, cache = net.forward_cache(rng.standard_normal((9, 3)),
                                    hidden_masks=masks if masked else None)
     upstream = rng.standard_normal(out.shape)
