@@ -156,6 +156,11 @@ class ExperimentConfig:
         if self.split.mode == "by_group" and self.data.kind == "heteroscedastic":
             raise ConfigError("split.mode 'by_group' deals whole groups, and "
                               "heteroscedastic data has no group labels")
+        # calibrate fits every scale family whatever ``methods`` lists, and the
+        # epistemic family's scale + epsilon would be 0 on every row
+        if self.model.n_experts == 1 and self.calibration.epsilon == 0.0:
+            raise ConfigError("model.n_experts 1 makes the epistemic scale 0 everywhere, "
+                              "so config.calibration.epsilon must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -140,6 +140,7 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
         except TrainingError as e:
             raise TrainingError(f"{e} (epoch {epoch})") from e
         history.append(mse)
+    model.net.release_workspace()
     return history
 
 
@@ -181,8 +182,7 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     for rows in row_blocks(n):
         b = rows.stop - rows.start
         draws = slab[:passes * b].reshape(passes, b)
-        first = X[rows] @ net.weights[0]
-        first += net.biases[0]
+        first = net.first_layer(X[rows])
         if net.n_layers == 1:
             draws[:] = first[:, 0]
         else:

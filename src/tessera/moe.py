@@ -135,6 +135,7 @@ class MoeModel:
         self.gate = gate
         self.experts = stack
         self.var_floor = float(var_floor)
+        self._release_workspace()
 
     @classmethod
     def init(cls, input_dim: int, spec: ModelSpec, rng: np.random.Generator) -> "MoeModel":
@@ -158,6 +159,25 @@ class MoeModel:
         if np.shape(params) != self.params.shape:
             raise DimensionError(f"need a vector of {self.params.size} parameters")
         self.params[...] = params
+
+    def _grad_parts(self, grad: Array) -> tuple[Array, Array]:
+        """The gate's and the experts' slices of a gradient vector. The
+        slices of the last vector are kept with it, so one vector passed
+        every step gives each net's ``backward`` the same ``out`` object,
+        whose views that net keeps."""
+        if grad is not self._grad[0]:
+            if grad.dtype != np.float64 or grad.shape != self.params.shape:
+                raise DimensionError(f"out must be a float64 vector of {self.params.size} entries")
+            n_gate = self.gate.n_params
+            self._grad = (grad, grad[:n_gate], grad[n_gate:])
+        return self._grad[1:]
+
+    def _release_workspace(self) -> None:
+        """Drop the kept slices of the last gradient vector, and the views
+        each net keeps into them (see ``Mlp.release_workspace``)."""
+        self._grad = (None, None, None)
+        self.gate.release_workspace()
+        self.experts.release_workspace()
 
     def _check_input(self, x: Array) -> Array:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -276,9 +296,11 @@ def mixture_nll_loss(model: MoeModel, x: Array, y) -> float:
     return _nll_core(model._forward_heads(x), y)[0]
 
 
-def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
+def mixture_nll(model: MoeModel, x: Array, y, out: Array | None = None) -> tuple[float, Array]:
     """Mean mixture NLL with its exact gradient in the ``model.params``
-    layout. Raises if the loss is not finite.
+    layout. Raises if the loss is not finite. The gradient is written into
+    ``out``, a float64 vector of ``model.params``' size, and ``out`` is
+    returned; with ``out=None`` it is a fresh vector.
 
     With responsibilities r, z = (y - mu)/sigma2 and 1/sigma2 from the
     loss, on K-major (K, n) arrays: d logits = (w - r)/n, d mu = -(r/n) z
@@ -299,10 +321,10 @@ def mixture_nll(model: MoeModel, x: Array, y) -> tuple[float, Array]:
     z *= r
     z *= 0.5
     np.multiply(z, sigmoid(heads.raw_var), out=upstream[..., 1])
-    grad = np.empty_like(model.params)
-    n_gate = model.gate.n_params
-    model.gate.backward(gate_cache, d_logits.T, out=grad[:n_gate])
-    model.experts.backward(expert_cache, upstream, out=grad[n_gate:])
+    grad = np.empty_like(model.params) if out is None else out
+    gate_grad, expert_grad = model._grad_parts(grad)
+    model.gate.backward(gate_cache, d_logits.T, out=gate_grad)
+    model.experts.backward(expert_cache, upstream, out=expert_grad)
     return loss, grad
 
 
@@ -362,6 +384,7 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
     history = TrainHistory()
     best_val = np.inf
     best_params = params.copy()
+    grads = np.empty_like(params)  # each step's gradient overwrites the last step's
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         xs, ys = x_train[order], y_train[order]  # each batch is a contiguous slice
@@ -369,7 +392,7 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
         try:
             for start in range(0, n, config.batch_size):
                 stop = min(start + config.batch_size, n)
-                loss, grads = mixture_nll(model, xs[start:stop], ys[start:stop])
+                loss, _ = mixture_nll(model, xs[start:stop], ys[start:stop], out=grads)
                 tr += loss * ((stop - start) / n)  # one full batch gives its loss exactly
                 adam_step(state, params, grads)
             va = mixture_nll_loss(model, x_val, y_val)
@@ -381,5 +404,6 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
             best_val = va
             best_params = params.copy()
             history.best_epoch = epoch
+    model._release_workspace()
     model.set_parameters(best_params)
     return history

@@ -1,7 +1,8 @@
 """Numeric kernels: seeded RNG streams, the row softmax with its
 log-sum-exp, the sigmoid, a small fully connected net (one net or a stack
-of K) over one parameter vector with hand-written reverse-mode gradients
-and a row-blocked inference pass, and Adam.
+of K) over one parameter vector of per-layer [W; b] blocks, whose first
+layer is one product [X | 1] @ [W0; b0], with hand-written reverse-mode
+gradients and a row-blocked inference pass, and Adam.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -113,15 +114,19 @@ class Mlp:
     """Fully connected net with a linear final layer, or a stack of K nets
     of one shape run side by side.
 
-    Every weight and bias is a view into one float64 vector ``params``,
-    laid out [W0, b0, W1, b1, ...] with each tensor flattened in C order.
-    Weight matrices are (fan_in, fan_out); a forward pass computes
-    ``x @ W + b`` per layer, applying the activation after every layer
-    except the last. A stack adds a leading axis: weights (K, fan_in,
-    fan_out), biases (K, fan_out), and an (n, d) input gives a (K, n, out)
-    output whose slice k is what member k computes alone. Hidden
-    activations may additionally be multiplied by caller-supplied masks
-    (used for dropout); gradients respect the masks.
+    Each layer is one block [W; b] of shape (fan_in + 1, fan_out): the
+    weight matrix W, (fan_in, fan_out), with the bias b as one more row.
+    The blocks, flattened in C order one after another, make up one
+    float64 vector ``params``; ``blocks[l]``, ``weights[l]`` and
+    ``biases[l]`` are views into it. For a single net that is the layout
+    [W0, b0, W1, b1, ...]. A forward pass computes ``x @ W + b`` per layer,
+    applying the activation after every layer except the last; the first
+    layer runs as the one product [x | 1] @ [W0; b0] (``first_layer``).
+    A stack adds a leading axis: blocks (K, fan_in + 1, fan_out), so
+    weights (K, fan_in, fan_out) and biases (K, fan_out), and an (n, d)
+    input gives a (K, n, out) output whose slice k is what member k
+    computes alone. Hidden activations may additionally be multiplied by
+    caller-supplied masks (used for dropout); gradients respect the masks.
     """
 
     def __init__(self, weights: Sequence[Array], biases: Sequence[Array],
@@ -146,11 +151,17 @@ class Mlp:
             if i > 0 and ws[i - 1].shape[-1] != w.shape[-2]:
                 raise DimensionError(f"layer {i} input width does not match layer {i - 1} output")
         self.activations = tuple(activations)
-        self._shapes = tuple(t.shape for w, b in zip(ws, bs) for t in (w, b))
-        bounds = np.cumsum([0] + [math.prod(shape) for shape in self._shapes]).tolist()
+        blocks = [np.concatenate((w, b[..., None, :]), axis=-2) for w, b in zip(ws, bs)]
+        self._shapes = tuple(block.shape for block in blocks)
+        bounds = np.cumsum([0] + [block.size for block in blocks]).tolist()
         self._slices = tuple(map(slice, bounds[:-1], bounds[1:]))
-        self.params = np.concatenate([t.ravel() for w, b in zip(ws, bs) for t in (w, b)])
-        self.weights, self.biases = self._views(self.params)
+        self.params = np.concatenate([block.ravel() for block in blocks])
+        self.blocks, self.weights, self.biases = self._views(self.params)
+        # backward's workspace: the gradient views of the last ``out`` it
+        # filled, held with that vector so its identity is a safe key, and
+        # the ones vector of the last batch size
+        self.release_workspace()
+        self._ones = np.ones(0)
 
     @classmethod
     def init(cls, widths: Sequence[int], activation: str, rng: np.random.Generator) -> "Mlp":
@@ -185,10 +196,12 @@ class Mlp:
         return [Mlp([w[k] for w in self.weights], [b[k] for b in self.biases], self.activations)
                 for k in range(self.weights[0].shape[0])]
 
-    def _views(self, vector: Array) -> tuple[list[Array], list[Array]]:
-        """Per-layer weight and bias views into a vector in ``params`` layout."""
-        views = [vector[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
-        return views[0::2], views[1::2]
+    def _views(self, vector: Array) -> tuple[list[Array], list[Array], list[Array]]:
+        """Per-layer block, weight and bias views into a vector in
+        ``params`` layout: a weight is its block's first fan_in rows, a
+        bias its last row."""
+        blocks = [vector[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
+        return blocks, [blk[..., :-1, :] for blk in blocks], [blk[..., -1, :] for blk in blocks]
 
     def bind(self, params: Array) -> None:
         """Copy the parameters into ``params``, a float64 vector of length
@@ -197,7 +210,7 @@ class Mlp:
             raise DimensionError(f"need a float64 vector of {self.n_params} parameters")
         params[...] = self.params
         self.params = params
-        self.weights, self.biases = self._views(params)
+        self.blocks, self.weights, self.biases = self._views(params)
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -237,6 +250,24 @@ class Mlp:
                 raise DimensionError(f"mask {i} must have shape {want}")
         return masks
 
+    def release_workspace(self) -> None:
+        """Drop the views ``backward`` keeps into the last ``out`` it filled,
+        and with them its reference to that vector. A trainer calls this
+        when done, so its gradient vector is freed with the trainer's
+        other arrays rather than kept with the net."""
+        self._grad = (None, [], [])
+
+    def first_layer(self, X: Array) -> Array:
+        """The first layer's pre-activation X @ W0 + b0 of a checked (n,
+        input_dim) input, as one product [X | 1] @ [W0; b0]: the bias is
+        the last term of each dot product, so no pass over the (n, width)
+        output adds it. Training, the row-blocked inference pass and
+        ``mc_dropout.mc_predict`` all run the first layer through here."""
+        x1 = np.empty((X.shape[0], X.shape[1] + 1))
+        x1[:, :-1] = X
+        x1[:, -1] = 1.0
+        return x1 @ self.blocks[0]
+
     def forward_cache(self, x: Array, hidden_masks=None, check_finite: bool = False):
         """Forward pass returning (output, cache) for a later ``backward``.
 
@@ -248,12 +279,13 @@ class Mlp:
         masks = self._check_masks(X, hidden_masks)
         inputs = [X]          # what each layer consumed
         hidden = []           # post-activation, pre-mask, per hidden layer
-        h = X
+        h = self.first_layer(X)
         for layer in range(self.n_layers):
             # in place, as a stack's (K, n, width) arrays are large; backward
             # needs only the activation, so the pre-activation is not kept
-            h = h @ self.weights[layer]
-            h += self.biases[layer][..., None, :]
+            if layer > 0:
+                h = h @ self.weights[layer]
+                h += self.biases[layer][..., None, :]
             if check_finite and not np.all(np.isfinite(h)):
                 raise ModelError(f"non-finite values in layer {layer}")
             if layer < self.n_layers - 1:
@@ -293,7 +325,12 @@ class Mlp:
         ``out=None`` a fresh vector is returned. Each layer's weight
         gradient is ``input^T @ delta`` and its bias gradient the column
         sum ``ones(n) @ delta``, both BLAS products, so the float order of
-        a sum over the n rows is BLAS's.
+        a sum over the n rows is BLAS's. (The first layer's bias gradient
+        is not folded into ``[X | 1]^T @ delta``, which rounds it
+        differently.) The views into the last ``out`` (until
+        ``release_workspace``) and the ones vector of the last batch size
+        are kept, so a trainer that passes one vector every step builds
+        them once.
         """
         G = np.asarray(upstream, dtype=np.float64)
         want = self.weights[0].shape[:-2] + (cache["inputs"][0].shape[0], self.output_dim)
@@ -303,8 +340,12 @@ class Mlp:
             out = np.empty_like(self.params)
         elif out.dtype != np.float64 or out.shape != self.params.shape:
             raise DimensionError(f"out must be a float64 vector of {self.n_params} entries")
-        grad_w, grad_b = self._views(out)
-        ones = np.ones(G.shape[-2])
+        if out is not self._grad[0]:
+            self._grad = (out, *self._views(out)[1:])
+        _, grad_w, grad_b = self._grad
+        if self._ones.shape[0] != G.shape[-2]:
+            self._ones = np.ones(G.shape[-2])
+        ones = self._ones
         delta = G
         for layer in range(self.n_layers - 1, -1, -1):
             np.matmul(cache["inputs"][layer].swapaxes(-1, -2), delta, out=grad_w[layer])

@@ -30,11 +30,18 @@ def softmax_lse(a):
 
 
 def _views(net, vector):
-    views, pos = [], 0
-    for shape in net._shapes:
-        views.append(vector[pos:pos + math.prod(shape)].reshape(shape))
-        pos += math.prod(shape)
-    return views[0::2], views[1::2]
+    """Per-layer weight and bias views of a vector in the ``params``
+    layout: per layer one block [W; b], (..., fan_in + 1, fan_out), in C
+    order, whose last row is the bias."""
+    grad_w, grad_b, pos = [], [], 0
+    for w in net.weights:
+        shape = w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1])
+        block = vector[pos:pos + math.prod(shape)].reshape(shape)
+        grad_w.append(block[..., :-1, :])
+        grad_b.append(block[..., -1, :])
+        pos += block.size
+    assert pos == vector.size
+    return grad_w, grad_b
 
 
 def backward(net, cache, upstream):

@@ -637,6 +637,23 @@ def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key
     assert not out.exists()
 
 
+def test_one_expert_with_zero_epsilon_fails_at_config_load(tmp_path, capsys):
+    # one expert's epistemic scale is 0 on every row, and calibrate fits every
+    # scale family whatever ``methods`` lists; it used to train, then fail there
+    cfg = small_config(model={"n_experts": 1, "expert_hidden": 8},
+                       calibration={"epsilon": 0.0}, methods=["tessera_a"])
+    message = r"^config\.model\.n_experts 1 .*config\.calibration\.epsilon must be positive"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(cfg)
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert re.search(message[1:], capsys.readouterr().err)
+    assert not out.exists()
+    # either setting alone is a legal config
+    ExperimentConfig.from_dict(small_config(model={"n_experts": 1, "expert_hidden": 8}))
+    ExperimentConfig.from_dict(small_config(calibration={"epsilon": 0.0}))
+
+
 @pytest.mark.parametrize("mode", ["ood", "iid"])
 def test_a_zero_test_share_is_only_for_ood_data(tmp_path, mode):
     # ood data takes its test rows from the held-out clusters, so it needs no share

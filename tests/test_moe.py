@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,6 +529,21 @@ def test_set_parameters_restores_a_snapshot():
     assert np.array_equal(model.forward(X).mu, before.mu)
     with pytest.raises(DimensionError):
         model.set_parameters(snapshot[:-1])
+
+
+def test_checkpoint_saved_before_the_block_layout_loads_and_predicts_the_same():
+    # moe_checkpoint.json and its forward pass on six rows were written when
+    # a stack's params held all K weight matrices of a layer before its K
+    # biases; the file format is per expert, so the reordered vector reads
+    # it unchanged, and at input width 3 the folded first-layer bias gives
+    # the same bits
+    data = Path(__file__).parent / "data"
+    model = MoeModel.load(data / "moe_checkpoint.json")
+    saved = json.loads((data / "moe_checkpoint_forward.json").read_text())
+    pred = model.forward(make_rng(52).standard_normal((6, 3)))
+    for name in ("w", "mu", "sigma2"):
+        want = np.array([float.fromhex(v) for v in saved[name]]).reshape(6, 3)
+        assert np.array_equal(getattr(pred, name).view(np.uint64), want.view(np.uint64)), name
 
 
 def test_checkpoint_compact_format_still_loads(tmp_path):

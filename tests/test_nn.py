@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import mpmath
@@ -203,12 +204,15 @@ def _grads(net, x, upstream, hidden_masks=None):
 
 def _tensors(net, flat):
     """[W0, b0, W1, b1, ...] read out of a vector in the documented
-    ``params`` layout: each tensor flattened in C order, one after another."""
+    ``params`` layout: per layer one block [W; b] of shape (..., fan_in + 1,
+    fan_out) flattened in C order, one after another; the bias is the
+    block's last row."""
     out, pos = [], 0
-    for w, b in zip(net.weights, net.biases):
-        for t in (w, b):
-            out.append(flat[pos:pos + t.size].reshape(t.shape))
-            pos += t.size
+    for w in net.weights:
+        shape = w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1])
+        block = flat[pos:pos + math.prod(shape)].reshape(shape)
+        out += [block[..., :-1, :], block[..., -1, :]]
+        pos += block.size
     assert pos == flat.size
     return out
 
@@ -218,8 +222,57 @@ def test_params_vector_backs_every_tensor():
     for t, f in zip(_tensors(net, net.params), (net.weights[0], net.biases[0],
                                                 net.weights[1], net.biases[1])):
         assert np.shares_memory(t, f) and np.array_equal(t, f)
+    # a single net's blocks [W; b] in C order are W then b, tensor by tensor
+    assert np.array_equal(net.params, np.concatenate(
+        [t.ravel() for w, b in zip(net.weights, net.biases) for t in (w, b)]))
     net.params[:] = 0.0
     assert_allclose(net.forward(np.ones((2, 3))), np.zeros((2, 2)), rtol=0, atol=0)
+
+
+def test_params_vector_backs_every_member_tensor_of_a_stack():
+    rng = make_rng(5)
+    members = [Mlp.init((3, 5, 4, 2), "tanh", rng=rng) for _ in range(3)]
+    for net in members:
+        net.params += rng.standard_normal(net.n_params)  # nonzero biases
+    stack = Mlp.stack(members)
+    assert [blk.shape for blk in stack.blocks] == [(3, 4, 5), (3, 6, 4), (3, 5, 2)]
+    layout = _tensors(stack, stack.params)
+    for layer in range(stack.n_layers):
+        for k, net in enumerate(members):
+            for got, view, want in ((stack.weights[layer][k], layout[2 * layer][k],
+                                     net.weights[layer]),
+                                    (stack.biases[layer][k], layout[2 * layer + 1][k],
+                                     net.biases[layer])):
+                assert np.shares_memory(got, stack.params) and np.shares_memory(got, view)
+                assert np.array_equal(got, view) and np.array_equal(got, want)
+    # a write through the vector shows in every view, and one through a view
+    # in the vector
+    stack.params[:] = np.arange(stack.n_params)
+    assert all(np.array_equal(t, v) for t, v in zip(
+        layout, (t for w, b in zip(stack.weights, stack.biases) for t in (w, b))))
+    stack.biases[1][2, 3] = -1.0
+    assert layout[3][2, 3] == -1.0 and np.count_nonzero(stack.params == -1.0) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17])
+@pytest.mark.parametrize("k", [None, 3], ids=["net", "stack"])
+def test_first_layer_is_x_times_w_plus_b_within_its_rounding_bound(k, dim):
+    # each entry is a dot product of dim + 1 terms, the last one 1 * b:
+    # within (dim + 1) eps of the sum of their magnitudes of the exact sum
+    rng = make_rng(dim)
+    nets = [Mlp.init((dim, 6, 2), "tanh", rng=rng) for _ in range(k or 1)]
+    net = nets[0] if k is None else Mlp.stack(nets)
+    net.params += rng.standard_normal(net.n_params)
+    X = rng.standard_normal((7, dim))
+    got = net.first_layer(X)
+    W, b = net.weights[0], net.biases[0]
+    lead = () if k is None else (k,)
+    assert got.shape == lead + (7, 6)
+    for idx in np.ndindex(got.shape):
+        *kk, i, j = idx
+        terms = [X[i, t] * W[(*kk, t, j)] for t in range(dim)] + [b[(*kk, j)]]
+        bound = (dim + 1) * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+        assert abs(got[idx] - math.fsum(terms)) <= bound
 
 
 def test_zero_network_forward_and_bias_gradient():
@@ -345,11 +398,16 @@ def test_stack_matches_members_bitwise(activation, k):
                             rtol=0, atol=0)
 
 
-def test_unstack_inverts_stack():
+@pytest.mark.parametrize("widths", [(3, 4, 2), (3, 2), (2, 5, 1, 3)])
+def test_unstack_inverts_stack_bitwise(widths):
     rng = make_rng(12)
-    members = [Mlp.init((3, 4, 2), "tanh", rng=rng) for _ in range(3)]
+    members = [Mlp.init(widths, "tanh", rng=rng) for _ in range(3)]
+    for net in members:  # nonzero biases, and every bit pattern kind
+        net.params += rng.standard_normal(net.n_params) * 10.0 ** rng.integers(-300, 300,
+                                                                               net.n_params)
+    members[0].params[:2] = [-0.0, 5e-324]
     for a, b in zip(Mlp.stack(members).unstack(), members):
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a.params.view(np.uint64), b.params.view(np.uint64))
         assert a.activations == b.activations
     with pytest.raises(DimensionError):
         Mlp.stack([])
@@ -367,17 +425,20 @@ def test_row_blocks_edges(n, edges):
     assert [(b.start, b.stop) for b in row_blocks(n)] == list(zip(edges, edges[1:]))
 
 
+# at input width 16 the first layer's folded bias rounds differently from a
+# separate bias add, so both widths are held to it
+@pytest.mark.parametrize("dim", [3, 16])
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                   2 * BLOCK_ROWS + 7])
 @pytest.mark.parametrize("k", [None, 3], ids=["net", "stack"])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_forward_is_forward_cache_per_row_block_bitwise(activation, k, rows, masked):
+def test_forward_is_forward_cache_per_row_block_bitwise(activation, k, rows, masked, dim):
     rng = make_rng(rows + ACTIVATIONS.index(activation))
-    nets = [Mlp.init((3, 16, 8, 2), activation, rng=rng) for _ in range(k or 1)]
+    nets = [Mlp.init((dim, 16, 8, 2), activation, rng=rng) for _ in range(k or 1)]
     net = nets[0] if k is None else Mlp.stack(nets)
     net.params += 0.1 * rng.standard_normal(net.n_params)  # nonzero biases
-    x = rng.standard_normal((rows, 3))
+    x = rng.standard_normal((rows, dim))
     lead = () if k is None else (k,)
     masks = [2.0 * (rng.random(lead + (rows, w.shape[-1])) < 0.5)
              for w in net.weights[:-1]] if masked else None

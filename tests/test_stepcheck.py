@@ -6,6 +6,7 @@ import pytest
 
 import stepcheck
 from tessera.datagen import DataSpec, gen_heteroscedastic
+from tessera.errors import DimensionError
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, train_dropout
 from tessera.moe import ModelSpec, MoeModel, TrainSpec, mixture_nll, train_moe
 from tessera.nn import ACTIVATIONS, AdamState, Mlp, adam_step, make_rng, softmax_lse
@@ -104,6 +105,61 @@ def test_backward_matches_reference_and_fills_only_its_buffer(activation, stacke
     assert np.isnan(buf[:3]).all() and np.isnan(buf[-4:]).all()
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_backward_workspace_gives_the_bits_of_fresh_views(stacked):
+    # backward keeps the views of the last ``out`` it filled and the ones
+    # vector of the last batch size; every call must still give what the
+    # reference, which builds both afresh, gives
+    nets = [Mlp.init((3, 6, 5, 2), "tanh", rng=make_rng(s)) for s in range(3)]
+    net = Mlp.stack(nets) if stacked else nets[0]
+    net.params += 0.2 * make_rng(7).standard_normal(net.n_params)
+    rng = make_rng(10)
+
+    def step(rows, out):
+        got, cache = net.forward_cache(rng.standard_normal((rows, 3)))
+        upstream = rng.standard_normal(got.shape)
+        want = stepcheck.backward(net, cache, upstream)
+        got = net.backward(cache, upstream, out=out)
+        assert same_bits(got, want)
+        return got
+
+    a, b = np.empty(net.n_params), np.empty(net.n_params)
+    for out in (a, b, a, b):  # two vectors alternately
+        assert step(9, out) is out
+    kept = a.copy()
+    step(9, b)
+    assert same_bits(a, kept)  # filling b left a alone
+    fresh = step(9, None)
+    assert fresh is not a and fresh is not b
+    assert step(9, None) is not fresh
+    net.bind(np.empty(net.n_params))  # new parameter storage, the same values
+    net.params += 0.1 * rng.standard_normal(net.n_params)
+    for out in (a, a, b):
+        step(9, out)
+    for rows in (4, 1, 4, 9):  # the ones vector follows the batch size
+        step(rows, a)
+
+
+@pytest.mark.parametrize("gate", ["linear", "mlp"])
+def test_mixture_nll_into_out_returns_it_with_the_bits_of_a_fresh_vector(gate):
+    model = random_model(gate, "tanh", seed=11)
+    rng = make_rng(12)
+    g, h = np.empty_like(model.params), np.empty_like(model.params)
+    for out, n in ((g, 16), (g, 16), (h, 16), (g, 5), (h, 1), (h, 1)):
+        x, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+        loss, grad = mixture_nll(model, x, y, out=out)
+        want_loss, want_grad = stepcheck.mixture_nll(model, x, y)
+        assert grad is out
+        assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+        model.params -= 1e-2 * grad  # the next step sees new parameters
+    loss, grad = mixture_nll(model, x, y)
+    assert grad is not g and grad is not h
+    assert mixture_nll(model, x, y, out=g) == (loss, g)
+    assert same_bits(grad, g)
+    with pytest.raises(DimensionError, match="out must be a float64 vector"):
+        mixture_nll(model, x, y, out=np.empty(model.params.size + 1))
+
+
 @pytest.mark.parametrize("lr,beta1,beta2,eps", [(1e-3, 0.9, 0.999, 1e-8),
                                                 (0.05, 0.5, 0.9, 1e-6),
                                                 (1e-4, 0.0, 0.0, 0.0)])
@@ -170,3 +226,17 @@ def test_train_dropout_matches_index_per_batch_loop(ragged_data, activation, dro
     history = train_dropout(model, X, y, spec, seed=6)
     assert same_bits(history, stepcheck.train_dropout(replay, X, y, spec, seed=6))
     assert same_bits(model.net.params, replay.net.params)
+
+
+def test_trainers_release_their_gradient_workspace(ragged_data):
+    # each trainer's gradient vector is freed with the trainer's other arrays;
+    # kept by the nets' backward caches, it outlived training and moved where
+    # later stages' arrays landed in the heap
+    X, y, Xv, yv = ragged_data
+    model = random_model("mlp", "tanh", seed=21, k=3, hidden=8)
+    train_moe(model, X, y, Xv, yv, TrainSpec(epochs=2, batch_size=8, lr=1e-2), seed=5)
+    dropout = DropoutMlp(Mlp.init((3, 8, 1), "relu", make_rng(2)), 0.5)
+    train_dropout(dropout, X, y, McDropoutSpec(hidden=8, epochs=2, batch_size=8), seed=6)
+    assert model._grad[0] is None
+    for net in (model.gate, model.experts, dropout.net):
+        assert net._grad[0] is None
