@@ -12,6 +12,7 @@ README's Python API example uses.
 from .conformal import build_intervals, calibrate
 from .datagen import DataSpec, SplitSpec, gen_heteroscedastic, split_dataset
 from .metrics import picp
-from .moe import ModelSpec, MoeModel, TrainSpec, train_moe
+from .moe import ModelSpec, MoeModel, train_moe
+from .nn import TrainSpec
 
 __version__ = "0.1.0"

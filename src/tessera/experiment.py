@@ -25,8 +25,8 @@ from .mc_dropout import DropoutMlp, McDropoutSpec, mc_predict, train_dropout
 from .metrics import MetricsReport, PointMetrics, check_cwc, check_grid, check_group_min_n, \
     check_ssc_bins, cwc, disentangle_stats, groupwise_picp, mpiw_nmpiw, oracle_rmse, \
     partition_groups, picp, point_metrics, report_nll, sparsification, ssc_detail
-from .moe import MixturePrediction, ModelSpec, MoeModel, TrainSpec, train_moe
-from .nn import Array, derived_seed, make_rng
+from .moe import MixturePrediction, ModelSpec, MoeModel, train_moe
+from .nn import Array, TrainSpec, derived_seed, make_rng
 
 METHODS = ("tessera_e", "tessera_a", "classical_cp", "moe_e", "moe_a", "mc_dropout")
 SCHEMA_VERSION = 1

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import serialize
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import BLOCK_ROWS, AdamState, Array, Mlp, activate, adam_step, check_adam_schedule, \
-    make_rng, row_blocks
+from .nn import BLOCK_ROWS, AdamState, Array, Mlp, TrainSpec, activate, adam_step, row_blocks, \
+    train_epochs
 
 
 def _kept(rng: np.random.Generator, keep: float, out: Array) -> Array:
@@ -79,15 +79,13 @@ class DropoutMlp:
 
 
 @dataclass
-class McDropoutSpec:
-    """Network shape, training and prediction settings of the dropout baseline."""
+class McDropoutSpec(TrainSpec):
+    """The dropout baseline's shape and prediction settings, on ``TrainSpec``'s schedule."""
 
+    lr: float = 1e-3
     hidden: int = 64
     dropout: float = 0.5
     passes: int = 50
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 1e-3
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -96,11 +94,9 @@ class McDropoutSpec:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.passes < 2:
             raise ConfigError("passes must be >= 2")
-        check_adam_schedule(self.epochs, self.batch_size, self.lr)
+        super().__post_init__()
 
 
-# a diverging run ends in TrainingError; numpy's warnings on the way only repeat it
-@np.errstate(all="ignore")
 def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
                   seed: int) -> list[float]:
     """Minibatch Adam on mean squared error with dropout active.
@@ -110,36 +106,28 @@ def train_dropout(model: DropoutMlp, x: Array, y: Array, config: McDropoutSpec,
     """
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.asarray(y, dtype=np.float64).ravel()
-    n = X.shape[0]
-    if n == 0:
-        raise DimensionError("empty training set")
-    if yv.shape[0] != n:
-        raise DimensionError("targets must pair with inputs")
-    rng = make_rng(seed)
     params = model.net.params
     state = AdamState(params, lr=config.lr)
     # each step's masks and gradient overwrite the last step's
-    rows = min(n, config.batch_size)
+    rows = min(X.shape[0], config.batch_size)
     mask_bufs = [np.empty((rows, w.shape[1])) for w in model.net.weights[:-1]]
     grads = np.empty_like(params)
     history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        xs, ys = X[order], yv[order]  # each batch is a contiguous slice
-        try:
-            for start in range(0, n, config.batch_size):
-                Xb, yb = xs[start:start + config.batch_size], ys[start:start + config.batch_size]
-                masks = model.sample_masks(Xb.shape[0], rng, out=mask_bufs)
-                out, cache = model.net.forward_cache(Xb, hidden_masks=masks)
-                resid = out[:, 0] - yb
-                upstream = (2.0 * resid / Xb.shape[0])[:, None]
-                adam_step(state, params, model.net.backward(cache, upstream, out=grads))
-            mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
-            if not np.isfinite(mse):
-                raise TrainingError("non-finite training loss")
-        except TrainingError as e:
-            raise TrainingError(f"{e} (epoch {epoch})") from e
+
+    def step(xb: Array, yb: Array, rng: np.random.Generator) -> float:
+        masks = model.sample_masks(xb.shape[0], rng, out=mask_bufs)
+        out, cache = model.net.forward_cache(xb, hidden_masks=masks)
+        upstream = (2.0 * (out[:, 0] - yb) / xb.shape[0])[:, None]
+        adam_step(state, params, model.net.backward(cache, upstream, out=grads))
+        return 0.0  # the history is the full-data MSE of ``end_epoch``
+
+    def end_epoch(epoch: int, loss: float) -> None:
+        mse = float(np.mean((model.deterministic_forward(X) - yv) ** 2))
+        if not np.isfinite(mse):
+            raise TrainingError("non-finite training loss")
         history.append(mse)
+
+    train_epochs(X, yv, config, seed, step, end_epoch)
     model.net.release_workspace()
     return history
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import serialize
 from .errors import ConfigError, DimensionError, TrainingError
-from .nn import ACTIVATIONS, AdamState, Array, Mlp, adam_step, check_adam_schedule, \
-    make_rng, sigmoid, softmax_lse, softplus
+from .nn import ACTIVATIONS, AdamState, Array, Mlp, TrainSpec, adam_step, sigmoid, \
+    softmax_lse, softplus, train_epochs
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -329,18 +329,6 @@ def mixture_nll(model: MoeModel, x: Array, y, out: Array | None = None) -> tuple
 
 
 @dataclass
-class TrainSpec:
-    """Minibatch-Adam settings for :func:`train_moe`."""
-
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 1e-4
-
-    def __post_init__(self):
-        check_adam_schedule(self.epochs, self.batch_size, self.lr)
-
-
-@dataclass
 class TrainHistory:
     """Per-epoch losses of :func:`train_moe`.
 
@@ -357,8 +345,6 @@ class TrainHistory:
         return asdict(self)
 
 
-# a diverging run ends in TrainingError; numpy's warnings on the way only repeat it
-@np.errstate(all="ignore")
 def train_moe(model: MoeModel, x_train: Array, y_train: Array,
               x_val: Array, y_val: Array, config: TrainSpec, seed: int) -> TrainHistory:
     """Minibatch Adam on the mixture NLL; mutates ``model`` in place.
@@ -369,41 +355,30 @@ def train_moe(model: MoeModel, x_train: Array, y_train: Array,
     validation NLL are restored. Shuffling is driven only by ``seed``, so a
     rerun reproduces the same trajectory.
     """
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=np.float64))
-    y_train = np.asarray(y_train, dtype=np.float64).ravel()
     y_val = np.asarray(y_val, dtype=np.float64).ravel()
-    n = x_train.shape[0]
-    if n == 0 or x_val.shape[0] == 0:
-        raise DimensionError("train and val sets must be nonempty")
-    if y_train.shape[0] != n or y_val.shape[0] != x_val.shape[0]:
-        raise DimensionError("targets must pair with inputs")
-    rng = make_rng(seed)
+    if x_val.shape[0] == 0 or y_val.shape[0] != x_val.shape[0]:
+        raise DimensionError("need a nonempty validation set with one target per row")
     params = model.params
     state = AdamState(params, lr=config.lr)
     history = TrainHistory()
-    best_val = np.inf
     best_params = params.copy()
     grads = np.empty_like(params)  # each step's gradient overwrites the last step's
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        xs, ys = x_train[order], y_train[order]  # each batch is a contiguous slice
-        tr = 0.0
-        try:
-            for start in range(0, n, config.batch_size):
-                stop = min(start + config.batch_size, n)
-                loss, _ = mixture_nll(model, xs[start:stop], ys[start:stop], out=grads)
-                tr += loss * ((stop - start) / n)  # one full batch gives its loss exactly
-                adam_step(state, params, grads)
-            va = mixture_nll_loss(model, x_val, y_val)
-        except TrainingError as e:
-            raise TrainingError(f"{e} (epoch {epoch})") from e
-        history.train_nll.append(tr)
-        history.val_nll.append(va)
-        if va < best_val:
-            best_val = va
-            best_params = params.copy()
+
+    def step(xb: Array, yb: Array, rng: np.random.Generator) -> float:
+        loss, _ = mixture_nll(model, xb, yb, out=grads)
+        adam_step(state, params, grads)
+        return loss
+
+    def end_epoch(epoch: int, train_nll: float) -> None:
+        val_nll = mixture_nll_loss(model, x_val, y_val)
+        if val_nll < min(history.val_nll, default=math.inf):
+            best_params[...] = params
             history.best_epoch = epoch
+        history.train_nll.append(train_nll)
+        history.val_nll.append(val_nll)
+
+    train_epochs(x_train, y_train, config, seed, step, end_epoch)
     model._release_workspace()
     model.set_parameters(best_params)
     return history

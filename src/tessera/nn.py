@@ -2,7 +2,8 @@
 log-sum-exp, the sigmoid, a small fully connected net (one net or a stack
 of K) over one parameter vector of per-layer [W; b] blocks, whose first
 layer is one product [X | 1] @ [W0; b0], with hand-written reverse-mode
-gradients and a row-blocked inference pass, and Adam.
+gradients and a row-blocked inference pass, Adam, and the minibatch-epoch
+loop both trainers run.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -10,7 +11,8 @@ Everything is float64. The same seed always yields the same stream.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 # OpenBLAS leaves for another once a (n, 64) @ (64, 2) product passes 7000-8000
 # rows (OpenBLAS 0.3.31), so a row's output bits do not depend on n
 BLOCK_ROWS = 1024
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays, denominator term
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -387,34 +390,66 @@ class Mlp:
 class AdamState:
     """First/second moment accumulators for one parameter vector."""
 
-    def __init__(self, params: Array, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Array, lr: float):
         params = np.asarray(params, dtype=np.float64)
         if params.size == 0:
             raise DimensionError("no parameters to optimize")
         if not (0.0 < lr):
             raise DimensionError("lr must be positive")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise DimensionError("betas must lie in [0, 1)")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.scratch = np.empty_like(params)
         self.t = 0
 
 
-def check_adam_schedule(epochs: int, batch_size: int, lr: float) -> None:
-    """Reject minibatch-Adam settings no trainer can run; the message
-    starts with the offending field name."""
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if not (0 < lr < math.inf):
-        raise ConfigError("lr must be positive and finite")
+@dataclass
+class TrainSpec:
+    """Minibatch-Adam settings; a refused value's message starts with its field."""
+
+    epochs: int = 50
+    batch_size: int = 128
+    lr: float = 1e-4
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not (0 < self.lr < math.inf):
+            raise ConfigError("lr must be positive and finite")
+
+
+# a diverging run ends in TrainingError; numpy's warnings on the way only repeat it
+@np.errstate(all="ignore")
+def train_epochs(x: Array, y: Array, spec: TrainSpec, seed: int,
+                 step: Callable[[Array, Array, np.random.Generator], float],
+                 end_epoch: Callable[[int, float], None]) -> None:
+    """``spec.epochs`` minibatch passes over the rows of (x, y), the loop
+    both trainers run. Each epoch gathers the rows in the order of one
+    permutation drawn from ``make_rng(seed)`` and calls ``step(xb, yb, rng)``
+    on consecutive slices of ``spec.batch_size`` rows; ``step`` takes one
+    optimizer step, may draw from ``rng``, and returns the batch's mean loss.
+    ``end_epoch(epoch, loss)`` then gets their row-weighted mean. A
+    ``TrainingError`` from either is raised again with the epoch appended."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.shape[0]
+    if n == 0 or y.shape[0] != n:
+        raise DimensionError("need a nonempty training set with one target per row")
+    rng = make_rng(seed)
+    for epoch in range(spec.epochs):
+        order = rng.permutation(n)
+        xs, ys = x[order], y[order]  # each batch is a contiguous slice
+        loss = 0.0
+        try:
+            for start in range(0, n, spec.batch_size):
+                stop = min(start + spec.batch_size, n)
+                # one full batch gives its loss exactly
+                loss += step(xs[start:stop], ys[start:stop], rng) * ((stop - start) / n)
+            end_epoch(epoch, loss)
+        except TrainingError as e:
+            raise TrainingError(f"{e} (epoch {epoch})") from e
 
 
 def adam_step(state: AdamState, params: Array, grads: Array) -> None:
@@ -425,17 +460,17 @@ def adam_step(state: AdamState, params: Array, grads: Array) -> None:
     if not np.isfinite(g).all():
         raise TrainingError(f"non-finite gradient at optimizer step {state.t + 1}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g) and
     # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in place, in that float order
     m, v, tmp = state.m, state.v, state.scratch
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-    v *= state.beta2
-    v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - state.beta2, out=tmp)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - ADAM_BETA2, out=tmp)
     denom = np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
-    denom += state.eps
+    denom += ADAM_EPS
     step = np.divide(m, c1)
     step *= state.lr
     params -= np.divide(step, denom, out=step)

@@ -504,7 +504,7 @@ def test_adam_first_step_hand_value():
 def test_adam_two_steps_match_reference():
     beta1, beta2, lr, eps = 0.9, 0.999, 0.01, 1e-8
     p = np.array([1.0])
-    state = AdamState(p, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamState(p, lr=lr)
     grads = [np.array([0.5]), np.array([-0.25])]
     # transcription of the update rule, scalar case
     m = v = 0.0
