@@ -36,8 +36,8 @@ def _add_common(p: argparse.ArgumentParser, alpha: bool, method: bool) -> None:
 
 def _effective_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.seed = int(args.seed)
+    if args.seed is not None:  # through __post_init__'s checks, before any run dir exists
+        config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "alpha", None) is not None:
         config.calibration = dataclasses.replace(config.calibration, alpha=args.alpha)
     if getattr(args, "method", None) is not None:

@@ -148,6 +148,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version {self.schema_version!r} is not supported")
+        if self.seed < 0:  # a SeedSequence takes no negative entropy
+            raise ConfigError("seed must be >= 0")
         self.methods = resolve_methods(self.methods)
         ood = self.data.kind == "clustered_shift" and self.data.mode == "ood"
         if self.split.fractions[SPLIT_TAGS.index("test")] == 0.0 and not ood:
@@ -184,6 +186,8 @@ def resolve_methods(methods) -> tuple:
             out.append(m)
         else:
             raise ConfigError(f"methods: unknown method {m!r}")
+    if not out:
+        raise ConfigError("methods: the list is empty; name at least one method")
     return tuple(dict.fromkeys(out))  # first occurrence wins
 
 

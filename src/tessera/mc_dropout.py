@@ -65,8 +65,7 @@ class DropoutMlp:
     def deterministic_forward(self, x: Array) -> Array:
         """The net's output with dropout off, from the row-blocked
         ``Mlp.forward``."""
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.net.forward(X)[:, 0]
+        return self.net.forward(np.atleast_2d(x))[:, 0]
 
     def save(self, path) -> None:
         serialize.save_checkpoint(path, "mc_dropout",

@@ -2,8 +2,7 @@
 log-sum-exp, the sigmoid, a small fully connected net (one net or a stack
 of K) over one parameter vector of per-layer [W; b] blocks, whose first
 layer is one product [X | 1] @ [W0; b0], with hand-written reverse-mode
-gradients and a row-blocked inference pass, Adam, and the minibatch-epoch
-loop both trainers run.
+gradients, a row-blocked inference pass, Adam and the minibatch epoch loop.
 
 Everything is float64. The same seed always yields the same stream.
 """
@@ -313,9 +312,11 @@ class Mlp:
         X = self._check_input(np.atleast_2d(x))
         masks = self._check_masks(X, hidden_masks)
         out = np.empty(self.weights[0].shape[:-2] + (X.shape[0], self.output_dim))
-        for rows in row_blocks(X.shape[0]):
-            block_masks = None if masks is None else [m[..., rows, :] for m in masks]
-            out[..., rows, :] = self.forward_cache(X[rows], block_masks, check_finite)[0]
+        quiet = "ignore" if check_finite else None  # its ModelError names the layer
+        with np.errstate(over=quiet, invalid=quiet):
+            for rows in row_blocks(X.shape[0]):
+                block_masks = None if masks is None else [m[..., rows, :] for m in masks]
+                out[..., rows, :] = self.forward_cache(X[rows], block_masks, check_finite)[0]
         return out[..., 0, :] if single else out
 
     def backward(self, cache, upstream: Array, out: Array | None = None) -> Array:
@@ -396,11 +397,9 @@ class AdamState:
             raise DimensionError("no parameters to optimize")
         if not (0.0 < lr):
             raise DimensionError("lr must be positive")
-        self.lr = float(lr)
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
+        self.lr, self.t = float(lr), 0
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.scratch = np.empty_like(params)
-        self.t = 0
 
 
 @dataclass
@@ -426,12 +425,11 @@ def train_epochs(x: Array, y: Array, spec: TrainSpec, seed: int,
                  step: Callable[[Array, Array, np.random.Generator], float],
                  end_epoch: Callable[[int, float], None]) -> None:
     """``spec.epochs`` minibatch passes over the rows of (x, y), the loop
-    both trainers run. Each epoch gathers the rows in the order of one
-    permutation drawn from ``make_rng(seed)`` and calls ``step(xb, yb, rng)``
-    on consecutive slices of ``spec.batch_size`` rows; ``step`` takes one
-    optimizer step, may draw from ``rng``, and returns the batch's mean loss.
-    ``end_epoch(epoch, loss)`` then gets their row-weighted mean. A
-    ``TrainingError`` from either is raised again with the epoch appended."""
+    both trainers run. Each epoch gathers the rows by one permutation from
+    ``make_rng(seed)`` and calls ``step(xb, yb, rng)``, which takes one
+    optimizer step and returns the batch's mean loss, on consecutive
+    ``spec.batch_size``-row slices; ``end_epoch(epoch, loss)`` then gets their
+    row-weighted mean. A ``TrainingError`` from either gains the epoch."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = x.shape[0]

@@ -75,7 +75,10 @@ def test_config_rejects_unknown_keys():
     ({"train": {"epochs": 1.5}}, r"config\.train\.epochs must be an integer"),
     # an unknown key has no field to lead with: the message names its section
     ({"train": {"momentum": 0.9}}, r"unknown keys in config\.train: \['momentum'\]"),
-], ids=["schema_version", "method", "test_share", "nested", "type", "unknown_key"])
+    ({"seed": -1}, r"config\.seed must be >= 0"),
+    ({"methods": []}, r"config\.methods: the list is empty; name at least one method"),
+], ids=["schema_version", "method", "test_share", "nested", "type", "unknown_key",
+        "negative_seed", "no_methods"])
 def test_every_load_error_names_its_config_field(cfg, message):
     # the whole message: a nested error is prefixed once, not twice
     with pytest.raises(ConfigError) as err:
@@ -83,6 +86,20 @@ def test_every_load_error_names_its_config_field(cfg, message):
     assert re.fullmatch(message, str(err.value)), str(err.value)
     if "unknown keys" not in message:
         assert str(err.value).startswith("config.")
+
+
+def test_trainer_sections_share_one_schedule_check_and_keep_the_config_hash():
+    # McDropoutSpec extends TrainSpec: the default config hashes as it did
+    # before the two specs shared one class, and each section's schedule
+    # fields are refused with their own field-first message
+    assert ExperimentConfig().config_hash() == \
+        "ef8d8ef0b2886b242d7857604001ab562e6cb7600dadaff893240593c3419480"
+    for section in ("train", "mc_dropout"):
+        for key, value, rule in (("epochs", 0, "must be >= 1"), ("batch_size", 0, "must be >= 1"),
+                                 ("lr", 0.0, "must be positive and finite")):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict({section: {key: value}})
+            assert str(err.value) == f"config.{section}.{key} {rule}"
 
 
 def test_config_hash_tracks_content():
@@ -536,6 +553,43 @@ def test_cli_failed_stage_writes_failed_manifest(tmp_path, capsys):
     assert run_manifest["error"] == manifest["error"]
 
 
+def test_cli_diverging_dropout_trainer_fails_train_at_its_epoch(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config(mc_dropout={"hidden": 8, "epochs": 3,
+                                                               "passes": 5, "lr": 1e300}))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "(epoch 0)" in capsys.readouterr().err
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["stages"]["train"] == "failed"
+    assert manifest["error"]["type"] == "TrainingError"
+    assert manifest["error"]["message"].endswith("(epoch 0)")
+
+
+def test_cli_negative_seed_flag_fails_before_any_run_dir(tmp_path, capsys):
+    out = tmp_path / "never"
+    code = main(["run", "--config", str(write_config(tmp_path, small_config())),
+                 "--out", str(out), "--seed", "-1"])
+    assert code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_calibrate_names_the_layer_of_an_overflowing_checkpoint(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config(model={"n_experts": 2, "expert_hidden": 8,
+                                                          "activation": "relu"}))
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "train"):
+        assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+    model = MoeModel.load(out / "moe_model.json")
+    model.experts.weights[0][0][...] = 1e308  # the first expert's first layer
+    model.save(out / "moe_model.json")
+    assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: non-finite values in layer 0" in capsys.readouterr().err
+    manifest = serialize.load(out / "manifest.json")
+    assert manifest["stages"]["calibrate"] == "failed"
+    assert manifest["error"]["type"] == "ModelError"
+
+
 def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"data": {"kind": "csv"}})
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
@@ -619,6 +673,8 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("data", "n", {"kind": "clustered_shift", "n": 5, "mode": "iid"}),
     ("data", "cluster_std", {"kind": "clustered_shift", "cluster_std": -1}),
     ("data", "noise_low", {"noise_low": -1}),
+    (None, "seed", -1),
+    (None, "methods", []),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()

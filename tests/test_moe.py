@@ -13,7 +13,8 @@ from scipy.stats import norm
 from gradcheck import finite_difference_gradients
 from tessera import serialize
 from tessera.datagen import DataSpec, gen_heteroscedastic
-from tessera.errors import CheckpointError, ConfigError, DimensionError, TrainingError
+from tessera.errors import CheckpointError, ConfigError, DimensionError, ModelError, \
+    TrainingError
 from tessera.mc_dropout import DropoutMlp, McDropoutSpec, mc_predict
 from tessera.moe import (
     LOG_2PI,
@@ -580,3 +581,16 @@ def test_decomposition_invariants_random_models(k, seed):
     lo = pred.mu.min(axis=1) - 1e-12
     hi = pred.mu.max(axis=1) + 1e-12
     assert np.all((pred.mean >= lo) & (pred.mean <= hi))
+
+
+def test_an_overflowing_layer_raises_model_error_naming_it():
+    # 1e308 first-layer weights on inputs of 10 overflow layer 0; the check
+    # names it, and under the suite's RuntimeWarning filter no overflow
+    # warning from the matmul may pre-empt it
+    rng = make_rng(29)
+    gate = Mlp.init((3, 2), "tanh", rng)
+    expert = Mlp.init((3, 6, 2), "relu", rng)
+    expert.weights[0][...] = 1e308
+    model = MoeModel(gate, [expert, Mlp.init((3, 6, 2), "relu", rng)], 1e-6)
+    with pytest.raises(ModelError, match="non-finite values in layer 0"):
+        model.forward(np.full((4, 3), 10.0))
