@@ -1,8 +1,8 @@
 """Monte Carlo dropout baseline.
 
-A small MLP trained on squared error with inverted dropout on its hidden
-layers. Dropout stays on at prediction time: T stochastic passes give a
-per-sample mean and an unbiased variance, for the Gaussian interval
+A one-hidden-layer MLP trained on squared error with inverted dropout on
+its hidden units. Dropout stays on at prediction time: T stochastic passes
+give a per-sample mean and an unbiased variance, for the Gaussian interval
 mean +/- z_{1-alpha/2} * std that ``conformal.build_intervals`` builds.
 """
 
@@ -35,8 +35,9 @@ class DropoutMlp:
     and at prediction time."""
 
     def __init__(self, net: Mlp, dropout: float):
-        if net.output_dim != 1:
-            raise DimensionError("dropout regressor must emit a single output")
+        if net.n_layers != 2 or net.output_dim != 1:
+            raise DimensionError("dropout regressor must be one hidden layer and one output, "
+                                 f"not widths {net.widths}")
         if not (0.0 <= dropout < 1.0):
             raise ConfigError("dropout rate must lie in [0, 1)")
         self.net = net
@@ -65,7 +66,7 @@ class DropoutMlp:
     def deterministic_forward(self, x: Array) -> Array:
         """The net's output with dropout off, from the row-blocked
         ``Mlp.forward``."""
-        return self.net.forward(np.atleast_2d(x))[:, 0]
+        return self.net.forward(x)[:, 0]
 
     def save(self, path) -> None:
         serialize.save_checkpoint(path, "mc_dropout",
@@ -136,14 +137,14 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     """Mean and unbiased variance over ``passes`` stochastic forward passes.
 
     The rows run in the blocks of ``row_blocks``, all passes of one block
-    before the next, so what is held at once is one block's: its
-    first-layer activation, computed once as no mask touches it, a buffer
-    per masked layer, and its (passes, block) draws. Each pass draws the
-    block's masks from ``rng`` as ``sample_masks(block, rng)`` would. Each
-    masked layer's input carries the factor 1/keep and is multiplied by the
-    0/1 indicator: k * (h * (1/keep)) == (k * (1/keep)) * h for k in {0, 1}
-    and finite h * (1/keep), so every product is that of a ``sample_masks``
-    mask. The mean and variance are finished in the float order of
+    before the next, so what is held at once is one block's: its hidden
+    activation, computed once as no mask touches it, one mask buffer, and
+    its (passes, block) draws. Each pass draws the block's mask from
+    ``rng`` as ``sample_masks(block, rng)`` would. The hidden activation
+    carries the factor 1/keep and is multiplied by the 0/1 indicator:
+    k * (h * (1/keep)) == (k * (1/keep)) * h for k in {0, 1} and finite
+    h * (1/keep), so every product is that of a ``sample_masks`` mask. The
+    mean and variance are finished in the float order of
     ``np.var(ddof=1)``: mean, subtract, square, sum, divide by passes - 1.
     At dropout 0 every mask keeps every unit, so one pass of
     ``deterministic_forward`` is the mean, the variance is 0, and nothing is
@@ -151,7 +152,7 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
     """
     if passes < 2:
         raise ConfigError("need at least two passes for an unbiased variance")
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = np.asarray(x, dtype=np.float64)
     net = model.net
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError(f"input must be (n, {net.input_dim})")
@@ -160,33 +161,20 @@ def mc_predict(model: DropoutMlp, x: Array, passes: int,
         return mean, np.zeros_like(mean)
     n = X.shape[0]
     keep = 1.0 - model.dropout
-    widths = [w.shape[0] for w in net.weights[1:]]  # of each masked layer's input
     mean, var = np.empty(n), np.empty(n)
     size = min(n, BLOCK_ROWS + 1)
     slab = np.empty(passes * size)  # each block's draws, C-contiguous
-    bufs = [np.empty((size, w)) for w in widths]
-    inputs = [np.empty((size, w)) for w in widths[1:]]  # of the deeper masked layers
+    masks = np.empty((size, net.weights[1].shape[0]))
     for rows in row_blocks(n):
         b = rows.stop - rows.start
         draws = slab[:passes * b].reshape(passes, b)
-        first = net.first_layer(X[rows])
-        if net.n_layers == 1:
-            draws[:] = first[:, 0]
-        else:
-            activate(first, net.activations[0])
-            first *= 1.0 / keep
+        hidden = activate(net.first_layer(X[rows]), net.activations[0])
+        hidden *= 1.0 / keep
+        mask = masks[:b]
         for t in range(passes):
-            h = first
-            for layer in range(1, net.n_layers):
-                mask = bufs[layer - 1][:b]
-                np.multiply(_kept(rng, keep, mask), h, out=mask)
-                last = layer == net.n_layers - 1
-                h = draws[t, :, None] if last else inputs[layer - 1][:b]
-                np.matmul(mask, net.weights[layer], out=h)
-                h += net.biases[layer]
-                if not last:
-                    activate(h, net.activations[layer])
-                    h *= 1.0 / keep
+            np.multiply(_kept(rng, keep, mask), hidden, out=mask)
+            np.matmul(mask, net.weights[1], out=draws[t, :, None])
+            draws[t] += net.biases[1]
         m = draws.sum(axis=0)
         m /= passes
         draws -= m

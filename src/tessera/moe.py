@@ -150,10 +150,6 @@ class MoeModel:
     def n_experts(self) -> int:
         return self.gate.output_dim
 
-    @property
-    def input_dim(self) -> int:
-        return self.gate.input_dim
-
     def set_parameters(self, params: Array) -> None:
         """Overwrite every parameter with the vector ``params``."""
         if np.shape(params) != self.params.shape:
@@ -179,12 +175,6 @@ class MoeModel:
         self.gate.release_workspace()
         self.experts.release_workspace()
 
-    def _check_input(self, x: Array) -> Array:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if X.shape[1] != self.input_dim:
-            raise DimensionError(f"input must be (n, {self.input_dim})")
-        return X
-
     def _heads(self, logits: Array, out: Array) -> _Heads:
         """Mixture heads from the gate's (n, K) logits and the experts'
         (K, n, 2) outputs."""
@@ -201,26 +191,24 @@ class MoeModel:
     def _forward_parts(self, x: Array) -> tuple[_Heads, dict, dict]:
         """Heads of a training batch plus the gate's and the experts'
         caches, which the gradient needs."""
-        X = self._check_input(x)
-        logits, gate_cache = self.gate.forward_cache(X)
-        out, expert_cache = self.experts.forward_cache(X)
+        logits, gate_cache = self.gate.forward_cache(x)
+        out, expert_cache = self.experts.forward_cache(x)
         return self._heads(logits, out), gate_cache, expert_cache
 
     def _forward_heads(self, x: Array, check_finite: bool = False) -> _Heads:
         """Heads from the row-blocked ``Mlp.forward`` of the gate and the
         experts, keeping no cache."""
-        X = self._check_input(x)
-        return self._heads(self.gate.forward(X, check_finite=check_finite),
-                           self.experts.forward(X, check_finite=check_finite))
+        return self._heads(self.gate.forward(x, check_finite=check_finite),
+                           self.experts.forward(x, check_finite=check_finite))
 
-    def forward(self, x: Array, check_finite: bool = True) -> MixturePrediction:
-        """Mixture prediction for the rows of ``x``.
+    def forward(self, x: Array) -> MixturePrediction:
+        """Mixture prediction for the rows of the (n, input_dim) ``x``.
 
         The gate and the experts run in the row blocks of ``Mlp.forward``,
         so memory grows with n * K, not with n * K * expert_hidden; a
-        non-finite layer value raises ``ModelError`` when ``check_finite``.
+        non-finite layer value raises ``ModelError``.
         """
-        heads = self._forward_heads(x, check_finite=check_finite)
+        heads = self._forward_heads(x, check_finite=True)
         return MixturePrediction(heads.w.T, heads.mu.T, heads.sigma2.T)
 
     def save(self, path) -> None:
@@ -256,20 +244,15 @@ def _log_components(log_w: Array, mu: Array, sigma2: Array,
 
 
 def mixture_log_pdf(pred: MixturePrediction, y) -> Array:
-    """Log density of the row-wise mixture at y.
-
-    ``y`` may be a scalar (one-row prediction) or a length-n vector paired
-    row by row.
-    """
-    scalar_in = np.ndim(y) == 0
-    yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if yv.shape[0] != pred.n:
+    """Log density of the row-wise mixture at y, a length-n vector paired
+    row by row."""
+    yv = np.asarray(y, dtype=np.float64)
+    if yv.shape != (pred.n,):
         raise DimensionError("y must pair with prediction rows")
     with np.errstate(divide="ignore"):  # w == 0 gives -inf, which softmax_lse absorbs
         log_w = np.log(pred.w)
     comp = _log_components(log_w.T, pred.mu.T, pred.sigma2.T, yv)[0]
-    out = softmax_lse(comp.T)[0]
-    return float(out[0]) if scalar_in else out
+    return softmax_lse(comp.T)[0]
 
 
 def _nll_core(heads: _Heads, y):

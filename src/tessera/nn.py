@@ -299,8 +299,7 @@ class Mlp:
         return h, cache
 
     def forward(self, x: Array, hidden_masks=None, check_finite: bool = False) -> Array:
-        """Batched forward pass keeping no cache; accepts a single sample as
-        a 1-d vector.
+        """Batched forward pass of an (n, input_dim) input, keeping no cache.
 
         The rows run in the blocks of ``row_blocks``, each through
         ``forward_cache`` (with its slice of each mask), into one
@@ -308,8 +307,7 @@ class Mlp:
         block's, not n rows' (for a stack, K of them), and every output
         row is bit for bit what ``forward_cache`` gives on its block.
         """
-        single = np.asarray(x).ndim == 1
-        X = self._check_input(np.atleast_2d(x))
+        X = self._check_input(x)
         masks = self._check_masks(X, hidden_masks)
         out = np.empty(self.weights[0].shape[:-2] + (X.shape[0], self.output_dim))
         quiet = "ignore" if check_finite else None  # its ModelError names the layer
@@ -317,7 +315,7 @@ class Mlp:
             for rows in row_blocks(X.shape[0]):
                 block_masks = None if masks is None else [m[..., rows, :] for m in masks]
                 out[..., rows, :] = self.forward_cache(X[rows], block_masks, check_finite)[0]
-        return out[..., 0, :] if single else out
+        return out
 
     def backward(self, cache, upstream: Array, out: Array | None = None) -> Array:
         """Gradient of sum(upstream * output) in the ``params`` layout.

@@ -96,8 +96,8 @@ def test_single_component_matches_norm_pdf():
 def test_two_component_hand_density():
     pred = two_component()
     want = 0.5 * norm.pdf(0.0, -1.0, 1.0) + 0.5 * norm.pdf(0.0, 1.0, 1.0)
-    assert_allclose(np.exp(mixture_log_pdf(pred, 0.0)), want, rtol=1e-12)
-    assert_allclose(mixture_log_pdf(pred, 0.0), np.log(want), rtol=1e-12)
+    assert_allclose(np.exp(mixture_log_pdf(pred, [0.0])), [want], rtol=1e-12)
+    assert_allclose(mixture_log_pdf(pred, [0.0]), [np.log(want)], rtol=1e-12)
 
 
 def test_density_integrates_to_one():
@@ -116,11 +116,13 @@ def test_density_pairs_rows_with_targets():
         mixture_log_pdf(pred, [0.0, 1.0, 2.0])
     with pytest.raises(DimensionError):  # a one-row prediction pairs with one target too
         mixture_log_pdf(two_component(), [0.0, 1.0])
+    with pytest.raises(DimensionError):  # in a length-1 vector
+        mixture_log_pdf(two_component(), 0.0)
 
 
 def test_log_pdf_survives_tiny_gate_weight():
     pred = MixturePrediction(w=[[1.0, 0.0]], mu=[[0.0, 50.0]], sigma2=[[1.0, 1.0]])
-    assert_allclose(mixture_log_pdf(pred, 0.0), norm.logpdf(0.0), rtol=1e-12)
+    assert_allclose(mixture_log_pdf(pred, [0.0]), [norm.logpdf(0.0)], rtol=1e-12)
 
 
 # ------------------------------------------------------------- forward
@@ -594,3 +596,13 @@ def test_an_overflowing_layer_raises_model_error_naming_it():
     model = MoeModel(gate, [expert, Mlp.init((3, 6, 2), "relu", rng)], 1e-6)
     with pytest.raises(ModelError, match="non-finite values in layer 0"):
         model.forward(np.full((4, 3), 10.0))
+
+
+def test_forward_takes_rows_of_input_dim_only():
+    model = MoeModel.init(3, ModelSpec(n_experts=2, expert_hidden=4), make_rng(0))
+    for x in (np.zeros(3), np.zeros((4, 2))):  # a lone row must be (1, 3)
+        with pytest.raises(DimensionError, match=r"input must be \(n, 3\)"):
+            model.forward(x)
+        with pytest.raises(DimensionError, match=r"input must be \(n, 3\)"):
+            mixture_nll(model, x, np.zeros(len(x)))
+    assert model.forward(np.zeros((1, 3))).n == 1

@@ -305,8 +305,10 @@ def test_batched_forward_matches_row_by_row():
     net = Mlp.init((3, 8, 2), "tanh", rng=make_rng(1))
     X = make_rng(2).standard_normal((6, 3))
     batched = net.forward(X)
-    rows = np.stack([net.forward(X[i]) for i in range(6)])
+    rows = np.concatenate([net.forward(X[i:i + 1]) for i in range(6)])
     assert_allclose(batched, rows, rtol=1e-12)
+    with pytest.raises(DimensionError, match=r"input must be \(n, 3\)"):
+        net.forward(X[0])  # one row is (1, d), not a vector
 
 
 def _rel_err(a, b, abs_floor=1e-8):

@@ -177,13 +177,13 @@ def test_adam_step_matches_reference(lr):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5, 0.9])
 def test_sample_masks_match_reference(dropout):
-    net = Mlp.init((2, 7, 4, 1), "relu", rng=make_rng(0))
+    net = Mlp.init((2, 7, 1), "relu", rng=make_rng(0))
     model = DropoutMlp(net, dropout=dropout)
-    # 13 rows of 7 and of 4 units: at dropout 0.5 neither fills whole bytes
+    # 13 rows of 7 units: at dropout 0.5 they do not fill whole bytes
     got_rng, want_rng = make_rng(3), make_rng(3)
     got = model.sample_masks(13, got_rng)
     want = stepcheck.sample_masks(model, 13, want_rng)
-    assert len(got) == len(want) == 2
+    assert len(got) == len(want) == 1
     assert all(same_bits(g, w) for g, w in zip(got, want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
