@@ -94,8 +94,8 @@ class CalibrationResult:
         object.__setattr__(self, "kind", ScaleKind(self.kind))
         if not (0.0 < self.alpha < 1.0):
             raise CalibrationError("alpha must lie strictly between 0 and 1")
-        if self.epsilon < 0:
-            raise CalibrationError("epsilon must be nonnegative")
+        if not (0.0 <= self.epsilon < math.inf):
+            raise CalibrationError("epsilon must be nonnegative and finite")
         if self.n_cal < 1:
             raise CalibrationError("n_cal must be >= 1")
         if math.isnan(self.q_hat) or self.q_hat < 0:

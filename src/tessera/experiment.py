@@ -98,8 +98,8 @@ class CalibrationSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError("alpha must lie strictly between 0 and 1")
-        if not (self.epsilon >= 0.0):
-            raise ConfigError("epsilon must be nonnegative")
+        if not (0.0 <= self.epsilon < np.inf):
+            raise ConfigError("epsilon must be nonnegative and finite")
 
 
 @dataclass

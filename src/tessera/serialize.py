@@ -14,7 +14,6 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
@@ -26,8 +25,8 @@ CHECKPOINT_VERSION = 1
 
 def to_jsonable(obj):
     """Recursively convert to plain JSON types with non-finite sentinels."""
-    if isinstance(obj, Enum):
-        return to_jsonable(obj.value)
+    if isinstance(obj, (np.bool_, bool)):  # before int, of which bool is a subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if math.isnan(x):
@@ -37,10 +36,6 @@ def to_jsonable(obj):
         return x
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

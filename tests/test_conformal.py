@@ -267,6 +267,18 @@ def test_calibration_load_refuses_another_family_or_version(tmp_path):
         CalibrationResult.load(path, ScaleKind.EPISTEMIC)
 
 
+@pytest.mark.parametrize("epsilon", ['"inf"', '"nan"', "-1.0"])
+def test_calibration_load_refuses_an_epsilon_not_finite_and_nonnegative(tmp_path, epsilon):
+    # an infinite epsilon makes every score 0, so q_hat 0 and zero-width intervals
+    res = calibrate([1.0] * 20, [0.0] * 20, [1.0] * 20, ScaleKind.CONSTANT,
+                    alpha=0.1, epsilon=1e-8)
+    path = tmp_path / "calibration_constant.json"
+    res.save(path)
+    path.write_text(path.read_text().replace('"epsilon": 1e-08', f'"epsilon": {epsilon}'))
+    with pytest.raises(CalibrationError, match="^epsilon must be nonnegative and finite"):
+        CalibrationResult.load(path, ScaleKind.CONSTANT)
+
+
 def test_result_consistency_validation():
     # n_cal = 99 at alpha = 0.1 must have a finite quantile
     with pytest.raises(CalibrationError):

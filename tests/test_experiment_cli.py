@@ -675,6 +675,8 @@ def test_cli_bad_config_fails_nonzero(tmp_path, capsys):
     ("data", "noise_low", {"noise_low": -1}),
     (None, "seed", -1),
     (None, "methods", []),
+    # json reads Infinity, and every score over scale + inf is 0
+    ("calibration", "epsilon", float("inf")),
 ])
 def test_bad_trainer_setting_fails_at_config_load(tmp_path, capsys, section, key, value):
     cfg = small_config()
@@ -708,6 +710,23 @@ def test_one_expert_with_zero_epsilon_fails_at_config_load(tmp_path, capsys):
     # either setting alone is a legal config
     ExperimentConfig.from_dict(small_config(model={"n_experts": 1, "expert_hidden": 8}))
     ExperimentConfig.from_dict(small_config(calibration={"epsilon": 0.0}))
+
+
+def test_an_infinite_epsilon_fails_at_config_load(tmp_path):
+    # it used to run to the end, with q_hat 0 and PICP 0 from all three
+    # conformal methods
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    path = tmp_path / "config.json"
+    path.write_text('{"calibration": {"epsilon": Infinity}}')
+    out = tmp_path / "never"
+    proc = subprocess.run([sys.executable, "-m", "tessera.cli", "run", "--config", str(path),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 1
+    assert "config.calibration.epsilon must be nonnegative and finite" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["ood", "iid"])

@@ -1,6 +1,7 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tessera import serialize
@@ -60,3 +61,9 @@ def test_atomic_write_hashes_the_bytes_that_reach_the_file(tmp_path):
     assert len(data) > 5000 * 6
     assert f.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
     assert serialize.dump({"k": "é"}, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dumps_writes_bools_as_json_booleans():
+    # bool is a subclass of int, so a Python True must not come out as 1
+    assert serialize.dumps({"flag": True, "off": np.bool_(False), "n": np.int64(3)}) == \
+        '{\n  "flag": true,\n  "n": 3,\n  "off": false\n}\n'
