@@ -117,9 +117,11 @@ def assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropou
 
 # (3, 7, 1): at dropout 0.5 the mask bits do not fill whole bytes; at input
 # width 16 the first layer's folded bias rounds differently from a separate
-# bias add
+# bias add; (1, 1, 1) draws one mask bit per row; 64 is McDropoutSpec's
+# default hidden width
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("widths", [(3, 16, 1), (3, 7, 1), (16, 16, 1)])
+@pytest.mark.parametrize("widths", [(3, 16, 1), (3, 7, 1), (16, 16, 1), (1, 1, 1),
+                                    (3, 64, 1), (16, 7, 1)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, dropout):
     assert_mc_predict_matches_a_full_forward_per_pass(activation, widths, dropout, 37)
@@ -130,7 +132,7 @@ def test_mc_predict_matches_a_full_forward_per_pass_bitwise(activation, widths, 
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                   2 * BLOCK_ROWS + 7])
 @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
-@pytest.mark.parametrize("widths", [(3, 16, 1), (16, 16, 1)])
+@pytest.mark.parametrize("widths", [(3, 16, 1), (16, 16, 1), (3, 7, 1)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_mc_predict_matches_a_full_forward_per_pass_across_blocks(activation, widths,
                                                                   dropout, rows):
